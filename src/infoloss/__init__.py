@@ -50,7 +50,6 @@ from .partition import (
     CubicPartition,
     Dataset,
     JointHistogram,
-    ScalingMap,
     TestConfig,
     TestOutcome,
     build_histogram,

@@ -34,7 +34,6 @@ __all__ = [
     "CubicPartition",
     "Dataset",
     "JointHistogram",
-    "ScalingMap",
     "TestConfig",
     "TestOutcome",
     "build_histogram",
@@ -100,49 +99,49 @@ class Dataset:
         """All coordinates as one (n, d + 1 + d') matrix, ordered x, y, z."""
         return np.hstack([self.x, self.y[:, None], self.z])
 
-
-@dataclass(frozen=True)
-class ScalingMap:
-    """Per-coordinate affine ranges used to map data onto the unit cube."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self) -> None:
-        lo = np.asarray(self.lo, dtype=np.float64)
-        hi = np.asarray(self.hi, dtype=np.float64)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("lo/hi must be 1-D arrays of equal length")
-        if np.any(hi < lo):
-            raise ValueError("hi must be >= lo coordinate-wise")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def transform(self, cols: np.ndarray) -> np.ndarray:
-        """Apply min-max scaling; constant coordinates map to 0.5."""
-        if cols.shape[1] != self.lo.shape[0]:
-            raise ValueError(
-                f"column mismatch: data has {cols.shape[1]}, map has {self.lo.shape[0]}"
-            )
-        span = self.hi - self.lo
-        out = np.empty_like(cols)
-        const = span == 0
-        out[:, const] = 0.5
-        live = ~const
-        out[:, live] = (cols[:, live] - self.lo[live]) / span[live]
-        return out
+    @classmethod
+    def _owned(cls, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> Dataset:
+        """Wrap float64 arrays built by this module without re-validating or copying them."""
+        data = object.__new__(cls)
+        for name, arr in (("x", x), ("y", y), ("z", z)):
+            arr.flags.writeable = False
+            object.__setattr__(data, name, arr)
+        return data
 
 
-def scale_unit(data: Dataset) -> tuple[Dataset, ScalingMap]:
-    """Min-max scale every coordinate of the sample onto [0, 1]."""
-    cols = data.columns()
-    smap = ScalingMap(lo=cols.min(axis=0), hi=cols.max(axis=0))
-    scaled = smap.transform(cols)
-    d = data.d
+def _coordinates(data: Dataset) -> list[tuple[str, np.ndarray]]:
+    """Every coordinate as a (name, column) pair, ordered x1..xd, y, z1..zd'."""
     return (
-        Dataset(x=scaled[:, :d], y=scaled[:, d], z=scaled[:, d + 1 :]),
-        smap,
+        [(f"x{j + 1}", data.x[:, j]) for j in range(data.d)]
+        + [("y", data.y)]
+        + [(f"z{j + 1}", data.z[:, j]) for j in range(data.d_prime)]
     )
+
+
+def scale_unit(data: Dataset) -> tuple[Dataset, tuple[np.ndarray, np.ndarray]]:
+    """Min-max scale every coordinate of the sample onto [0, 1].
+
+    Returns the scaled sample and the per-coordinate ranges (lo, hi), ordered
+    x, y, z.  Constant coordinates map to 0.5.  The scaled x and z are stored
+    column-major, so each coordinate is one contiguous column.
+    """
+    n = data.n
+    x = np.empty((n, data.d), order="F")
+    y = np.empty(n)
+    z = np.empty((n, data.d_prime), order="F")
+    outs = [x[:, j] for j in range(data.d)] + [y] + [z[:, j] for j in range(data.d_prime)]
+    lo, hi = np.empty(len(outs)), np.empty(len(outs))
+    for j, ((name, col), out) in enumerate(zip(_coordinates(data), outs)):
+        lo[j], hi[j] = col.min(), col.max()
+        span = float(hi[j]) - float(lo[j])
+        if math.isinf(span):
+            raise ValueError(f"{name}: max - min = {hi[j]!r} - {lo[j]!r} overflows float64")
+        if span == 0.0:
+            out.fill(0.5)
+        else:
+            np.subtract(col, lo[j], out=out)
+            np.divide(out, span, out=out)
+    return Dataset._owned(x, y, z), (lo, hi)
 
 
 def h_schedule(n: int, d: int, d_prime: int, delta: float) -> float:
@@ -220,66 +219,53 @@ class JointHistogram:
     c_counts: np.ndarray
 
 
-def _cell_indices(cols: np.ndarray, h: float, bins: int) -> np.ndarray:
-    idx = np.floor(cols / h).astype(np.int64)
-    return np.minimum(idx, bins - 1)
-
-
-def _flatten(idx: np.ndarray, bins: int) -> np.ndarray:
-    """Mixed-radix flattening of per-axis cell indices; 0 columns -> all 0."""
-    flat = np.zeros(idx.shape[0], dtype=np.int64)
-    for j in range(idx.shape[1]):
-        flat = flat * bins + idx[:, j]
-    return flat
-
-
-def _group_counts(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """For each entry, the total count of all entries sharing its key."""
-    _, inverse = np.unique(keys, return_inverse=True)
-    sums = np.bincount(inverse, weights=counts.astype(np.float64))
-    return sums[inverse].astype(np.int64)
-
-
 def build_histogram(data: Dataset, part: CubicPartition) -> JointHistogram:
     """Bin a scaled sample into the cubic partition.
 
     Every coordinate must already lie in [0, 1]; values exactly at 1 fall
-    into the last bin along their axis.
+    into the last bin along their axis.  Each coordinate's cell index
+    floor(u / h) is added into one mixed-radix key over x..., y, z....  When
+    the whole grid has no more cells than the sample has rows, one bincount
+    counts it and the marginals are sums of that grid; finer grids are
+    counted by sorting the keys.  Either way the occupied triples come out
+    in ascending key order.
     """
     if data.d != part.d or data.d_prime != part.d_prime:
         raise ValueError(
             f"dimension mismatch: data is ({data.d}, 1, {data.d_prime}), "
             f"partition is ({part.d}, 1, {part.d_prime})"
         )
-    cols = data.columns()
-    if cols.min() < 0.0 or cols.max() > 1.0:
-        raise ValueError("unscaled coordinate outside [0, 1]; call scale_unit first")
     bins = part.bins_per_axis
-    idx = _cell_indices(cols, part.h, bins)
-    d = data.d
-    a = _flatten(idx[:, :d], bins)
-    b = idx[:, d]
-    c = _flatten(idx[:, d + 1 :], bins)
+    key = np.zeros(data.n, dtype=np.int64)
+    cell = np.empty(data.n)
+    index = np.empty(data.n, dtype=np.int64)
+    for _, col in _coordinates(data):
+        if col.min() < 0.0 or col.max() > 1.0:
+            raise ValueError("unscaled coordinate outside [0, 1]; call scale_unit first")
+        np.divide(col, part.h, out=cell)
+        np.floor(cell, out=index, casting="unsafe")
+        np.minimum(index, bins - 1, out=index)
+        key *= bins
+        key += index
 
-    n_c = part.m_dprime
-    key = (a * bins + b) * n_c + c
-    uniq, counts = np.unique(key, return_counts=True)
-    c_ids = uniq % n_c
-    rest = uniq // n_c
-    b_ids = rest % bins
-    a_ids = rest // bins
-
-    return JointHistogram(
-        n=data.n,
-        part=part,
-        a_ids=a_ids,
-        b_ids=b_ids,
-        c_ids=c_ids,
-        counts=counts.astype(np.int64),
-        ac_counts=_group_counts(a_ids * n_c + c_ids, counts),
-        bc_counts=_group_counts(b_ids * n_c + c_ids, counts),
-        c_counts=_group_counts(c_ids, counts),
-    )
+    shape = (part.m, bins, part.m_dprime)
+    if math.prod(shape) <= data.n:
+        grid = np.bincount(key, minlength=math.prod(shape))
+        ids = np.flatnonzero(grid)
+        counts = grid[ids]
+        a_ids, b_ids, c_ids = np.unravel_index(ids, shape)
+        grid = grid.reshape(shape)
+        ac, bc = grid.sum(axis=1), grid.sum(axis=0)
+        marginals = [ac[a_ids, c_ids], bc[b_ids, c_ids], bc.sum(axis=0)[c_ids]]
+    else:
+        ids, counts = np.unique(key, return_counts=True)
+        a_ids, b_ids, c_ids = np.unravel_index(ids, shape)
+        n_c = part.m_dprime
+        marginals = []
+        for cell_key in (a_ids * n_c + c_ids, b_ids * n_c + c_ids, c_ids):
+            _, inverse = np.unique(cell_key, return_inverse=True)
+            marginals.append(np.bincount(inverse, weights=counts)[inverse].astype(np.int64))
+    return JointHistogram(data.n, part, a_ids, b_ids, c_ids, counts, *marginals)
 
 
 def l_statistic(hist: JointHistogram) -> float:

@@ -1,6 +1,7 @@
 """Tests for the partition-based conditional independence test."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,12 @@ from infoloss import (
     C1_MIN,
     CubicPartition,
     Dataset,
+    H0Config,
+    H1Config,
     TestConfig,
     build_histogram,
+    gen_h0,
+    gen_h1,
     h_schedule,
     l_statistic,
     run_test,
@@ -74,6 +79,29 @@ class TestScaling:
         assert out_a.L_n == pytest.approx(out_b.L_n, abs=1e-12)
         assert out_a.t_n == out_b.t_n
         assert out_a.m == out_b.m
+
+
+    def test_x_span_overflow_names_coordinate(self):
+        data = Dataset(
+            x=np.array([[0.0, -1e308], [1.0, 1e308], [2.0, 0.0]]),
+            y=np.arange(3.0),
+            z=np.zeros((3, 1)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^x2: max - min .* overflows float64"):
+                scale_unit(data)
+
+    def test_y_span_overflow_names_coordinate(self):
+        data = Dataset(
+            x=np.arange(4.0)[:, None],
+            y=np.array([-1.7e308, 0.0, 1.0, 1.7e308]),
+            z=np.zeros((4, 1)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^y: max - min .* overflows float64"):
+                run_test(data, TestConfig(h=0.5))
 
 
 class TestBandwidthSchedule:
@@ -153,6 +181,60 @@ class TestHistogram:
         data = Dataset(x=np.array([[1.5]]), y=np.array([0.5]), z=np.array([[0.5]]))
         part = CubicPartition(h=0.5, d=1, d_prime=1)
         with pytest.raises(ValueError):
+            build_histogram(data, part)
+
+
+    @staticmethod
+    def _recount(scaled, part):
+        """Occupied triples and their marginals from np.unique over row tuples."""
+        bins = part.bins_per_axis
+        idx = np.minimum(np.floor(scaled.columns() / part.h).astype(np.int64), bins - 1)
+        d = scaled.d
+        a = np.zeros(scaled.n, dtype=np.int64)
+        for j in range(d):
+            a = a * bins + idx[:, j]
+        c = np.zeros(scaled.n, dtype=np.int64)
+        for j in range(d + 1, idx.shape[1]):
+            c = c * bins + idx[:, j]
+        triples, counts = np.unique(
+            np.stack([a, idx[:, d], c], axis=1), axis=0, return_counts=True
+        )
+
+        def marginal(cols):
+            keys = [tuple(t) for t in triples[:, cols]]
+            totals = {}
+            for k, n_k in zip(keys, counts):
+                totals[k] = totals.get(k, 0) + n_k
+            return np.array([totals[k] for k in keys])
+
+        return triples, counts, marginal([0, 2]), marginal([1, 2]), marginal([2])
+
+    @pytest.mark.parametrize(
+        "n, h, d, d_prime",
+        [(5000, 0.25, 2, 1), (200, 0.05, 2, 1)],
+        ids=["grid-within-n", "grid-beyond-n"],
+    )
+    def test_both_counting_paths_match_recount(self, rng, n, h, d, d_prime):
+        data = make_dataset(rng, n, d=d, d_prime=d_prime)
+        scaled, _ = scale_unit(data)
+        part = CubicPartition(h=h, d=d, d_prime=d_prime)
+        # The first case counts on the dense grid, the second by sorting.
+        assert (part.m * part.m_prime * part.m_dprime <= n) == (n == 5000)
+        hist = build_histogram(scaled, part)
+        triples, counts, ac, bc, cm = self._recount(scaled, part)
+        assert hist.n == n and hist.part == part
+        np.testing.assert_array_equal(hist.a_ids, triples[:, 0])
+        np.testing.assert_array_equal(hist.b_ids, triples[:, 1])
+        np.testing.assert_array_equal(hist.c_ids, triples[:, 2])
+        np.testing.assert_array_equal(hist.counts, counts)
+        np.testing.assert_array_equal(hist.ac_counts, ac)
+        np.testing.assert_array_equal(hist.bc_counts, bc)
+        np.testing.assert_array_equal(hist.c_counts, cm)
+
+    def test_rejects_negative_coordinate(self):
+        data = Dataset(x=np.array([[0.5]]), y=np.array([-0.1]), z=np.array([[0.5]]))
+        part = CubicPartition(h=0.5, d=1, d_prime=1)
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
             build_histogram(data, part)
 
 
@@ -313,3 +395,24 @@ class TestRunTest:
         data = make_dataset(rng, 5000)
         out = run_test(data, TestConfig(c1=1.5, delta=0.2))
         assert not out.reject
+
+
+# L_n.hex() of the default test on seeded samples, recorded before the
+# binning core was rebuilt; cell assignment and summation order must not
+# change.  At n = 1e5 the scheduled side h is 0.09999999999999999, so the
+# top cell edge sits just below 1.
+GOLDEN_L_N = {
+    ("h0", 1_000): "0x0.0p+0",
+    ("h1", 1_000): "0x1.68afe2b75ec6fp-1",
+    ("h0", 10_000): "0x1.ad35a6fb89e20p-5",
+    ("h1", 10_000): "0x1.ce376aae43cc7p-1",
+    ("h0", 100_000): "0x1.24d5a8c852320p-5",
+    ("h1", 100_000): "0x1.0692164cd9496p+0",
+}
+
+
+@pytest.mark.parametrize("scenario, n", sorted(GOLDEN_L_N))
+def test_golden_l_n_bit_identical(scenario, n):
+    gen, cfg = (gen_h0, H0Config) if scenario == "h0" else (gen_h1, H1Config)
+    out = run_test(gen(cfg(n=n, seed=2024)))
+    assert out.L_n.hex() == GOLDEN_L_N[scenario, n]
