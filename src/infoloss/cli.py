@@ -52,13 +52,18 @@ def _test_config(args) -> TestConfig:
     return TestConfig(c1=args.c1, delta=args.delta, h=args.h)
 
 
+def _emit_json(obj: dict, output: str | None) -> None:
+    """Print ``obj`` as indented JSON, and also write it to ``output`` when given."""
+    payload = json.dumps(obj, indent=2)
+    if output:
+        Path(output).write_text(payload + "\n")
+    print(payload)
+
+
 def _cmd_test(args) -> int:
     data = read_dataset_csv(args.input, d=args.d, d_prime=args.dprime)
     outcome = run_test(data, _test_config(args))
-    payload = json.dumps(outcome.to_dict(), indent=2)
-    if args.output:
-        Path(args.output).write_text(payload + "\n")
-    print(payload)
+    _emit_json(outcome.to_dict(), args.output)
     return EXIT_REJECT if outcome.reject else EXIT_OK
 
 
@@ -89,20 +94,14 @@ def _cmd_bounds(args) -> int:
     tmap = map_from_dict(obj.get("map"), "map")
     loss = loss_from_dict(obj.get("loss"), "loss")
     report = bound_bounded_loss(joint, tmap, loss)
-    payload = json.dumps(report.to_dict(), indent=2)
-    if args.output:
-        Path(args.output).write_text(payload + "\n")
-    print(payload)
+    _emit_json(report.to_dict(), args.output)
     return EXIT_OK
 
 
 def _cmd_portfolio(args) -> int:
     market = market_from_dict(load_json(args.input), "market")
     report = growth_gap_bound(market)
-    payload = json.dumps(report.to_dict(), indent=2)
-    if args.output:
-        Path(args.output).write_text(payload + "\n")
-    print(payload)
+    _emit_json(report.to_dict(), args.output)
     return EXIT_OK
 
 
@@ -151,10 +150,7 @@ def _cmd_gen(args) -> int:
 def _cmd_select(args) -> int:
     data = read_dataset_csv(args.input, d=args.d)
     result = greedy_lossless_selection(data, _test_config(args))
-    payload = json.dumps(result.to_dict(), indent=2)
-    if args.output:
-        Path(args.output).write_text(payload + "\n")
-    print(payload)
+    _emit_json(result.to_dict(), args.output)
     if not result.accepted:
         print("warning: no subset accepted; returning the full set", file=sys.stderr)
     return EXIT_OK

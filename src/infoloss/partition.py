@@ -101,7 +101,12 @@ class Dataset:
 
     @classmethod
     def _owned(cls, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> Dataset:
-        """Wrap float64 arrays built by this module without re-validating or copying them."""
+        """Wrap float64 arrays without re-validating or copying them.
+
+        Callers pass arrays of a validated ``Dataset`` or fresh arrays computed
+        from them, so the shapes agree and every value is finite.  The arrays
+        are made read-only in place.
+        """
         data = object.__new__(cls)
         for name, arr in (("x", x), ("y", y), ("z", z)):
             arr.flags.writeable = False

@@ -76,7 +76,7 @@ def _step_config(cfg: TestConfig, d: int, d_prime: int) -> TestConfig:
 
 def _run_subset(data: Dataset, subset: list[int], cfg: TestConfig) -> TestOutcome:
     z = data.x[:, subset] if subset else np.empty((data.n, 0))
-    probe = Dataset(x=data.x, y=data.y, z=z)
+    probe = Dataset._owned(data.x, data.y, z)
     return run_test(probe, _step_config(cfg, probe.d, probe.d_prime))
 
 

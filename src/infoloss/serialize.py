@@ -192,11 +192,20 @@ def _header(d: int, d_prime: int) -> list[str]:
     return [f"x{i + 1}" for i in range(d)] + ["y"] + [f"z{i + 1}" for i in range(d_prime)]
 
 
+# Rows converted to Python floats at a time.  A Python float and its list slot
+# take 32 bytes per cell against numpy's 8, so a whole-sample tolist() would
+# add four times the sample's size to the writer's peak memory; one small block,
+# released before the lines are joined, adds nothing measurable.
+_WRITE_BLOCK = 1024
+
+
 def dataset_to_csv(data: Dataset) -> str:
     lines = [",".join(_header(data.d, data.d_prime))]
     cols = data.columns()
-    for row in cols:
-        lines.append(",".join(repr(float(v)) for v in row))
+    for start in range(0, len(cols), _WRITE_BLOCK):
+        lines.extend(
+            ",".join(map(repr, row)) for row in cols[start : start + _WRITE_BLOCK].tolist()
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -204,14 +213,49 @@ def write_dataset_csv(data: Dataset, path) -> None:
     Path(path).write_text(dataset_to_csv(data))
 
 
+def _scan_rows(path, lines: list[str], width: int) -> list[list[float]]:
+    """Parse the body lines one cell at a time with Python's ``float``.
+
+    Blank lines are skipped.  The first malformed line raises a SchemaError
+    naming its 1-based line number and, for a bad cell, its column.
+    """
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise SchemaError(
+                f"{path}, line {lineno}: expected {width} fields, got {len(cells)}"
+            )
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            for col, cell in enumerate(cells, start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise SchemaError(
+                        f"{path}, line {lineno}, column {col}: could not parse {cell.strip()!r}"
+                    ) from None
+            raise
+    return rows
+
+
 def read_dataset_csv(path, d: int | None = None, d_prime: int | None = None) -> Dataset:
     """Parse a sample CSV with header x1..xd,y,z1..zd'.
 
     Dimensions are inferred from the header and checked against ``d`` and
-    ``d_prime`` when given.  Parse failures report 1-based line numbers.
+    ``d_prime`` when given.  Blank lines are skipped.  Parse failures report
+    1-based line numbers.
+
+    The body is parsed by one ``np.loadtxt`` pass over the lines.  When that
+    fails or finds the wrong width, the line scanner parses them again and
+    either locates the error or accepts what only ``float`` reads
+    (whitespace-only lines, ``1_0``, non-ASCII digits).  Both paths read
+    numbers with the parser ``float`` uses, so their values are identical.
     """
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].strip():
         raise SchemaError(f"{path}: empty file")
     names = [t.strip() for t in lines[0].split(",")]
@@ -233,29 +277,16 @@ def read_dataset_csv(path, d: int | None = None, d_prime: int | None = None) -> 
     if d_file < 1:
         raise SchemaError(f"{path}, line 1: need at least one x column")
     width = len(names)
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != width:
-            raise SchemaError(
-                f"{path}, line {lineno}: expected {width} fields, got {len(cells)}"
-            )
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError:
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise SchemaError(
-                        f"{path}, line {lineno}, column {col}: could not parse {cell.strip()!r}"
-                    ) from None
-            raise
-    if not rows:
+    if not any(line.strip() for line in lines[1:]):
         raise SchemaError(f"{path}: empty dataset (header only)")
-    arr = np.asarray(rows, dtype=np.float64)
+    try:
+        arr = np.loadtxt(
+            lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2, skiprows=1
+        )
+    except ValueError:
+        arr = None
+    if arr is None or arr.shape[1] != width:
+        arr = np.asarray(_scan_rows(path, lines, width), dtype=np.float64)
     try:
         return Dataset(x=arr[:, :d_file], y=arr[:, d_file], z=arr[:, d_file + 1 :])
     except ValueError as exc:

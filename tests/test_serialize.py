@@ -1,7 +1,15 @@
 """Tests for the JSON and CSV interchange formats."""
 
+import re
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from infoloss import (
     Dataset,
@@ -203,3 +211,111 @@ class TestDatasetCsv:
         back = read_dataset_csv(path)
         assert back.x[0, 0] == data.x[0, 0]
         assert back.y[0] == data.y[0]
+
+
+def read_strict(path, text):
+    """Write ``text`` byte for byte and read it back with warnings as errors."""
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return read_dataset_csv(path)
+
+
+@st.composite
+def finite_samples(draw):
+    """Datasets of finite float64 values with shape (n, d + 1 + d')."""
+    d = draw(st.integers(1, 3))
+    d_prime = draw(st.integers(0, 2))
+    n = draw(st.integers(1, 12))
+    cols = draw(
+        arrays(np.float64, (n, d + 1 + d_prime),
+               elements=st.floats(allow_nan=False, allow_infinity=False))
+    )
+    return Dataset(x=cols[:, :d], y=cols[:, d], z=cols[:, d + 1 :])
+
+
+class TestCsvParserParity:
+    """Inputs at the edges of the CSV grammar read exactly as documented."""
+
+    @pytest.mark.parametrize(
+        "body, rows",
+        [
+            ("0.1,0.2,0.3\r\n0.4,0.5,0.6\r\n", [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
+            ("0.1,0.2,0.3\n0.4,0.5,0.6", [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
+            (" 0.1 ,\t0.2,0.3\t\n0.4,  0.5 ,0.6\n", [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
+            ("0.1,0.2,0.3\n\n0.4,0.5,0.6\n", [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
+            ("0.1,0.2,0.3\n \t \n0.4,0.5,0.6\n", [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
+            ("1_0,0.2,0.3\n0.4,0.5,0.6\n", [[10.0, 0.2, 0.3], [0.4, 0.5, 0.6]]),
+            ("\u0661,0.2,0.3\n0.4,0.5,0.6\n", [[1.0, 0.2, 0.3], [0.4, 0.5, 0.6]]),
+        ],
+        ids=["crlf", "no-final-newline", "padding", "empty-line", "whitespace-line",
+             "underscore", "unicode-digit"],
+    )
+    def test_accepted_values(self, tmp_path, body, rows):
+        data = read_strict(tmp_path / "in.csv", "x1,y,z1\n" + body)
+        expected = np.array(rows)
+        np.testing.assert_array_equal(data.x, expected[:, :1])
+        np.testing.assert_array_equal(data.y, expected[:, 1])
+        np.testing.assert_array_equal(data.z, expected[:, 2:])
+
+    @pytest.mark.parametrize("sep", [",", " ,\t"])
+    def test_vectorised_pass_matches_line_scanner(self, tmp_path, rng, monkeypatch, sep):
+        cols = rng.standard_normal((300, 4)) * np.array([1.0, 1e-300, 1e300, 1e-7])
+        data = Dataset(x=cols[:, :2], y=cols[:, 2], z=cols[:, 3:])
+        text = dataset_to_csv(data).replace(",", sep)
+        fast = read_strict(tmp_path / "in.csv", text)
+
+        def no_loadtxt(*args, **kwargs):
+            raise ValueError("vectorised pass disabled")
+
+        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+        scanned = read_strict(tmp_path / "in.csv", text)
+        for got, want in ((fast, scanned), (scanned, data)):
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.y.tobytes() == want.y.tobytes()
+            assert got.z.tobytes() == want.z.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x1,y,z1\n  \n\t\n", ": empty dataset (header only)"),
+            ("x1,x2,y,z1\n1,2,3\n4,5,6\n", ", line 2: expected 4 fields, got 3"),
+            ("x1,y,z1\n0.1,0.2,0.3\n0.4,0.5,\n", ", line 3, column 3: could not parse ''"),
+            ("x1,y,z1\n0.1,0.2,0.3\n0.4,,0.6\n", ", line 3, column 2: could not parse ''"),
+            ("x1,y,z1\n0.1,nan,0.3\n", ": y: non-finite values"),
+        ],
+        ids=["header-only", "narrow-rows", "trailing-comma", "empty-cell", "nan"],
+    )
+    def test_errors_located(self, tmp_path, text, message):
+        path = tmp_path / "in.csv"
+        with pytest.raises(SchemaError, match=re.escape(f"{path}{message}") + "$"):
+            read_strict(path, text)
+
+
+class TestCsvWriter:
+    def test_golden_bytes(self):
+        data = Dataset(
+            x=np.array([[5e-324, -0.0], [1e16, 1e-7]]),
+            y=np.array([0.1 + 0.2, 2.0**53 + 2]),
+            z=np.array([[-1e-300], [1.7976931348623157e308]]),
+        )
+        assert dataset_to_csv(data) == (
+            "x1,x2,y,z1\n"
+            "5e-324,-0.0,0.30000000000000004,-1e-300\n"
+            "1e+16,1e-07,9007199254740994.0,1.7976931348623157e+308\n"
+        )
+
+    def test_matches_per_value_repr_across_blocks(self, rng):
+        # 2500 rows span several of the writer's row blocks.
+        data = Dataset(x=rng.random((2500, 2)), y=rng.standard_normal(2500), z=rng.random(2500))
+        expected = [",".join(repr(float(v)) for v in row) for row in data.columns()]
+        assert dataset_to_csv(data).split("\n") == ["x1,x2,y,z1", *expected, ""]
+
+    @settings(max_examples=60, deadline=None)
+    @given(finite_samples())
+    def test_round_trip_bit_equal(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            back = read_strict(Path(tmp) / "data.csv", dataset_to_csv(data))
+        for got, want in ((back.x, data.x), (back.y, data.y), (back.z, data.z)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
