@@ -35,7 +35,6 @@ from .discrete import (
     LossMatrix,
     apply_map,
     bayes_risk,
-    check_pmf,
     conditional_dependence_l1,
     conditional_mutual_information,
     excess_risk,
@@ -44,14 +43,12 @@ from .discrete import (
     squared_loss,
     zero_one_loss,
 )
-from .montecarlo import ExperimentPlan, MCResult, MCRow, run_plan
+from .montecarlo import ExperimentPlan, run_plan
 from .partition import (
     C1_MIN,
     CubicPartition,
     Dataset,
-    JointHistogram,
     TestConfig,
-    TestOutcome,
     build_histogram,
     h_schedule,
     l_statistic,
@@ -61,16 +58,13 @@ from .partition import (
     type1_bound,
 )
 from .portfolio import (
-    GrowthReport,
     MarketModel,
     c_max_bound,
-    check_portfolio,
-    grid_growth_oracle,
     growth_gap_bound,
     log_optimal_portfolio,
     side_info_growth,
 )
-from .selection import SelectionResult, SelectionStep, greedy_lossless_selection
+from .selection import greedy_lossless_selection
 from .serialize import (
     SchemaError,
     dataset_to_csv,

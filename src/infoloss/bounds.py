@@ -33,8 +33,8 @@ from .discrete import (
     DeterministicMap,
     DiscreteJoint,
     LossMatrix,
-    _check_joint,
     apply_map,
+    check_pmf,
     excess_risk,
     mutual_information,
 )
@@ -101,38 +101,28 @@ class SubgaussianProfile:
         return float(p_y @ self.sigma_sq)
 
 
-def _optimal_predictions(joint_yx: np.ndarray, loss: LossMatrix) -> np.ndarray:
-    """Row of loss-minimizing labels per supported x; -1 where P(x) = 0."""
-    posterior_cost = loss.cost.T @ joint_yx  # (y_pred, x)
-    best = posterior_cost.argmin(axis=0)
-    best[joint_yx.sum(axis=0) == 0] = -1
-    return best
-
-
-def hoeffding_profile(joint_yx, loss: LossMatrix) -> SubgaussianProfile:
-    """Certified profile from the ranges of loss(y, f*(.)) over supported x."""
-    j = _check_joint(joint_yx, 2, name="joint_yx")
+def _optimal_losses(joint_yx, loss: LossMatrix) -> np.ndarray:
+    """loss(y, f*(x)) for every label y and supported x, shape (y, supported x)."""
+    j = check_pmf(joint_yx, 2, name="joint_yx")
     if j.shape[0] != loss.n_labels:
         raise ValueError(
             f"alphabet mismatch: joint has {j.shape[0]} labels, loss has {loss.n_labels}"
         )
-    best = _optimal_predictions(j, loss)
-    supported = best >= 0
-    if not supported.any():
-        raise ValueError("joint has no supported x")
-    vals = loss.cost[:, best[supported]]  # (y, supported x)
+    # posterior_cost[y_pred, x] = sum_y P(y, x) * cost[y, y_pred]
+    best = (loss.cost.T @ j).argmin(axis=0)
+    return loss.cost[:, best[j.sum(axis=0) > 0]]
+
+
+def hoeffding_profile(joint_yx, loss: LossMatrix) -> SubgaussianProfile:
+    """Certified profile from the ranges of loss(y, f*(.)) over supported x."""
+    vals = _optimal_losses(joint_yx, loss)
     widths = vals.max(axis=1) - vals.min(axis=1)
     return SubgaussianProfile(sigma_sq=widths * widths / 4.0, certified=True)
 
 
 def optimal_loss_envelope(joint_yx, loss: LossMatrix) -> np.ndarray:
     """Envelope g(y) = max over supported x of loss(y, f*(x))."""
-    j = _check_joint(joint_yx, 2, name="joint_yx")
-    best = _optimal_predictions(j, loss)
-    supported = best >= 0
-    if not supported.any():
-        raise ValueError("joint has no supported x")
-    return loss.cost[:, best[supported]].max(axis=1)
+    return _optimal_losses(joint_yx, loss).max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -277,7 +267,7 @@ def dv_gap_check(joint_uv, table) -> tuple[float, float]:
     parameter is the Hoeffding value of the row range over supported v.
     Returns (lhs, rhs) and raises if the inequality fails beyond tolerance.
     """
-    j = _check_joint(joint_uv, 2, name="joint_uv")
+    j = check_pmf(joint_uv, 2, name="joint_uv")
     h = np.asarray(table, dtype=np.float64)
     if h.shape != j.shape:
         raise ValueError(f"table shape {h.shape} does not match joint shape {j.shape}")
@@ -311,12 +301,14 @@ def quantizer_sequence_bound(
     nonincreasing along the sequence, and both vanish once the cells
     separate the atoms.
     """
-    j = _check_joint(joint_yx, 2, name="joint_yx")
+    j = check_pmf(joint_yx, 2, name="joint_yx")
     pos = np.asarray(positions, dtype=np.float64)
     if pos.ndim != 1 or pos.size != j.shape[1]:
         raise ValueError(
             f"positions: expected {j.shape[1]} entries, got shape {pos.shape}"
         )
+    if not np.all(np.isfinite(pos)):
+        raise ValueError("positions: non-finite entries")
     ws = [float(w) for w in widths]
     if not ws:
         raise ValueError("widths is empty")

@@ -77,10 +77,7 @@ def _cmd_mc(args) -> int:
         theta=args.theta,
         min_n=args.min_n,
     )
-    if args.scenario == "file" and not args.input:
-        raise ValueError("the file scenario requires --input")
-    fixed = read_dataset_csv(args.input) if args.scenario == "file" else None
-    result = run_plan(plan, threads=args.threads, fixed_data=fixed)
+    result = run_plan(plan, threads=args.threads)
     out = Path(args.output)
     out.with_suffix(".csv").write_text(result.to_csv())
     save_json(result.to_dict(), out.with_suffix(".json"))
@@ -172,14 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_test)
 
     p = sub.add_parser("mc", help="Monte Carlo rejection-rate experiment")
-    p.add_argument("--scenario", choices=("h0", "h1", "file"), default="h0")
+    p.add_argument("--scenario", choices=("h0", "h1"), default="h0")
     p.add_argument("--n-grid", default="1000,10000,100000", help="comma-separated sample sizes")
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--threads", type=int, default=None, help="worker threads (default: all cores)")
     p.add_argument("--min-n", type=int, default=1000, help="burn-in below which rates are informational")
-    p.add_argument("--input", default=None, help="CSV sample for the file scenario")
     p.add_argument("--output", required=True, help="output path stem for .csv and .json")
     _add_test_flags(p)
     p.set_defaults(func=_cmd_mc)

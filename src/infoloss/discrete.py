@@ -43,11 +43,11 @@ __all__ = [
 PMF_ATOL = 1e-12
 
 
-def check_pmf(p, *, name: str = "pmf", atol: float = PMF_ATOL) -> np.ndarray:
-    """Validate an array as a probability vector and return it as float64."""
+def check_pmf(p, ndim: int = 1, *, name: str, atol: float = PMF_ATOL) -> np.ndarray:
+    """Validate an ``ndim``-D array as a pmf and return it as float64."""
     arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name}: expected a 1-D array, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise ValueError(f"{name}: expected a {ndim}-D array, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name}: empty alphabet")
     if not np.all(np.isfinite(arr)):
@@ -60,22 +60,6 @@ def check_pmf(p, *, name: str = "pmf", atol: float = PMF_ATOL) -> np.ndarray:
     return arr
 
 
-def _check_joint(probs, ndim: int, *, name: str) -> np.ndarray:
-    arr = np.asarray(probs, dtype=np.float64)
-    if arr.ndim != ndim:
-        raise ValueError(f"{name}: expected a {ndim}-D array, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name}: empty alphabet")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: non-finite entries")
-    if np.any(arr < 0):
-        raise ValueError(f"{name}: negative probabilities")
-    total = float(arr.sum())
-    if abs(total - 1.0) > PMF_ATOL:
-        raise ValueError(f"{name}: probabilities sum to {total!r}, not 1")
-    return arr
-
-
 @dataclass(frozen=True)
 class DiscreteJoint:
     """Joint pmf of (Y, X, Z) on finite alphabets, indexed ``probs[y, x, z]``."""
@@ -83,7 +67,7 @@ class DiscreteJoint:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _check_joint(self.probs, 3, name="joint.probs")
+        arr = check_pmf(self.probs, 3, name="joint.probs")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
@@ -208,7 +192,7 @@ def mutual_information(joint2) -> float:
     Computed as the divergence between the joint and the product of its
     marginals; finite for every valid joint.
     """
-    j = _check_joint(joint2, 2, name="joint2")
+    j = check_pmf(joint2, 2, name="joint2")
     pa = j.sum(axis=1)
     pb = j.sum(axis=0)
     mask = j > 0
@@ -222,7 +206,7 @@ def conditional_mutual_information(joint: DiscreteJoint | np.ndarray) -> float:
     Equals sum_z P(z) D(P_{YX|z} || P_{Y|z} x P_{X|z}); evaluated directly as
     sum over supported cells of p(y,x,z) log[ p(y,x,z) p(z) / (p(y,z) p(x,z)) ].
     """
-    probs = joint.probs if isinstance(joint, DiscreteJoint) else _check_joint(joint, 3, name="joint")
+    probs = joint.probs if isinstance(joint, DiscreteJoint) else check_pmf(joint, 3, name="joint")
     p_z = probs.sum(axis=(0, 1))
     p_yz = probs.sum(axis=1)
     p_xz = probs.sum(axis=0)
@@ -239,7 +223,7 @@ def conditional_dependence_l1(joint: DiscreteJoint | np.ndarray) -> float:
     with p(z) = 0.  Zero iff Y and X are conditionally independent given Z;
     this is the population analogue of the sample partition statistic.
     """
-    probs = joint.probs if isinstance(joint, DiscreteJoint) else _check_joint(joint, 3, name="joint")
+    probs = joint.probs if isinstance(joint, DiscreteJoint) else check_pmf(joint, 3, name="joint")
     p_z = probs.sum(axis=(0, 1))
     p_yz = probs.sum(axis=1)
     p_xz = probs.sum(axis=0)
@@ -256,7 +240,7 @@ def bayes_risk(joint2, loss: LossMatrix) -> float:
     picks, for each observation, the label minimizing the posterior expected
     loss.  Equals sum_obs min_y' sum_y joint2[y, obs] cost[y, y'].
     """
-    j = _check_joint(joint2, 2, name="joint2")
+    j = check_pmf(joint2, 2, name="joint2")
     if j.shape[0] != loss.n_labels:
         raise ValueError(
             f"alphabet mismatch: joint has {j.shape[0]} labels, loss has {loss.n_labels}"
@@ -283,7 +267,7 @@ def _check_consistent(joint: DiscreteJoint, tmap: DeterministicMap) -> None:
 
 def apply_map(joint2, tmap: DeterministicMap) -> DiscreteJoint:
     """Lift a (Y, X) joint to the (Y, X, Z) joint with Z = T(X)."""
-    j = _check_joint(joint2, 2, name="joint2")
+    j = check_pmf(joint2, 2, name="joint2")
     ny, nx = j.shape
     if tmap.n_x != nx:
         raise ValueError(f"alphabet mismatch: joint has {nx} x-symbols, map has {tmap.n_x}")

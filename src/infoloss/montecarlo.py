@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import Dataset, TestConfig, run_test
+from .partition import TestConfig, run_test
 from .synth import H0Config, H1Config, gen_h0, gen_h1
 
 __all__ = ["ExperimentPlan", "MCResult", "MCRow", "run_plan"]
@@ -27,9 +27,8 @@ CSV_COLUMNS = ("n", "rejection_rate", "mean_Ln", "mean_tn", "type1_bound")
 class ExperimentPlan:
     """A full Monte Carlo experiment description.
 
-    ``scenario`` is "h0", "h1", or "file"; the file scenario reruns the test
-    on one fixed dataset (supplied to ``run_plan``), which makes every
-    replicate identical and is only useful as a wiring check.
+    ``scenario`` is "h0" or "h1"; replicates draw from that generator with its
+    default atoms, interval width and noise scale.
     """
 
     scenario: str
@@ -38,14 +37,11 @@ class ExperimentPlan:
     cfg: TestConfig
     base_seed: int = 0
     theta: float = 0.5
-    k: int = 4
-    interval_width: float = 0.2
-    noise_scale: float = 0.1
     min_n: int = 1000
 
     def __post_init__(self) -> None:
-        if self.scenario not in ("h0", "h1", "file"):
-            raise ValueError(f"scenario must be h0, h1, or file, got {self.scenario!r}")
+        if self.scenario not in ("h0", "h1"):
+            raise ValueError(f"scenario must be h0 or h1, got {self.scenario!r}")
         grid = tuple(int(n) for n in self.n_grid)
         if not grid:
             raise ValueError("n_grid is empty")
@@ -125,69 +121,42 @@ class MCResult:
         }
 
 
-def _replicate(plan: ExperimentPlan, n: int, rep: int, fixed: Dataset | None):
-    if plan.scenario == "file":
-        data = fixed
-    elif plan.scenario == "h0":
-        data = gen_h0(
-            H0Config(
-                n=n,
-                seed=plan.base_seed + rep,
-                k=plan.k,
-                interval_width=plan.interval_width,
-                noise_scale=plan.noise_scale,
-            )
-        )
+def _replicate(plan: ExperimentPlan, n: int, rep: int):
+    seed = plan.base_seed + rep
+    if plan.scenario == "h0":
+        data = gen_h0(H0Config(n=n, seed=seed))
     else:
-        data = gen_h1(
-            H1Config(
-                n=n,
-                seed=plan.base_seed + rep,
-                k=plan.k,
-                interval_width=plan.interval_width,
-                noise_scale=plan.noise_scale,
-                theta=plan.theta,
-            )
-        )
+        data = gen_h1(H1Config(n=n, seed=seed, theta=plan.theta))
     outcome = run_test(data, plan.cfg)
     return outcome.L_n, outcome.t_n, outcome.reject, outcome.type1_bound
 
 
-def run_plan(
-    plan: ExperimentPlan,
-    threads: int | None = None,
-    fixed_data: Dataset | None = None,
-) -> MCResult:
+def run_plan(plan: ExperimentPlan, threads: int | None = None) -> MCResult:
     """Execute a plan; results are independent of the thread count."""
-    if plan.scenario == "file" and fixed_data is None:
-        raise ValueError("file scenario requires fixed_data")
     workers = threads if threads is not None else (os.cpu_count() or 1)
     workers = max(1, workers)
     rows = []
     for n in plan.n_grid:
-        size = fixed_data.n if plan.scenario == "file" else n
         start = time.perf_counter()
         if workers == 1:
-            results = [_replicate(plan, size, r, fixed_data) for r in range(plan.reps)]
+            results = [_replicate(plan, n, r) for r in range(plan.reps)]
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(lambda r: _replicate(plan, size, r, fixed_data), range(plan.reps))
-                )
+                results = list(pool.map(lambda r: _replicate(plan, n, r), range(plan.reps)))
         elapsed = time.perf_counter() - start
         l_vals = np.array([res[0] for res in results])
         t_vals = np.array([res[1] for res in results])
         rejects = np.array([res[2] for res in results])
         rows.append(
             MCRow(
-                n=size,
+                n=n,
                 rejection_rate=float(rejects.mean()),
                 mean_L_n=float(l_vals.mean()),
                 median_L_n=float(np.median(l_vals)),
                 mean_t_n=float(t_vals.mean()),
                 type1_bound=float(results[0][3]),
                 wall_time=elapsed,
-                below_burn_in=bool(size < plan.min_n),
+                below_burn_in=bool(n < plan.min_n),
             )
         )
     return MCResult(plan=plan, rows=tuple(rows))

@@ -37,27 +37,23 @@ __all__ = [
     "GrowthReport",
     "MarketModel",
     "c_max_bound",
-    "check_portfolio",
-    "grid_growth_oracle",
     "growth_gap_bound",
     "log_optimal_portfolio",
     "side_info_growth",
 ]
 
 _GAP_TOL = 1e-6
+_SOLVER_TOL = 1e-10
+_SOLVER_MAX_ITER = 10_000
 
 
-def check_portfolio(b, *, atol: float = 1e-12) -> np.ndarray:
-    """Validate a portfolio vector: nonnegative entries summing to one."""
-    arr = np.asarray(b, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("portfolio must be a nonempty 1-D array")
-    if np.any(arr < 0):
-        raise ValueError("portfolio has negative weights")
-    total = float(arr.sum())
-    if abs(total - 1.0) > atol:
-        raise ValueError(f"portfolio weights sum to {total!r}, not 1")
-    return arr
+def _check_returns(returns) -> np.ndarray:
+    r = np.asarray(returns, dtype=np.float64)
+    if r.ndim != 2:
+        raise ValueError(f"returns: expected a 2-D array, got shape {r.shape}")
+    if not np.all(np.isfinite(r)) or np.any(r <= 0):
+        raise ValueError("returns must be finite and strictly positive")
+    return r
 
 
 @dataclass(frozen=True)
@@ -73,11 +69,7 @@ class MarketModel:
     tmap: DeterministicMap
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.returns, dtype=np.float64)
-        if r.ndim != 2:
-            raise ValueError(f"returns: expected a 2-D array, got shape {r.shape}")
-        if not np.all(np.isfinite(r)) or np.any(r <= 0):
-            raise ValueError("returns must be finite and strictly positive")
+        r = _check_returns(self.returns)
         if r.shape[0] != self.joint.shape[0]:
             raise ValueError(
                 f"outcome mismatch: {r.shape[0]} return vectors, "
@@ -97,34 +89,23 @@ class MarketModel:
         return float(np.abs(np.log(self.returns)).max())
 
 
-def log_optimal_portfolio(
-    pmf,
-    returns,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    return_trace: bool = False,
-):
+def log_optimal_portfolio(pmf, returns, *, return_trace: bool = False):
     """Maximize E[log <b, R>] over the simplex.
 
     Exponentiated-gradient ascent with a backtracking multiplicative step:
     candidates b * exp(eta * grad) (normalized) are only accepted when they
     improve the objective, so the trace is strictly increasing.  Stops when
-    the improvement falls below ``tol`` or after ``max_iter`` iterations.
+    the improvement falls below 1e-10 or after 10 000 iterations.
 
     Returns (b, w) with w the achieved growth rate, plus the objective trace
     when ``return_trace`` is set.
     """
     p = check_pmf(pmf, name="pmf")
-    r = np.asarray(returns, dtype=np.float64)
-    if r.ndim != 2:
-        raise ValueError(f"returns: expected a 2-D array, got shape {r.shape}")
+    r = _check_returns(returns)
     if r.shape[0] != p.size:
         raise ValueError(
             f"outcome mismatch: pmf has {p.size} outcomes, returns has {r.shape[0]}"
         )
-    if not np.all(np.isfinite(r)) or np.any(r <= 0):
-        raise ValueError("returns must be finite and strictly positive")
     keep = p > 0
     pk, rk = p[keep], r[keep]
     d = r.shape[1]
@@ -140,7 +121,7 @@ def log_optimal_portfolio(
     best = objective(b)
     trace = [best]
     eta = 1.0
-    for _ in range(max_iter):
+    for _ in range(_SOLVER_MAX_ITER):
         wealth = rk @ b
         grad = rk.T @ (pk / wealth)
         val = -math.inf
@@ -158,39 +139,9 @@ def log_optimal_portfolio(
         b, best = cand, val
         trace.append(best)
         eta = min(eta * 2.0, 1e3)
-        if gain < tol:
+        if gain < _SOLVER_TOL:
             break
     return (b, best, trace) if return_trace else (b, best)
-
-
-def grid_growth_oracle(pmf, returns, step: float = 1e-3):
-    """Exhaustive simplex-grid maximization of E[log <b, R>] (d_a <= 3).
-
-    Independent check for the iterative solver: evaluates the objective on
-    every grid point with coordinates in multiples of ``step`` and returns
-    the best (b, w).
-    """
-    p = check_pmf(pmf, name="pmf")
-    r = np.asarray(returns, dtype=np.float64)
-    keep = p > 0
-    pk, rk = p[keep], r[keep]
-    d = r.shape[1]
-    if d == 1:
-        return np.ones(1), float(pk @ np.log(rk[:, 0]))
-    m = round(1.0 / step)
-    if d == 2:
-        t = np.arange(m + 1) / m
-        grid = np.stack([t, 1.0 - t], axis=1)
-    elif d == 3:
-        i, j = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="ij")
-        mask = i + j <= m
-        i, j = i[mask], j[mask]
-        grid = np.stack([i / m, j / m, (m - i - j) / m], axis=1)
-    else:
-        raise ValueError(f"grid oracle supports d_a <= 3, got {d}")
-    obj = np.log(grid @ rk.T) @ pk
-    k = int(obj.argmax())
-    return grid[k], float(obj[k])
 
 
 def side_info_growth(market: MarketModel, condition_on: str | None = None) -> float:

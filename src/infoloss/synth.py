@@ -198,6 +198,17 @@ def population_joint(
     return DiscreteJoint(probs)
 
 
+def _surjective_map(rng: np.random.Generator, nx: int, nz: int) -> DeterministicMap:
+    """Random map onto all nz symbols: a permutation picks one preimage per z."""
+    if nx < nz:
+        raise ValueError(f"need nx >= nz for a surjective map, got {(nx, nz)}")
+    perm = rng.permutation(nx)
+    table = np.empty(nx, dtype=np.int64)
+    table[perm[:nz]] = np.arange(nz)
+    table[perm[nz:]] = rng.integers(0, nz, size=nx - nz)
+    return DeterministicMap(table=table, n_z=nz)
+
+
 def gen_markov_joint(
     shape: tuple[int, int, int], seed: int
 ) -> tuple[DiscreteJoint, DeterministicMap]:
@@ -208,21 +219,15 @@ def gen_markov_joint(
     map-consistent and conditionally independent by construction.
     """
     ny, nx, nz = shape
-    if nx < nz:
-        raise ValueError(f"need nx >= nz for a surjective map, got {shape}")
     rng = philox(seed)
-    perm = rng.permutation(nx)
-    table = np.empty(nx, dtype=np.int64)
-    table[perm[:nz]] = np.arange(nz)
-    table[perm[nz:]] = rng.integers(0, nz, size=nx - nz)
-    tmap = DeterministicMap(table=table, n_z=nz)
+    tmap = _surjective_map(rng, nx, nz)
 
     p_z = rng.random(nz) + 0.05
     p_z /= p_z.sum()
     p_y_given_z = rng.random((ny, nz)) + 0.05
     p_y_given_z /= p_y_given_z.sum(axis=0, keepdims=True)
     weights = rng.random(nx) + 0.05
-    p_x_given_z = weights[:, None] * (table[:, None] == np.arange(nz)[None, :])
+    p_x_given_z = weights[:, None] * (tmap.table[:, None] == np.arange(nz)[None, :])
     p_x_given_z /= p_x_given_z.sum(axis=0, keepdims=True)
 
     probs = p_y_given_z[:, None, :] * p_x_given_z[None, :, :] * p_z[None, None, :]
@@ -234,14 +239,8 @@ def gen_random_joint(
 ) -> tuple[DiscreteJoint, DeterministicMap]:
     """Random (Y, X) joint lifted through a random surjective map Z = T(X)."""
     ny, nx, nz = shape
-    if nx < nz:
-        raise ValueError(f"need nx >= nz for a surjective map, got {shape}")
     rng = philox(seed)
-    perm = rng.permutation(nx)
-    table = np.empty(nx, dtype=np.int64)
-    table[perm[:nz]] = np.arange(nz)
-    table[perm[nz:]] = rng.integers(0, nz, size=nx - nz)
-    tmap = DeterministicMap(table=table, n_z=nz)
+    tmap = _surjective_map(rng, nx, nz)
     joint2 = rng.random((ny, nx))
     joint2 /= joint2.sum()
     return apply_map(joint2, tmap), tmap

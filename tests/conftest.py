@@ -36,6 +36,36 @@ def brute_force_bayes_risk(joint2, loss: LossMatrix) -> float:
     return float(best)
 
 
+def grid_growth_oracle(pmf, returns, step: float = 1e-3):
+    """Exhaustive simplex-grid maximization of E[log <b, R>] (d_a <= 3).
+
+    Independent check for the iterative solver: evaluates the objective on
+    every grid point with coordinates in multiples of ``step`` and returns
+    the best (b, w).
+    """
+    p = np.asarray(pmf, dtype=np.float64)
+    r = np.asarray(returns, dtype=np.float64)
+    keep = p > 0
+    pk, rk = p[keep], r[keep]
+    d = r.shape[1]
+    if d == 1:
+        return np.ones(1), float(pk @ np.log(rk[:, 0]))
+    m = round(1.0 / step)
+    if d == 2:
+        t = np.arange(m + 1) / m
+        grid = np.stack([t, 1.0 - t], axis=1)
+    elif d == 3:
+        i, j = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="ij")
+        mask = i + j <= m
+        i, j = i[mask], j[mask]
+        grid = np.stack([i / m, j / m, (m - i - j) / m], axis=1)
+    else:
+        raise ValueError(f"grid oracle supports d_a <= 3, got {d}")
+    obj = np.log(grid @ rk.T) @ pk
+    k = int(obj.argmax())
+    return grid[k], float(obj[k])
+
+
 def dense_l_statistic(data, part) -> float:
     """Independent oracle: full dense sum over every (A, B, C) cell triple."""
     from collections import Counter

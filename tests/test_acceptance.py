@@ -51,7 +51,6 @@ from infoloss import (
     gen_markov_joint,
     gen_random_joint,
     gen_random_loss,
-    grid_growth_oracle,
     growth_gap_bound,
     information_gap,
     l_statistic,
@@ -64,6 +63,8 @@ from infoloss import (
     zero_one_loss,
 )
 from infoloss.cli import main as cli_main
+
+from conftest import grid_growth_oracle
 
 # One-sided 99% binomial margin for 200 trials: sqrt(ln(1/0.01) / (2 * 200)).
 BINOMIAL_MARGIN_200 = 0.1073

@@ -161,6 +161,14 @@ class TestHoeffdingProfile:
         profile = hoeffding_profile(j, zero_one_loss(2))
         np.testing.assert_allclose(profile.sigma_sq, [0.0, 0.0])
 
+    def test_label_mismatch_message_shared_with_envelope(self):
+        j = np.full((2, 2), 0.25)
+        msg = "alphabet mismatch: joint has 2 labels, loss has 3"
+        with pytest.raises(ValueError, match=msg):
+            hoeffding_profile(j, zero_one_loss(3))
+        with pytest.raises(ValueError, match=msg):
+            optimal_loss_envelope(j, zero_one_loss(3))
+
 
 class TestDeltaLossless:
     def test_threshold_exactly_at_gap(self):
@@ -289,6 +297,13 @@ class TestQuantizerSequence:
     def test_rejects_empty_widths(self):
         with pytest.raises(ValueError, match="empty"):
             quantizer_sequence_bound(self.joint, self.positions, [], self.loss)
+
+    def test_rejects_non_finite_positions(self):
+        # NaN used to be cast to the int64 minimum and get a cell of its own.
+        joint = np.full((2, 2), 0.25)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="positions: non-finite entries"):
+                quantizer_sequence_bound(joint, [0.0, bad], [1.0, 0.5], zero_one_loss(2))
 
 
 class TestProfileValidation:

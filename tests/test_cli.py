@@ -150,20 +150,6 @@ class TestMcCommand:
         main(argv + ["--threads", "4", "--output", str(tmp_path / "t4")])
         assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t4.csv").read_bytes()
 
-    def test_file_scenario_requires_input(self, tmp_path, capsys):
-        code = main(["mc", "--scenario", "file", "--n-grid", "100", "--reps", "2",
-                     "--h", "0.5", "--output", str(tmp_path / "out")])
-        assert code == EXIT_ERROR
-        assert "requires --input" in capsys.readouterr().err
-
-    def test_file_scenario_runs(self, tmp_path, rng, capsys):
-        csv = tmp_path / "fixed.csv"
-        write_sample(csv, rng, n=500)
-        code = main(["mc", "--scenario", "file", "--input", str(csv),
-                     "--n-grid", "500", "--reps", "3", "--h", "0.25",
-                     "--output", str(tmp_path / "out")])
-        assert code == EXIT_OK
-
     def test_bad_grid_exit_one(self, tmp_path, capsys):
         code = main(["mc", "--n-grid", "400,200", "--reps", "2",
                      "--h", "0.25", "--output", str(tmp_path / "out")])

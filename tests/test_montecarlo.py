@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from infoloss import (
-    Dataset,
     ExperimentPlan,
     TestConfig,
     gen_h0,
@@ -88,19 +87,6 @@ class TestRunPlan:
         res = run_plan(plan)
         assert res.rows[0].below_burn_in
         assert not res.rows[1].below_burn_in
-
-    def test_file_scenario_constant_replicates(self):
-        data = gen_h0(H0Config(n=400, seed=5))
-        plan = small_plan(scenario="file", n_grid=(400,), reps=4)
-        res = run_plan(plan, fixed_data=data)
-        row = res.rows[0]
-        assert row.rejection_rate in (0.0, 1.0)
-        assert row.mean_L_n == row.median_L_n
-
-    def test_file_scenario_requires_data(self):
-        plan = small_plan(scenario="file")
-        with pytest.raises(ValueError, match="fixed_data"):
-            run_plan(plan)
 
 
 class TestOutputFormats:

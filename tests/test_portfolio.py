@@ -12,13 +12,14 @@ from infoloss import (
     MarketModel,
     apply_map,
     c_max_bound,
-    check_portfolio,
     gen_market,
-    grid_growth_oracle,
     growth_gap_bound,
     log_optimal_portfolio,
     side_info_growth,
 )
+from infoloss.discrete import check_pmf
+
+from conftest import grid_growth_oracle
 
 EPS = 1e-9
 
@@ -38,14 +39,14 @@ def horse_race_market(theta=1e-9):
 
 class TestPortfolioValidation:
     def test_accepts_simplex_point(self):
-        b = check_portfolio([0.25, 0.75])
+        b = check_pmf([0.25, 0.75], name="portfolio")
         np.testing.assert_allclose(b, [0.25, 0.75])
 
     def test_rejects_negative_and_unnormalized(self):
         with pytest.raises(ValueError, match="negative"):
-            check_portfolio([-0.1, 1.1])
+            check_pmf([-0.1, 1.1], name="portfolio")
         with pytest.raises(ValueError, match="sum"):
-            check_portfolio([0.4, 0.4])
+            check_pmf([0.4, 0.4], name="portfolio")
 
 
 class TestLogOptimalPortfolio:
@@ -120,7 +121,7 @@ class TestLogOptimalPortfolio:
         p /= p.sum()
         returns = np.exp(rng.uniform(-1.0, 1.0, (4, 3)))
         b, w = log_optimal_portfolio(p, returns)
-        check_portfolio(b, atol=1e-9)
+        check_pmf(b, name="portfolio", atol=1e-9)
         assert np.isfinite(w)
 
 

@@ -1,5 +1,7 @@
 """Tests for the synthetic data generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,38 @@ class TestDeterminism:
         j2, t2 = gen_random_joint((3, 4, 2), 5)
         assert j1.probs.tobytes() == j2.probs.tobytes()
         assert np.array_equal(t1.table, t2.table)
+
+    # sha256 prefixes of (random probs, random table, markov probs, markov
+    # table, market returns) for shape (3, 5, 2) and 3 assets x 4 outcomes.
+    GOLDEN_JOINTS = {
+        0: ("9fc76e1128247ea1", "174c34cc57b8b691", "2303f877f89c0a64",
+            "174c34cc57b8b691", "9a2582b5df371bd0"),
+        1: ("55a84eee8bde015a", "4ff1cae9c5286442", "a5524c76e059aabd",
+            "4ff1cae9c5286442", "f922497f816bada8"),
+        7: ("f0097db593e13ca6", "b7aaf62e8c657387", "62cea255c441a46a",
+            "b7aaf62e8c657387", "41c6cb9c917553e4"),
+        12345: ("2dd3c2709d07cbcd", "3aab578c015cefa9", "4160911c3c1472f9",
+                "3aab578c015cefa9", "47e5d3eec48a6ee9"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_JOINTS))
+    def test_joint_and_market_draws_golden(self, seed):
+        # Pins the draw order (permutation, then integers, then the pmf)
+        # that the certificates and criteria 3-9 depend on.
+        def digest(arr, dtype):
+            return hashlib.sha256(arr.astype(dtype).tobytes()).hexdigest()[:16]
+
+        joint, tmap = gen_random_joint((3, 5, 2), seed)
+        markov, mmap = gen_markov_joint((3, 5, 2), seed)
+        market = gen_market(3, 4, seed)
+        got = (
+            digest(joint.probs, "<f8"),
+            digest(tmap.table, "<i8"),
+            digest(markov.probs, "<f8"),
+            digest(mmap.table, "<i8"),
+            digest(market.returns, "<f8"),
+        )
+        assert got == self.GOLDEN_JOINTS[seed]
 
 
 class TestNullScenario:
