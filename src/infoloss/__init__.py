@@ -9,9 +9,10 @@ The package has three legs that share one discrete core:
 * ``portfolio``: the same gap bounding the loss of log-optimal investment
   growth when side information is coarsened.
 
-``discrete`` carries the exact finite-alphabet oracles everything else is
-validated against, and ``synth`` the seeded generators used by the Monte
-Carlo harness in ``montecarlo``.
+``discrete`` carries the exact finite-alphabet computations everything else
+is validated against, and ``synth`` the seeded generators used by the Monte
+Carlo harness in ``montecarlo``, the CLI and the scripts.  Oracles and
+generators that only the tests use live in ``tests/conftest.py``.
 """
 
 from .bounds import (
@@ -35,7 +36,6 @@ from .discrete import (
     LossMatrix,
     apply_map,
     bayes_risk,
-    conditional_dependence_l1,
     conditional_mutual_information,
     excess_risk,
     kl_divergence,
@@ -84,16 +84,12 @@ from .serialize import (
 from .synth import (
     H0Config,
     H1Config,
-    gen_atomic_dataset,
     gen_h0,
     gen_h1,
     gen_market,
-    gen_markov_joint,
     gen_random_joint,
     gen_random_loss,
     philox,
-    population_joint,
-    true_transform,
 )
 
 __version__ = "0.1.0"

@@ -37,6 +37,7 @@ from .discrete import (
     check_pmf,
     excess_risk,
     mutual_information,
+    posterior_cost,
 )
 
 __all__ = [
@@ -65,7 +66,7 @@ def information_gap(joint: DiscreteJoint) -> float:
 
 def hoeffding_sigma(range_width: float) -> float:
     """Subgaussian parameter sigma^2 = width^2 / 4 of a bounded variable."""
-    if range_width < 0:
+    if not range_width >= 0:
         raise ValueError(f"range width must be >= 0, got {range_width}")
     return range_width * range_width / 4.0
 
@@ -103,13 +104,8 @@ class SubgaussianProfile:
 
 def _optimal_losses(joint_yx, loss: LossMatrix) -> np.ndarray:
     """loss(y, f*(x)) for every label y and supported x, shape (y, supported x)."""
-    j = check_pmf(joint_yx, 2, name="joint_yx")
-    if j.shape[0] != loss.n_labels:
-        raise ValueError(
-            f"alphabet mismatch: joint has {j.shape[0]} labels, loss has {loss.n_labels}"
-        )
-    # posterior_cost[y_pred, x] = sum_y P(y, x) * cost[y, y_pred]
-    best = (loss.cost.T @ j).argmin(axis=0)
+    j, cost = posterior_cost(joint_yx, loss, name="joint_yx")
+    best = cost.argmin(axis=0)
     return loss.cost[:, best[j.sum(axis=0) > 0]]
 
 
@@ -201,9 +197,9 @@ def delta_lossless_bounded(
     When true, every loss with sup norm <= c suffers excess at most delta
     under the coarsening Z = T(X).
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    if c <= 0:
+    if not c > 0:
         raise ValueError(f"c must be > 0, got {c}")
     gap = information_gap(joint)
     return bool(gap <= 2.0 * delta * delta / (c * c))
@@ -224,9 +220,9 @@ def family_lossless_check(
     at most E[g(Y)^2].  A zero envelope certifies unconditionally (the loss
     vanishes at the optimum, so nothing can be lost).
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    if c <= 0:
+    if not c > 0:
         raise ValueError(f"c must be > 0, got {c}")
     g = np.asarray(envelope, dtype=np.float64)
     p_y = joint.p_y
@@ -234,7 +230,7 @@ def family_lossless_check(
         raise ValueError(
             f"alphabet mismatch: envelope has {g.size} labels, joint has {p_y.size}"
         )
-    if np.any(g < 0):
+    if not np.all(g >= 0):
         raise ValueError("envelope must be nonnegative")
     second_moment = float(p_y @ (g * g))
     if second_moment > c * c + _HOLDS_TOL:
@@ -254,7 +250,7 @@ def regression_sigma(fourth_moment: float, bound_k: float) -> float:
     competing observation also bounded by K; E[N^4] is the fourth noise
     moment.
     """
-    if fourth_moment < 0 or bound_k < 0:
+    if not (fourth_moment >= 0 and bound_k >= 0):
         raise ValueError("moments must be >= 0")
     return 2.0 * fourth_moment + 32.0 * bound_k**4
 
@@ -312,7 +308,7 @@ def quantizer_sequence_bound(
     ws = [float(w) for w in widths]
     if not ws:
         raise ValueError("widths is empty")
-    if any(w <= 0 for w in ws):
+    if not all(w > 0 for w in ws):
         raise ValueError("widths must be > 0")
     if any(b >= a for a, b in zip(ws, ws[1:])):
         raise ValueError("widths must be strictly decreasing")

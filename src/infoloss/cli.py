@@ -103,27 +103,17 @@ def _cmd_portfolio(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    common = dict(n=args.n, seed=args.seed, k=args.k, interval_width=args.width,
+                  noise_scale=args.noise)
+    echo = {"scenario": args.scenario}
     if args.scenario == "h0":
-        cfg = H0Config(
-            n=args.n,
-            seed=args.seed,
-            k=args.k,
-            interval_width=args.width,
-            noise_scale=args.noise,
-        )
+        cfg = H0Config(**common)
         data = gen_h0(cfg)
-        echo = {"scenario": "h0"}
     else:
-        cfg = H1Config(
-            n=args.n,
-            seed=args.seed,
-            k=args.k,
-            interval_width=args.width,
-            noise_scale=args.noise,
-            theta=args.theta,
-        )
+        cfg = H1Config(**common, theta=args.theta)
         data = gen_h1(cfg)
-        echo = {"scenario": "h1", "theta": cfg.theta}
+        echo["theta"] = cfg.theta
+    atoms = [float(a) for a in cfg.atoms]
     echo.update(
         {
             "n": cfg.n,
@@ -131,8 +121,8 @@ def _cmd_gen(args) -> int:
             "k": cfg.k,
             "interval_width": cfg.interval_width,
             "noise_scale": cfg.noise_scale,
-            "atoms": [float(a) for a in cfg.atoms],
-            "regression_values": [float(v) for v in cfg.g],
+            "atoms": atoms,
+            "regression_values": atoms,
             "d": data.d,
             "d_prime": data.d_prime,
         }

@@ -31,11 +31,11 @@ __all__ = [
     "apply_map",
     "bayes_risk",
     "check_pmf",
-    "conditional_dependence_l1",
     "conditional_mutual_information",
     "excess_risk",
     "kl_divergence",
     "mutual_information",
+    "posterior_cost",
     "squared_loss",
     "zero_one_loss",
 ]
@@ -81,10 +81,6 @@ class DiscreteJoint:
         return self.probs.sum(axis=(1, 2))
 
     @property
-    def p_x(self) -> np.ndarray:
-        return self.probs.sum(axis=(0, 2))
-
-    @property
     def p_z(self) -> np.ndarray:
         return self.probs.sum(axis=(0, 1))
 
@@ -95,10 +91,6 @@ class DiscreteJoint:
     @property
     def p_yz(self) -> np.ndarray:
         return self.probs.sum(axis=1)
-
-    @property
-    def p_xz(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -125,9 +117,6 @@ class DeterministicMap:
     @property
     def n_x(self) -> int:
         return self.table.size
-
-    def __call__(self, x_idx) -> np.ndarray:
-        return self.table[np.asarray(x_idx)]
 
 
 @dataclass(frozen=True)
@@ -216,21 +205,19 @@ def conditional_mutual_information(joint: DiscreteJoint | np.ndarray) -> float:
     return float(np.sum(probs[mask] * np.log(num[mask] / den[mask])))
 
 
-def conditional_dependence_l1(joint: DiscreteJoint | np.ndarray) -> float:
-    """L1 defect of conditional independence of a three-way joint.
+def posterior_cost(joint2, loss: LossMatrix, *, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a (Y, observation) joint against a loss and weigh its costs.
 
-    Returns sum over cells of |p(y,x,z) - p(x,z) p(y,z) / p(z)|, skipping z
-    with p(z) = 0.  Zero iff Y and X are conditionally independent given Z;
-    this is the population analogue of the sample partition statistic.
+    Returns the joint as float64 and ``cost[y_pred, obs] = sum_y
+    joint2[y, obs] loss.cost[y, y_pred]``, the posterior expected loss of
+    each prediction times the observation's probability.
     """
-    probs = joint.probs if isinstance(joint, DiscreteJoint) else check_pmf(joint, 3, name="joint")
-    p_z = probs.sum(axis=(0, 1))
-    p_yz = probs.sum(axis=1)
-    p_xz = probs.sum(axis=0)
-    pos = p_z > 0
-    q = np.zeros_like(probs)
-    q[:, :, pos] = p_yz[:, None, pos] * p_xz[None, :, pos] / p_z[None, None, pos]
-    return float(np.abs(probs[:, :, pos] - q[:, :, pos]).sum())
+    j = check_pmf(joint2, 2, name=name)
+    if j.shape[0] != loss.n_labels:
+        raise ValueError(
+            f"alphabet mismatch: joint has {j.shape[0]} labels, loss has {loss.n_labels}"
+        )
+    return j, loss.cost.T @ j
 
 
 def bayes_risk(joint2, loss: LossMatrix) -> float:
@@ -240,14 +227,8 @@ def bayes_risk(joint2, loss: LossMatrix) -> float:
     picks, for each observation, the label minimizing the posterior expected
     loss.  Equals sum_obs min_y' sum_y joint2[y, obs] cost[y, y'].
     """
-    j = check_pmf(joint2, 2, name="joint2")
-    if j.shape[0] != loss.n_labels:
-        raise ValueError(
-            f"alphabet mismatch: joint has {j.shape[0]} labels, loss has {loss.n_labels}"
-        )
-    # posterior_cost[y_pred, obs] = sum_y P(y, obs) * cost[y, y_pred]
-    posterior_cost = loss.cost.T @ j
-    return float(posterior_cost.min(axis=0).sum())
+    _, cost = posterior_cost(joint2, loss, name="joint2")
+    return float(cost.min(axis=0).sum())
 
 
 def _check_consistent(joint: DiscreteJoint, tmap: DeterministicMap) -> None:

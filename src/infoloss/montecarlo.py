@@ -138,11 +138,8 @@ def run_plan(plan: ExperimentPlan, threads: int | None = None) -> MCResult:
     rows = []
     for n in plan.n_grid:
         start = time.perf_counter()
-        if workers == 1:
-            results = [_replicate(plan, n, r) for r in range(plan.reps)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda r: _replicate(plan, n, r), range(plan.reps)))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda r: _replicate(plan, n, r), range(plan.reps)))
         elapsed = time.perf_counter() - start
         l_vals = np.array([res[0] for res in results])
         t_vals = np.array([res[1] for res in results])

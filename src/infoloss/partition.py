@@ -123,11 +123,10 @@ def _coordinates(data: Dataset) -> list[tuple[str, np.ndarray]]:
     )
 
 
-def scale_unit(data: Dataset) -> tuple[Dataset, tuple[np.ndarray, np.ndarray]]:
+def scale_unit(data: Dataset) -> Dataset:
     """Min-max scale every coordinate of the sample onto [0, 1].
 
-    Returns the scaled sample and the per-coordinate ranges (lo, hi), ordered
-    x, y, z.  Constant coordinates map to 0.5.  The scaled x and z are stored
+    Constant coordinates map to 0.5.  The scaled x and z are stored
     column-major, so each coordinate is one contiguous column.
     """
     n = data.n
@@ -135,18 +134,17 @@ def scale_unit(data: Dataset) -> tuple[Dataset, tuple[np.ndarray, np.ndarray]]:
     y = np.empty(n)
     z = np.empty((n, data.d_prime), order="F")
     outs = [x[:, j] for j in range(data.d)] + [y] + [z[:, j] for j in range(data.d_prime)]
-    lo, hi = np.empty(len(outs)), np.empty(len(outs))
-    for j, ((name, col), out) in enumerate(zip(_coordinates(data), outs)):
-        lo[j], hi[j] = col.min(), col.max()
-        span = float(hi[j]) - float(lo[j])
+    for (name, col), out in zip(_coordinates(data), outs):
+        lo, hi = col.min(), col.max()
+        span = float(hi) - float(lo)
         if math.isinf(span):
-            raise ValueError(f"{name}: max - min = {hi[j]!r} - {lo[j]!r} overflows float64")
+            raise ValueError(f"{name}: max - min = {hi!r} - {lo!r} overflows float64")
         if span == 0.0:
             out.fill(0.5)
         else:
-            np.subtract(col, lo[j], out=out)
+            np.subtract(col, lo, out=out)
             np.divide(out, span, out=out)
-    return Dataset._owned(x, y, z), (lo, hi)
+    return Dataset._owned(x, y, z)
 
 
 def h_schedule(n: int, d: int, d_prime: int, delta: float) -> float:
@@ -374,7 +372,7 @@ def run_test(data: Dataset, cfg: TestConfig = TestConfig()) -> TestOutcome:
 
     Rejects (dependence found) iff L_n >= t_n.
     """
-    scaled, _ = scale_unit(data)
+    scaled = scale_unit(data)
     h = cfg.bandwidth(data.n, data.d, data.d_prime)
     part = CubicPartition(h=h, d=data.d, d_prime=data.d_prime)
     hist = build_histogram(scaled, part)

@@ -41,14 +41,11 @@ from infoloss import (
     bayes_risk,
     bound_bounded_loss,
     build_histogram,
-    conditional_dependence_l1,
     conditional_mutual_information,
     delta_lossless_bounded,
     dv_gap_check,
     excess_risk,
-    gen_atomic_dataset,
     gen_market,
-    gen_markov_joint,
     gen_random_joint,
     gen_random_loss,
     growth_gap_bound,
@@ -64,7 +61,12 @@ from infoloss import (
 )
 from infoloss.cli import main as cli_main
 
-from conftest import grid_growth_oracle
+from conftest import (
+    conditional_dependence_l1,
+    gen_atomic_dataset,
+    gen_markov_joint,
+    grid_growth_oracle,
+)
 
 # One-sided 99% binomial margin for 200 trials: sqrt(ln(1/0.01) / (2 * 200)).
 BINOMIAL_MARGIN_200 = 0.1073
@@ -288,7 +290,7 @@ def test_criterion_10_plugin_convergence():
     errors = []
     for rep in range(20):
         data = gen_atomic_dataset(joint, y_atoms, x_atoms, z_atoms, 100_000, rep)
-        scaled, _ = scale_unit(data)
+        scaled = scale_unit(data)
         l_n = l_statistic(build_histogram(scaled, part))
         errors.append(abs(l_n - population))
     assert max(errors) <= 0.02, (

@@ -315,3 +315,38 @@ class TestProfileValidation:
         profile = SubgaussianProfile(np.array([0.25, 0.25]))
         with pytest.raises(ValueError, match="mismatch"):
             profile.expected(np.array([0.2, 0.3, 0.5]))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda j, t: hoeffding_sigma(NAN), "range width must be >= 0, got nan",
+                     id="hoeffding-width"),
+        pytest.param(lambda j, t: regression_sigma(NAN, 1.0), "moments must be >= 0",
+                     id="regression-moment"),
+        pytest.param(lambda j, t: regression_sigma(1.0, NAN), "moments must be >= 0",
+                     id="regression-k"),
+        pytest.param(lambda j, t: delta_lossless_bounded(j, t, NAN, 1.0),
+                     "delta must be >= 0, got nan", id="delta-lossless-delta"),
+        pytest.param(lambda j, t: delta_lossless_bounded(j, t, 0.1, NAN),
+                     "c must be > 0, got nan", id="delta-lossless-c"),
+        pytest.param(lambda j, t: family_lossless_check(j, t, NAN, 1.0, [0.0, 0.0]),
+                     "delta must be >= 0, got nan", id="family-delta"),
+        pytest.param(lambda j, t: family_lossless_check(j, t, 0.1, NAN, [0.0, 0.0]),
+                     "c must be > 0, got nan", id="family-c"),
+        pytest.param(lambda j, t: family_lossless_check(j, t, 0.1, 1.0, [NAN, 0.0]),
+                     "envelope must be nonnegative", id="family-envelope"),
+        pytest.param(lambda j, t: quantizer_sequence_bound(
+                         np.full((2, 2), 0.25), [0.0, 1.0], [1.0, NAN], zero_one_loss(2)),
+                     "widths must be > 0", id="quantizer-width"),
+    ],
+)
+def test_nan_arguments_raise_naming_the_argument(call, message):
+    # NaN fails every comparison, so a check written as "x < 0" let it
+    # through and returned False or nan; the negated form rejects it.
+    joint, tmap = fair_bit_merge()
+    with pytest.raises(ValueError, match=message):
+        call(joint, tmap)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -104,6 +105,26 @@ class TestGenCommand:
         assert echo["scenario"] == "h0"
         assert echo["n"] == 100 and echo["seed"] == 5
         assert echo["atoms"] == [0.0, 0.25, 0.5, 0.75]
+
+    # sha256 of the CSV and of the echo JSON for n = 1000, seed 7, default
+    # parameters; they pin the generator draws and the echo's keys and order.
+    GOLDEN = {
+        "h0": ("cdaddcfd6ad0bc1613e7faf963180f8846510cfbc02263ac1c6b7fde9ee534f0",
+               "93a15024c7b1c793f30d2592e254ee6a2b83d60c9a7e19156fb7ebb8d9bf450e"),
+        "h1": ("3dcef3ef0c4e99ae5e5f32bc1ed0875224be1845f78920e31df8daa428ae04ac",
+               "b781ed47a5b34f17e9196f49bfc5206101ab250a580ed3c89015c206b0224529"),
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(GOLDEN))
+    def test_golden_bytes(self, tmp_path, capsys, scenario):
+        stem = tmp_path / scenario
+        main(["gen", "--scenario", scenario, "--n", "1000", "--seed", "7",
+              "--output", str(stem)])
+        got = tuple(
+            hashlib.sha256(stem.with_suffix(suffix).read_bytes()).hexdigest()
+            for suffix in (".csv", ".json")
+        )
+        assert got == self.GOLDEN[scenario]
 
     def test_byte_identical_across_runs(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -13,7 +13,6 @@ from infoloss import (
     LossMatrix,
     apply_map,
     bayes_risk,
-    conditional_dependence_l1,
     conditional_mutual_information,
     excess_risk,
     kl_divergence,
@@ -22,7 +21,7 @@ from infoloss import (
     zero_one_loss,
 )
 
-from conftest import brute_force_bayes_risk, random_joint2
+from conftest import brute_force_bayes_risk, conditional_dependence_l1, random_joint2
 
 
 def joints(max_y=3, max_x=3, max_z=3):

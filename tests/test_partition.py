@@ -44,7 +44,7 @@ class TestScaling:
             y=rng.normal(-2.0, 1.0, 200),
             z=rng.normal(0.0, 10.0, (200, 1)),
         )
-        scaled, _ = scale_unit(data)
+        scaled = scale_unit(data)
         cols = scaled.columns()
         assert cols.min() >= 0.0
         assert cols.max() <= 1.0
@@ -58,7 +58,7 @@ class TestScaling:
             y=np.arange(10.0),
             z=np.ones((10, 1)),
         )
-        scaled, _ = scale_unit(data)
+        scaled = scale_unit(data)
         assert np.all(scaled.x == 0.5)
         assert np.all(scaled.z == 0.5)
         assert scaled.y[0] == 0.0 and scaled.y[-1] == 1.0
@@ -149,7 +149,7 @@ class TestPartitionCounts:
 class TestHistogram:
     def test_counts_sum_to_n(self, rng):
         data = make_dataset(rng, 300, d=2)
-        scaled, _ = scale_unit(data)
+        scaled = scale_unit(data)
         part = CubicPartition(h=0.25, d=2, d_prime=1)
         hist = build_histogram(scaled, part)
         assert hist.counts.sum() == 300
@@ -165,7 +165,7 @@ class TestHistogram:
     def test_marginal_alignment(self, rng):
         # The aligned per-triple marginal counts agree with a recount.
         data = make_dataset(rng, 500)
-        scaled, _ = scale_unit(data)
+        scaled = scale_unit(data)
         part = CubicPartition(h=0.2, d=1, d_prime=1)
         hist = build_histogram(scaled, part)
         for i in range(len(hist.counts)):
@@ -216,7 +216,7 @@ class TestHistogram:
     )
     def test_both_counting_paths_match_recount(self, rng, n, h, d, d_prime):
         data = make_dataset(rng, n, d=d, d_prime=d_prime)
-        scaled, _ = scale_unit(data)
+        scaled = scale_unit(data)
         part = CubicPartition(h=h, d=d, d_prime=d_prime)
         # The first case counts on the dense grid, the second by sorting.
         assert (part.m * part.m_prime * part.m_dprime <= n) == (n == 5000)
@@ -267,7 +267,7 @@ class TestLStatistic:
         # Sparse closed form vs the full sum over every cell triple.
         for n, h in [(50, 0.5), (120, 0.25), (200, 0.34)]:
             data = make_dataset(rng, n)
-            scaled, _ = scale_unit(data)
+            scaled = scale_unit(data)
             part = CubicPartition(h=h, d=1, d_prime=1)
             hist = build_histogram(scaled, part)
             assert l_statistic(hist) == pytest.approx(
@@ -276,7 +276,7 @@ class TestLStatistic:
 
     def test_matches_dense_oracle_2d(self, rng):
         data = make_dataset(rng, 150, d=2, d_prime=1)
-        scaled, _ = scale_unit(data)
+        scaled = scale_unit(data)
         part = CubicPartition(h=0.34, d=2, d_prime=1)
         hist = build_histogram(scaled, part)
         assert l_statistic(hist) == pytest.approx(
@@ -288,7 +288,7 @@ class TestLStatistic:
     def test_in_unit_range(self, n, h, seed):
         rng = np.random.default_rng(seed)
         data = make_dataset(rng, n)
-        scaled, _ = scale_unit(data)
+        scaled = scale_unit(data)
         part = CubicPartition(h=h, d=1, d_prime=1)
         val = l_statistic(build_histogram(scaled, part))
         assert -1e-12 <= val <= 2.0 + 1e-12

@@ -186,7 +186,7 @@ class TestGrowthGapBound:
 
 class TestCMaxBound:
     def test_frozen_value(self):
-        market = gen_market(2, 3, 0, c_max=0.3)
+        market = gen_market(2, 3, 0)
         assert market.c_max <= 0.3
         # With delta_I = 0.02: bound = (c_max / sqrt 2) sqrt(0.02).
         expected = market.c_max / math.sqrt(2.0) * math.sqrt(0.02)
@@ -200,6 +200,11 @@ class TestCMaxBound:
         market = gen_market(2, 3, 0)
         with pytest.raises(ValueError):
             c_max_bound(market, -0.5)
+
+    def test_rejects_nan_gap(self):
+        market = gen_market(2, 3, 0)
+        with pytest.raises(ValueError, match="delta_i must be >= 0, got nan"):
+            c_max_bound(market, float("nan"))
 
 
 class TestMarketModel:

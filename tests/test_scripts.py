@@ -1,0 +1,36 @@
+"""Smoke tests: the example scripts run at a tiny size and print their summaries."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_bounds_sweep(tmp_path):
+    out = tmp_path / "sweep.csv"
+    proc = run_script("run_bounds_sweep.py", "--instances", "5", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "instances               5"
+    assert lines[1] == "certificate violations  0 (asserted)"
+    assert lines[-1] == f"wrote {out}"
+    assert len(out.read_text().splitlines()) == 6  # header plus one row per instance
+
+
+def test_portfolio_demo():
+    proc = run_script("run_portfolio_demo.py", "--markets", "5")
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout
+    assert "I gap   = 0.693147   (log 2 = 0.693147; tight)" in out
+    assert "random markets (5 seeds, d_a <= 3, <= 6 outcomes):" in out
+    assert out.rstrip().endswith("certificate violations: 0 (growth_gap_bound raises otherwise)")

@@ -8,18 +8,20 @@ import pytest
 from infoloss import (
     H0Config,
     H1Config,
-    conditional_dependence_l1,
     conditional_mutual_information,
-    gen_atomic_dataset,
     gen_h0,
     gen_h1,
     gen_market,
-    gen_markov_joint,
     gen_random_joint,
     gen_random_loss,
     philox,
+)
+
+from conftest import (
+    conditional_dependence_l1,
+    gen_atomic_dataset,
+    gen_markov_joint,
     population_joint,
-    true_transform,
 )
 
 
@@ -99,31 +101,21 @@ class TestNullScenario:
         assert data.d == 2
         assert data.d_prime == 1
 
-    def test_z_is_transform_of_x(self):
-        cfg = H0Config(n=1000, seed=3)
-        data = gen_h0(cfg)
-        np.testing.assert_array_equal(true_transform(cfg, data.x), data.z)
-
     def test_x1_inside_atom_intervals(self):
-        cfg = H0Config(n=1000, seed=4, k=5, interval_width=0.15)
-        data = gen_h0(cfg)
-        j = np.round(data.z[:, 0] * cfg.k).astype(int)
-        lo = cfg.atoms[j]
-        assert np.all(data.x[:, 0] >= lo)
-        assert np.all(data.x[:, 0] <= lo + cfg.interval_width)
+        # z is the atom whose interval holds x1, so T(x) = atom(x1) gives Z.
+        for cfg in (H0Config(n=1000, seed=4, k=5, interval_width=0.15),
+                    H0Config(n=1000, seed=3)):
+            data = gen_h0(cfg)
+            j = np.round(data.z[:, 0] * cfg.k).astype(int)
+            lo = cfg.atoms[j]
+            assert np.all(data.x[:, 0] >= lo)
+            assert np.all(data.x[:, 0] <= lo + cfg.interval_width)
 
     def test_y_tracks_regression_level(self):
         cfg = H0Config(n=5000, seed=5, noise_scale=0.01)
         data = gen_h0(cfg)
         j = np.round(data.z[:, 0] * cfg.k).astype(int)
-        np.testing.assert_allclose(data.y, cfg.g[j], atol=0.011)
-
-    def test_custom_regression_values(self):
-        cfg = H0Config(
-            n=100, seed=6, k=2, regression_values=(0.0, 10.0), noise_scale=0.0
-        )
-        data = gen_h0(cfg)
-        assert set(np.unique(data.y)) <= {0.0, 10.0}
+        np.testing.assert_allclose(data.y, cfg.atoms[j], atol=0.011)
 
     def test_interval_width_validation(self):
         with pytest.raises(ValueError):
@@ -154,20 +146,6 @@ class TestAlternativeScenario:
         out0 = run_test(gen_h0(cfg_null), TestConfig(h=0.25))
         out1 = run_test(gen_h1(cfg_alt), TestConfig(h=0.25))
         assert out1.L_n > out0.L_n + 0.2
-
-
-class TestTrueTransform:
-    def test_maps_to_atom_values(self):
-        cfg = H0Config(n=10, seed=0, k=4)
-        x = np.array([[0.05, 0.5], [0.30, 0.1], [0.55, 0.9], [0.80, 0.2]])
-        z = true_transform(cfg, x)
-        np.testing.assert_allclose(z[:, 0], [0.0, 0.25, 0.5, 0.75])
-
-    def test_rejects_gap_points(self):
-        # 0.22 lies between atom 0's interval [0, 0.2] and atom 1 at 0.25.
-        cfg = H0Config(n=10, seed=0, k=4, interval_width=0.2)
-        with pytest.raises(ValueError, match="interval"):
-            true_transform(cfg, np.array([[0.22, 0.5]]))
 
 
 class TestPopulationJoint:
