@@ -101,15 +101,23 @@ class TestNullScenario:
         assert data.d == 2
         assert data.d_prime == 1
 
+    def test_z_is_transform_of_x(self):
+        # T(x) = atom of the interval holding x1, computed from x alone.
+        cfg = H0Config(n=1000, seed=3)
+        data = gen_h0(cfg)
+        j = np.clip(np.floor(data.x[:, 0] * cfg.k), 0, cfg.k - 1).astype(int)
+        lo = cfg.atoms[j]
+        assert np.all(data.x[:, 0] >= lo)
+        assert np.all(data.x[:, 0] <= lo + cfg.interval_width)
+        np.testing.assert_array_equal(cfg.atoms[j][:, None], data.z)
+
     def test_x1_inside_atom_intervals(self):
-        # z is the atom whose interval holds x1, so T(x) = atom(x1) gives Z.
-        for cfg in (H0Config(n=1000, seed=4, k=5, interval_width=0.15),
-                    H0Config(n=1000, seed=3)):
-            data = gen_h0(cfg)
-            j = np.round(data.z[:, 0] * cfg.k).astype(int)
-            lo = cfg.atoms[j]
-            assert np.all(data.x[:, 0] >= lo)
-            assert np.all(data.x[:, 0] <= lo + cfg.interval_width)
+        cfg = H0Config(n=1000, seed=4, k=5, interval_width=0.15)
+        data = gen_h0(cfg)
+        j = np.round(data.z[:, 0] * cfg.k).astype(int)
+        lo = cfg.atoms[j]
+        assert np.all(data.x[:, 0] >= lo)
+        assert np.all(data.x[:, 0] <= lo + cfg.interval_width)
 
     def test_y_tracks_regression_level(self):
         cfg = H0Config(n=5000, seed=5, noise_scale=0.01)
