@@ -44,6 +44,33 @@ class TestDeterminism:
         b = gen_h0(H0Config(n=500, seed=2))
         assert a.y.tobytes() != b.y.tobytes()
 
+    # sha256 prefixes of (x, y, z).tobytes() for seed 7: the defaults at
+    # n = 1e5 and a non-default config at n = 1000.  tobytes() is C order
+    # whatever the memory layout, so these pin values, not storage.
+    _CUSTOM = dict(k=5, interval_width=0.15, noise_scale=0.05)
+    GOLDEN_DRAWS = [
+        (gen_h0, H0Config(n=100_000, seed=7),
+         ("d39fd635fa024bf8", "232a05cabb2720dd", "3d84f9deb1ce6ada")),
+        (gen_h1, H1Config(n=100_000, seed=7),
+         ("d39fd635fa024bf8", "249247fc1318b3f7", "3d84f9deb1ce6ada")),
+        (gen_h0, H0Config(n=1000, seed=7, **_CUSTOM),
+         ("ef517e70c5329260", "5fce0626ad9f2278", "c9e5d1b020a739a7")),
+        (gen_h1, H1Config(n=1000, seed=7, theta=-0.3, **_CUSTOM),
+         ("ef517e70c5329260", "37d97b811aedbc55", "c9e5d1b020a739a7")),
+    ]
+
+    @pytest.mark.parametrize(
+        "gen, cfg, expected", GOLDEN_DRAWS,
+        ids=["h0-default", "h1-default", "h0-custom", "h1-custom"],
+    )
+    def test_scenario_draws_golden(self, gen, cfg, expected):
+        data = gen(cfg)
+        got = tuple(
+            hashlib.sha256(arr.tobytes()).hexdigest()[:16]
+            for arr in (data.x, data.y, data.z)
+        )
+        assert got == expected
+
     def test_philox_stream_stable(self):
         # Same key, same stream; independent of global numpy state.
         np.random.seed(0)
