@@ -22,9 +22,16 @@ from infoloss import (
 )
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def parse_args():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--instances", type=int, default=500)
+    ap.add_argument("--instances", type=positive_int, default=500)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--sup", type=float, default=1.0, help="loss sup-norm cap")
     ap.add_argument("--out", default="results/bounds_sweep.csv")

@@ -28,9 +28,16 @@ def horse_race():
     return MarketModel(returns=returns, joint=apply_map(j, tmap), tmap=tmap)
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def parse_args():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--markets", type=int, default=200)
+    ap.add_argument("--markets", type=positive_int, default=200)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--assets", type=int, default=3, help="max d_a")
     ap.add_argument("--outcomes", type=int, default=6, help="max outcomes")

@@ -53,7 +53,12 @@ _MAX_TOTAL_CELLS = 2**62  # flat cell ids must fit in int64
 
 @dataclass(frozen=True)
 class Dataset:
-    """Sample of n rows (x_i, y_i, z_i), x in R^d, y real, z in R^d'."""
+    """Sample of n rows (x_i, y_i, z_i), x in R^d, y real, z in R^d'.
+
+    The arrays are read-only float64 copies of the inputs.  x and z are
+    stored column-major, so each coordinate is one contiguous column: the
+    layout that ``scale_unit`` writes and ``build_histogram`` reads.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -79,7 +84,7 @@ class Dataset:
         for name, arr in (("x", x), ("y", y), ("z", z)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name}: non-finite values")
-            arr = arr.copy()
+            arr = arr.copy(order="F")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -104,8 +109,12 @@ class Dataset:
         """Wrap float64 arrays without re-validating or copying them.
 
         Callers pass arrays of a validated ``Dataset`` or fresh arrays computed
-        from them, so the shapes agree and every value is finite.  The arrays
-        are made read-only in place.
+        from them (``scale_unit``, ``select``'s probe), or the generators'
+        fresh column-major draws.  Either way the shapes agree and every value
+        is finite: a generator's x and z are affine images of uniforms with
+        finite, checked parameters, so they lie in [0, 1], and it checks the
+        one column that can overflow, y, itself.  The arrays are made
+        read-only in place.
         """
         data = object.__new__(cls)
         for name, arr in (("x", x), ("y", y), ("z", z)):
@@ -240,13 +249,12 @@ def build_histogram(data: Dataset, part: CubicPartition) -> JointHistogram:
         )
     bins = part.bins_per_axis
     key = np.zeros(data.n, dtype=np.int64)
-    cell = np.empty(data.n)
     index = np.empty(data.n, dtype=np.int64)
     for _, col in _coordinates(data):
         if col.min() < 0.0 or col.max() > 1.0:
             raise ValueError("unscaled coordinate outside [0, 1]; call scale_unit first")
-        np.divide(col, part.h, out=cell)
-        np.floor(cell, out=index, casting="unsafe")
+        # u / h >= 0 here, so the cast's truncation toward zero is floor.
+        np.divide(col, part.h, out=index, casting="unsafe")
         np.minimum(index, bins - 1, out=index)
         key *= bins
         key += index

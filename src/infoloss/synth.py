@@ -19,6 +19,7 @@ x1 reproduces Z exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +70,8 @@ class H0Config:
                 f"interval_width must be in (0, 1/k) = (0, {1.0 / self.k}), "
                 f"got {self.interval_width}"
             )
-        if self.noise_scale < 0:
-            raise ValueError(f"noise_scale must be >= 0, got {self.noise_scale}")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
 
     @property
     def atoms(self) -> np.ndarray:
@@ -85,32 +86,47 @@ class H1Config(H0Config):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.theta == 0:
-            raise ValueError("theta = 0 would reproduce the null scenario")
+        if not math.isfinite(self.theta) or self.theta == 0:
+            raise ValueError(f"theta must be finite and nonzero (0 is the null), got {self.theta}")
 
 
-def _draw_common(cfg: H0Config, rng: np.random.Generator):
-    j = rng.integers(0, cfg.k, size=cfg.n)
-    x1 = cfg.atoms[j] + cfg.interval_width * rng.random(cfg.n)
-    x2 = rng.random(cfg.n)
-    noise = cfg.noise_scale * (2.0 * rng.random(cfg.n) - 1.0)
-    return j, x1, x2, noise
+def _draw(cfg: H0Config, theta: float | None) -> Dataset:
+    """Null (``theta`` None) or alternative sample, built in place.
+
+    Draws come in the order J, X1, X2, noise, and the in-place arithmetic
+    keeps the formulas' operand order, so values are bit-identical to the
+    fresh-array expressions x1 = z_J + w U and y = z_J (+ theta X2) + noise.
+    """
+    rng = philox(cfg.seed)
+    zj = cfg.atoms[rng.integers(0, cfg.k, size=cfg.n)]
+    x = np.empty((cfg.n, 2), order="F")
+    x1, x2 = rng.random(out=x[:, 0]), rng.random(out=x[:, 1])
+    y = rng.random(cfg.n)
+    x1 *= cfg.interval_width
+    x1 += zj
+    y *= 2.0
+    y -= 1.0
+    y *= cfg.noise_scale  # the noise term
+    if theta is not None:
+        level = np.multiply(x2, theta)
+        level += zj
+        y += level
+    else:
+        y += zj
+    # Finite parameters keep x and z inside [0, 1]; only y can overflow.
+    if not np.isfinite(y).all():
+        raise ValueError("y: non-finite values")
+    return Dataset._owned(x, y, zj[:, None])
 
 
 def gen_h0(cfg: H0Config) -> Dataset:
     """Sample the null scenario: d = 2, d' = 1, Y indep of X given Z."""
-    rng = philox(cfg.seed)
-    j, x1, x2, noise = _draw_common(cfg, rng)
-    y = cfg.atoms[j] + noise
-    return Dataset(x=np.stack([x1, x2], axis=1), y=y, z=cfg.atoms[j][:, None])
+    return _draw(cfg, None)
 
 
 def gen_h1(cfg: H1Config) -> Dataset:
     """Sample the alternative: Y leans on X2, which T(x) = atom(x1) discards."""
-    rng = philox(cfg.seed)
-    j, x1, x2, noise = _draw_common(cfg, rng)
-    y = cfg.atoms[j] + cfg.theta * x2 + noise
-    return Dataset(x=np.stack([x1, x2], axis=1), y=y, z=cfg.atoms[j][:, None])
+    return _draw(cfg, cfg.theta)
 
 
 def _surjective_map(rng: np.random.Generator, nx: int, nz: int) -> DeterministicMap:

@@ -126,6 +126,15 @@ class TestGenCommand:
         )
         assert got == self.GOLDEN[scenario]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag, field", [("--noise", "noise_scale"), ("--theta", "theta")])
+    def test_non_finite_parameter_exit_one(self, tmp_path, capsys, flag, field, value):
+        code = main(["gen", "--scenario", "h1", "--n", "10", f"{flag}={value}",
+                     "--output", str(tmp_path / "s")])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+        assert not (tmp_path / "s.csv").exists()
+
     def test_byte_identical_across_runs(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         argv = ["gen", "--scenario", "h1", "--n", "500", "--seed", "9", "--theta", "0.7"]

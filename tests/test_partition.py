@@ -20,6 +20,7 @@ from infoloss import (
     gen_h1,
     h_schedule,
     l_statistic,
+    read_dataset_csv,
     run_test,
     scale_unit,
     threshold,
@@ -102,6 +103,39 @@ class TestScaling:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^y: max - min .* overflows float64"):
                 run_test(data, TestConfig(h=0.5))
+
+
+class TestLayout:
+    """x and z are read-only, column-major copies wherever a Dataset comes from."""
+
+    @staticmethod
+    def assert_column_major_read_only(data):
+        for arr in (data.x, data.z):
+            assert arr.flags.f_contiguous
+            assert not arr.flags.writeable
+        assert data.y.flags.c_contiguous and not data.y.flags.writeable
+
+    def test_constructor(self, rng):
+        self.assert_column_major_read_only(make_dataset(rng, 50, d=3, d_prime=2))
+
+    @pytest.mark.parametrize("gen, cfg", [(gen_h0, H0Config), (gen_h1, H1Config)])
+    def test_generators(self, gen, cfg):
+        self.assert_column_major_read_only(gen(cfg(n=100, seed=1)))
+
+    def test_csv_reader(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("x1,x2,x3,y,z1,z2\n" + "0.1,0.2,0.3,0.4,0.5,0.6\n" * 4)
+        self.assert_column_major_read_only(read_dataset_csv(path))
+
+    def test_input_mutation_does_not_leak(self, rng):
+        x, y, z = rng.random((40, 2)), rng.random(40), rng.random((40, 1))
+        data = Dataset(x=x, y=y, z=z)
+        before = [arr.copy() for arr in (data.x, data.y, data.z)]
+        x[:] = -1.0
+        y[:] = -1.0
+        z[:] = -1.0
+        for arr, old in zip((data.x, data.y, data.z), before):
+            np.testing.assert_array_equal(arr, old)
 
 
 class TestBandwidthSchedule:
@@ -230,6 +264,27 @@ class TestHistogram:
         np.testing.assert_array_equal(hist.ac_counts, ac)
         np.testing.assert_array_equal(hist.bc_counts, bc)
         np.testing.assert_array_equal(hist.c_counts, cm)
+
+    @pytest.mark.parametrize(
+        "h", [0.25, 1 / 3, 0.1, h_schedule(100_000, 2, 1, 0.2)],
+        ids=["quarter", "third", "tenth", "scheduled-1e5"],
+    )
+    def test_cell_ids_match_floor_reference(self, rng, h):
+        # Random values plus every cell edge k*h (capped at 1) and the float
+        # just below it: u = 1 on an exact edge needs the clamp, while the
+        # scheduled h at n = 1e5 puts the top edge just below 1.
+        bins = math.ceil(1.0 / h)
+        edges = np.minimum(np.arange(bins + 1) * h, 1.0)
+        special = np.concatenate([edges, np.nextafter(edges[1:], 0.0), [0.0, 1.0]])
+        cols = [rng.permutation(np.concatenate([rng.random(500), special])) for _ in range(4)]
+        data = Dataset(x=np.stack(cols[:2], axis=1), y=cols[2], z=cols[3])
+        part = CubicPartition(h=h, d=2, d_prime=1)
+        hist = build_histogram(data, part)
+        triples, counts, *_ = self._recount(data, part)
+        np.testing.assert_array_equal(
+            np.stack([hist.a_ids, hist.b_ids, hist.c_ids], axis=1), triples
+        )
+        np.testing.assert_array_equal(hist.counts, counts)
 
     def test_rejects_negative_coordinate(self):
         data = Dataset(x=np.array([[0.5]]), y=np.array([-0.1]), z=np.array([[0.5]]))

@@ -34,3 +34,17 @@ def test_portfolio_demo():
     assert "I gap   = 0.693147   (log 2 = 0.693147; tight)" in out
     assert "random markets (5 seeds, d_a <= 3, <= 6 outcomes):" in out
     assert out.rstrip().endswith("certificate violations: 0 (growth_gap_bound raises otherwise)")
+
+
+def test_bounds_sweep_rejects_empty_sweep(tmp_path):
+    proc = run_script("run_bounds_sweep.py", "--instances", "0", "--out", str(tmp_path / "s.csv"))
+    assert proc.returncode == 2
+    assert "argument --instances: must be a positive integer, got 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_portfolio_demo_rejects_empty_sweep():
+    proc = run_script("run_portfolio_demo.py", "--markets", "0")
+    assert proc.returncode == 2
+    assert "argument --markets: must be a positive integer, got 0" in proc.stderr
+    assert "Traceback" not in proc.stderr

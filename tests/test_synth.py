@@ -183,6 +183,22 @@ class TestAlternativeScenario:
         assert out1.L_n > out0.L_n + 0.2
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["noise_scale", "theta"])
+def test_non_finite_parameter_named(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        H1Config(n=10, seed=0, **{field: value})
+
+
+def test_overflowing_y_rejected_after_draw():
+    # Finite but huge parameters pass the config checks; y = z + theta*x2 +
+    # noise then overflows and the generator's own check catches it.  The
+    # suite turns numpy's overflow warning into an error, so it is silenced.
+    cfg = H1Config(n=1000, seed=0, theta=1.7e308, noise_scale=1.7e308)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^y: non-finite values$"):
+        gen_h1(cfg)
+
+
 class TestPopulationJoint:
     def test_null_factorizes_exactly(self):
         joint = population_joint(H0Config(n=1, seed=0))
