@@ -35,12 +35,19 @@ def positive_int(text):
     return value
 
 
+def outcome_count(text):
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {value}")
+    return value
+
+
 def parse_args():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--markets", type=positive_int, default=200)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--assets", type=int, default=3, help="max d_a")
-    ap.add_argument("--outcomes", type=int, default=6, help="max outcomes")
+    ap.add_argument("--assets", type=positive_int, default=3, help="max d_a")
+    ap.add_argument("--outcomes", type=outcome_count, default=6, help="max outcomes")
     return ap.parse_args()
 
 

@@ -9,6 +9,7 @@ replicate order, so results are identical whatever the worker count.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import TestConfig, run_test
-from .synth import H0Config, H1Config, gen_h0, gen_h1
+from .synth import SAMPLE_COLUMNS, H0Config, H1Config, gen_h0, gen_h1
 
 __all__ = ["ExperimentPlan", "MCResult", "MCRow", "run_plan"]
 
@@ -121,25 +122,36 @@ class MCResult:
         }
 
 
-def _replicate(plan: ExperimentPlan, n: int, rep: int):
+def _replicate(plan: ExperimentPlan, n: int, rep: int, local: threading.local):
+    """One replicate, drawn and scaled in its worker's two reusable blocks."""
+    if not hasattr(local, "blocks"):
+        local.blocks = tuple(np.empty((n, SAMPLE_COLUMNS), order="F") for _ in range(2))
+    sample, scaled = local.blocks
     seed = plan.base_seed + rep
     if plan.scenario == "h0":
-        data = gen_h0(H0Config(n=n, seed=seed))
+        data = gen_h0(H0Config(n=n, seed=seed), out=sample)
     else:
-        data = gen_h1(H1Config(n=n, seed=seed, theta=plan.theta))
-    outcome = run_test(data, plan.cfg)
+        data = gen_h1(H1Config(n=n, seed=seed, theta=plan.theta), out=sample)
+    outcome = run_test(data, plan.cfg, scratch=scaled)
     return outcome.L_n, outcome.t_n, outcome.reject, outcome.type1_bound
 
 
 def run_plan(plan: ExperimentPlan, threads: int | None = None) -> MCResult:
-    """Execute a plan; results are independent of the thread count."""
+    """Execute a plan; results are independent of the thread count.
+
+    Each worker draws and scales its replicates of one n in two blocks of
+    (n, 4) floats, allocated on its first replicate of that n and dropped
+    when that n's pool closes: 64 bytes per row per worker.
+    """
     workers = threads if threads is not None else (os.cpu_count() or 1)
-    workers = max(1, workers)
+    if workers < 1:
+        raise ValueError(f"threads must be >= 1, got {workers}")
     rows = []
     for n in plan.n_grid:
         start = time.perf_counter()
+        local = threading.local()
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda r: _replicate(plan, n, r), range(plan.reps)))
+            results = list(pool.map(lambda r: _replicate(plan, n, r, local), range(plan.reps)))
         elapsed = time.perf_counter() - start
         l_vals = np.array([res[0] for res in results])
         t_vals = np.array([res[1] for res in results])

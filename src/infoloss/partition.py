@@ -108,19 +108,42 @@ class Dataset:
     def _owned(cls, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> Dataset:
         """Wrap float64 arrays without re-validating or copying them.
 
-        Callers pass arrays of a validated ``Dataset`` or fresh arrays computed
-        from them (``scale_unit``, ``select``'s probe), or the generators'
-        fresh column-major draws.  Either way the shapes agree and every value
-        is finite: a generator's x and z are affine images of uniforms with
-        finite, checked parameters, so they lie in [0, 1], and it checks the
-        one column that can overflow, y, itself.  The arrays are made
-        read-only in place.
+        Callers pass arrays computed from a validated ``Dataset``
+        (``scale_unit``'s scaled block, ``select``'s probe), or the
+        generators' column-major draws (``gen_h0``/``gen_h1``).  Either way
+        the shapes agree and every value is finite: a generator's x and z
+        are affine images of uniforms with finite, checked parameters, so
+        they lie in [0, 1], and it checks the one column that can overflow,
+        y, itself.  The arrays are made read-only in place; when they are
+        views of a caller's buffer, the buffer itself stays writable.
         """
         data = object.__new__(cls)
         for name, arr in (("x", x), ("y", y), ("z", z)):
             arr.flags.writeable = False
             object.__setattr__(data, name, arr)
         return data
+
+    @classmethod
+    def _split(cls, block: np.ndarray, d: int) -> Dataset:
+        """Wrap a column-major (n, d + 1 + d') block as x, y, z views of it."""
+        return cls._owned(block[:, :d], block[:, d], block[:, d + 1 :])
+
+
+def _column_block(n: int, width: int, out: np.ndarray | None) -> np.ndarray:
+    """A column-major float64 (n, width) block: fresh, or ``out`` once checked."""
+    if out is None:
+        return np.empty((n, width), order="F")
+    if not isinstance(out, np.ndarray):
+        raise TypeError(f"buffer must be a numpy array, got {type(out).__name__}")
+    if out.shape != (n, width):
+        raise ValueError(f"buffer must have shape {(n, width)}, got {out.shape}")
+    if out.dtype != np.float64:
+        raise ValueError(f"buffer must have dtype float64, got {out.dtype}")
+    if not out.flags.f_contiguous:
+        raise ValueError("buffer must be column-major (F-contiguous)")
+    if not out.flags.writeable:
+        raise ValueError("buffer is read-only")
+    return out
 
 
 def _coordinates(data: Dataset) -> list[tuple[str, np.ndarray]]:
@@ -132,28 +155,30 @@ def _coordinates(data: Dataset) -> list[tuple[str, np.ndarray]]:
     )
 
 
-def scale_unit(data: Dataset) -> Dataset:
+def scale_unit(data: Dataset, out: np.ndarray | None = None) -> Dataset:
     """Min-max scale every coordinate of the sample onto [0, 1].
 
-    Constant coordinates map to 0.5.  The scaled x and z are stored
-    column-major, so each coordinate is one contiguous column.
+    Constant coordinates map to 0.5.  The scaled coordinates are written
+    into one column-major (n, d + 1 + d') float64 block, ordered x, y, z:
+    a fresh one, or ``out`` when given.  With ``out`` the returned
+    ``Dataset`` aliases it and stays valid only until the next write into
+    ``out``.  ``out`` may not overlap ``data``.
     """
-    n = data.n
-    x = np.empty((n, data.d), order="F")
-    y = np.empty(n)
-    z = np.empty((n, data.d_prime), order="F")
-    outs = [x[:, j] for j in range(data.d)] + [y] + [z[:, j] for j in range(data.d_prime)]
-    for (name, col), out in zip(_coordinates(data), outs):
+    block = _column_block(data.n, data.d + 1 + data.d_prime, out)
+    if out is not None and any(np.may_share_memory(out, a) for a in (data.x, data.y, data.z)):
+        raise ValueError("buffer overlaps the sample it would scale")
+    for j, (name, col) in enumerate(_coordinates(data)):
+        dest = block[:, j]
         lo, hi = col.min(), col.max()
         span = float(hi) - float(lo)
         if math.isinf(span):
             raise ValueError(f"{name}: max - min = {hi!r} - {lo!r} overflows float64")
         if span == 0.0:
-            out.fill(0.5)
+            dest.fill(0.5)
         else:
-            np.subtract(col, lo, out=out)
-            np.divide(out, span, out=out)
-    return Dataset._owned(x, y, z)
+            np.subtract(col, lo, out=dest)
+            np.divide(dest, span, out=dest)
+    return Dataset._split(block, data.d)
 
 
 def h_schedule(n: int, d: int, d_prime: int, delta: float) -> float:
@@ -375,12 +400,16 @@ class TestOutcome:
         }
 
 
-def run_test(data: Dataset, cfg: TestConfig = TestConfig()) -> TestOutcome:
+def run_test(
+    data: Dataset, cfg: TestConfig = TestConfig(), *, scratch: np.ndarray | None = None
+) -> TestOutcome:
     """Scale, bin, and test a sample for conditional independence.
 
-    Rejects (dependence found) iff L_n >= t_n.
+    Rejects (dependence found) iff L_n >= t_n.  ``scratch``, when given, is
+    the ``out`` block of ``scale_unit``: a reusable column-major float64
+    (n, d + 1 + d') buffer that must not overlap ``data``.
     """
-    scaled = scale_unit(data)
+    scaled = scale_unit(data, out=scratch)
     h = cfg.bandwidth(data.n, data.d, data.d_prime)
     part = CubicPartition(h=h, d=data.d, d_prime=data.d_prime)
     hist = build_histogram(scaled, part)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import DeterministicMap, DiscreteJoint, LossMatrix, apply_map
-from .partition import Dataset
+from .partition import Dataset, _column_block
 from .portfolio import MarketModel
 
 __all__ = [
@@ -43,6 +43,10 @@ __all__ = [
 def philox(seed: int) -> np.random.Generator:
     """The package-wide counter-based generator, keyed by a 64-bit seed."""
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+
+# Columns of a generated sample's block: x1, x2, y, z (d = 2, d' = 1).
+SAMPLE_COLUMNS = 4
 
 
 @dataclass(frozen=True)
@@ -90,18 +94,23 @@ class H1Config(H0Config):
             raise ValueError(f"theta must be finite and nonzero (0 is the null), got {self.theta}")
 
 
-def _draw(cfg: H0Config, theta: float | None) -> Dataset:
+def _draw(cfg: H0Config, theta: float | None, out: np.ndarray | None) -> Dataset:
     """Null (``theta`` None) or alternative sample, built in place.
 
-    Draws come in the order J, X1, X2, noise, and the in-place arithmetic
-    keeps the formulas' operand order, so values are bit-identical to the
+    Draws come in the order J, X1, X2, noise, straight into the columns x1,
+    x2, y, z of one column-major block, and the in-place arithmetic keeps
+    the formulas' operand order, so values are bit-identical to the
     fresh-array expressions x1 = z_J + w U and y = z_J (+ theta X2) + noise.
     """
     rng = philox(cfg.seed)
-    zj = cfg.atoms[rng.integers(0, cfg.k, size=cfg.n)]
-    x = np.empty((cfg.n, 2), order="F")
-    x1, x2 = rng.random(out=x[:, 0]), rng.random(out=x[:, 1])
-    y = rng.random(cfg.n)
+    blk = _column_block(cfg.n, SAMPLE_COLUMNS, out)
+    x1, x2, y, zj = blk[:, 0], blk[:, 1], blk[:, 2], blk[:, 3]
+    # J lies in [0, k), so "clip" never clips; unlike "raise" it writes
+    # straight into zj instead of through a buffered copy.
+    np.take(cfg.atoms, rng.integers(0, cfg.k, size=cfg.n), out=zj, mode="clip")
+    rng.random(out=x1)
+    rng.random(out=x2)
+    rng.random(out=y)
     x1 *= cfg.interval_width
     x1 += zj
     y *= 2.0
@@ -116,17 +125,28 @@ def _draw(cfg: H0Config, theta: float | None) -> Dataset:
     # Finite parameters keep x and z inside [0, 1]; only y can overflow.
     if not np.isfinite(y).all():
         raise ValueError("y: non-finite values")
-    return Dataset._owned(x, y, zj[:, None])
+    return Dataset._split(blk, 2)
 
 
-def gen_h0(cfg: H0Config) -> Dataset:
-    """Sample the null scenario: d = 2, d' = 1, Y indep of X given Z."""
-    return _draw(cfg, None)
+def gen_h0(cfg: H0Config, out: np.ndarray | None = None) -> Dataset:
+    """Sample the null scenario: d = 2, d' = 1, Y indep of X given Z.
+
+    The sample is drawn into one column-major float64 (n, 4) block with
+    columns x1, x2, y, z: a fresh one, or ``out`` when given.  With ``out``
+    the returned ``Dataset`` aliases it and stays valid only until the next
+    write into ``out``.
+    """
+    return _draw(cfg, None, out)
 
 
-def gen_h1(cfg: H1Config) -> Dataset:
-    """Sample the alternative: Y leans on X2, which T(x) = atom(x1) discards."""
-    return _draw(cfg, cfg.theta)
+def gen_h1(cfg: H1Config, out: np.ndarray | None = None) -> Dataset:
+    """Sample the alternative: Y leans on X2, which T(x) = atom(x1) discards.
+
+    Same block layout and ``out`` contract as ``gen_h0``: with ``out`` the
+    returned ``Dataset`` aliases it and stays valid only until the next
+    write into ``out``.
+    """
+    return _draw(cfg, cfg.theta, out)
 
 
 def _surjective_map(rng: np.random.Generator, nx: int, nz: int) -> DeterministicMap:

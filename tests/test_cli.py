@@ -185,6 +185,14 @@ class TestMcCommand:
                      "--h", "0.25", "--output", str(tmp_path / "out")])
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_non_positive_threads_exit_one(self, tmp_path, capsys, threads):
+        code = main(["mc", "--n-grid", "200", "--reps", "2", "--h", "0.25",
+                     "--threads", threads, "--output", str(tmp_path / "out")])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: threads must be >= 1, got {threads}\n"
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestBoundsCommand:
     def test_reports_certificate(self, tmp_path, capsys):

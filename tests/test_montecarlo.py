@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo harness."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,31 @@ class TestRunPlan:
         assert res.rows[0].rejection_rate == np.mean(
             [o.reject for o in outcomes]
         )
+
+    def test_threaded_mean_equals_direct_replicates_exactly(self):
+        # Workers drawing into their own reused blocks give each replicate's
+        # L_n bit for bit, so the aggregates are exactly equal.  Five workers
+        # on a short switch interval would expose blocks shared across threads.
+        plan = small_plan(n_grid=(300, 20_000), reps=10, base_seed=17, cfg=TestConfig())
+        direct = {
+            n: [run_test(gen_h0(H0Config(n=n, seed=17 + r)), plan.cfg).L_n for r in range(10)]
+            for n in plan.n_grid
+        }
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = [run_plan(plan, threads=threads) for threads in (2, 5)]
+        finally:
+            sys.setswitchinterval(interval)
+        for res in results:
+            for row in res.rows:
+                assert row.mean_L_n == np.mean(direct[row.n])
+                assert row.median_L_n == np.median(direct[row.n])
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_non_positive_threads_rejected(self, threads):
+        with pytest.raises(ValueError, match=rf"^threads must be >= 1, got {threads}$"):
+            run_plan(small_plan(), threads=threads)
 
     def test_h0_low_rejection_rate(self):
         plan = small_plan(n_grid=(2000,), reps=20, min_n=1000)

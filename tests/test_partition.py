@@ -138,6 +138,98 @@ class TestLayout:
             np.testing.assert_array_equal(arr, old)
 
 
+def read_only_block(n):
+    buf = np.empty((n, 4), order="F")
+    buf.flags.writeable = False
+    return buf
+
+
+class TestBuffers:
+    """``gen_h0``/``gen_h1(out=)`` and ``run_test(scratch=)`` reuse caller blocks."""
+
+    @staticmethod
+    def with_constant_column(rng):
+        x = rng.random((3000, 2))
+        x[:, 1] = 0.25
+        return Dataset(x=x, y=x[:, 0] + rng.random(3000), z=rng.random((3000, 1)))
+
+    @staticmethod
+    def with_two_z(rng):
+        x = rng.random((3000, 2))
+        z = np.column_stack([x[:, 0] // 0.25, rng.integers(0, 3, 3000)])
+        return Dataset(x=x, y=x[:, 1] + 0.1 * rng.random(3000), z=z)
+
+    @pytest.mark.parametrize("make", ["h0", "h1", "constant", "dprime2"])
+    def test_scratch_matches_fresh(self, rng, make):
+        data = {
+            "h0": lambda: gen_h0(H0Config(n=20_000, seed=3)),
+            "h1": lambda: gen_h1(H1Config(n=20_000, seed=3)),
+            "constant": lambda: self.with_constant_column(rng),
+            "dprime2": lambda: self.with_two_z(rng),
+        }[make]()
+        cfg = TestConfig(delta=0.15)  # admissible up to d + 1 + d' = 5
+        fresh = run_test(data, cfg)
+        scratch = np.full((data.n, data.d + 1 + data.d_prime), np.nan, order="F")
+        for _ in range(2):  # the second call finds the first call's scaled values
+            got = run_test(data, cfg, scratch=scratch)
+            assert got == fresh  # every field
+            assert got.L_n.hex() == fresh.L_n.hex()
+
+    def test_scaled_sample_aliases_out(self, rng):
+        data = make_dataset(rng, 100, d=2, d_prime=2)
+        out = np.empty((100, 5), order="F")
+        scaled = scale_unit(data, out=out)
+        fresh = scale_unit(data)
+        for got, want in zip((scaled.x, scaled.y, scaled.z), (fresh.x, fresh.y, fresh.z)):
+            assert np.shares_memory(got, out)
+            assert not got.flags.writeable
+            np.testing.assert_array_equal(got, want)
+        assert out.flags.writeable
+
+    # (buffer for n = 50 rows and 4 columns, the error it must raise)
+    BAD = {
+        "width": (lambda n: np.empty((n, 3), order="F"),
+                  r"^buffer must have shape \(50, 4\), got \(50, 3\)$"),
+        "rows": (lambda n: np.empty((n + 1, 4), order="F"),
+                 r"^buffer must have shape \(50, 4\), got \(51, 4\)$"),
+        "dtype": (lambda n: np.empty((n, 4), dtype=np.float32, order="F"),
+                  r"^buffer must have dtype float64, got float32$"),
+        "c-order": (lambda n: np.empty((n, 4)), r"^buffer must be column-major \(F-contiguous\)$"),
+        "strided": (lambda n: np.empty((n, 8), order="F")[:, ::2],
+                    r"^buffer must be column-major \(F-contiguous\)$"),
+        "read-only": (read_only_block, r"^buffer is read-only$"),
+    }
+
+    @pytest.fixture(params=sorted(BAD))
+    def bad(self, request):
+        make, match = self.BAD[request.param]
+        return make(50), match
+
+    @pytest.mark.parametrize("gen, cfg", [(gen_h0, H0Config), (gen_h1, H1Config)])
+    def test_bad_generator_buffer(self, bad, gen, cfg):
+        buf, match = bad
+        with pytest.raises(ValueError, match=match):
+            gen(cfg(n=50, seed=0), out=buf)
+
+    def test_bad_scratch(self, bad):
+        buf, match = bad
+        data = gen_h0(H0Config(n=50, seed=0))
+        with pytest.raises(ValueError, match=match):
+            run_test(data, TestConfig(h=0.5), scratch=buf)
+        with pytest.raises(ValueError, match=match):
+            scale_unit(data, out=buf)
+
+    def test_non_array_buffer(self):
+        with pytest.raises(TypeError, match="^buffer must be a numpy array, got list$"):
+            gen_h0(H0Config(n=2, seed=0), out=[[0.0] * 4] * 2)
+
+    def test_scratch_overlapping_sample(self):
+        block = np.empty((50, 4), order="F")
+        data = gen_h0(H0Config(n=50, seed=0), out=block)
+        with pytest.raises(ValueError, match="^buffer overlaps the sample it would scale$"):
+            run_test(data, TestConfig(h=0.5), scratch=block)
+
+
 class TestBandwidthSchedule:
     def test_power_law_value(self):
         # n = 1024, delta = 0.2: 1024^(-0.2) = 2^(-2) = 0.25.

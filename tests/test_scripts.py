@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -47,4 +49,16 @@ def test_portfolio_demo_rejects_empty_sweep():
     proc = run_script("run_portfolio_demo.py", "--markets", "0")
     assert proc.returncode == 2
     assert "argument --markets: must be a positive integer, got 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--assets", "0", "argument --assets: must be a positive integer, got 0"),
+    ("--outcomes", "1", "argument --outcomes: must be an integer >= 2, got 1"),
+])
+def test_portfolio_demo_rejects_degenerate_markets(flag, value, message):
+    proc = run_script("run_portfolio_demo.py", "--markets", "2", flag, value)
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr
+    assert message in proc.stderr
     assert "Traceback" not in proc.stderr

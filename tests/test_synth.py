@@ -1,6 +1,7 @@
 """Tests for the synthetic data generators."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,18 +59,28 @@ class TestDeterminism:
         (gen_h1, H1Config(n=1000, seed=7, theta=-0.3, **_CUSTOM),
          ("ef517e70c5329260", "37d97b811aedbc55", "c9e5d1b020a739a7")),
     ]
+    GOLDEN_IDS = ["h0-default", "h1-default", "h0-custom", "h1-custom"]
 
-    @pytest.mark.parametrize(
-        "gen, cfg, expected", GOLDEN_DRAWS,
-        ids=["h0-default", "h1-default", "h0-custom", "h1-custom"],
-    )
+    @pytest.mark.parametrize("gen, cfg, expected", GOLDEN_DRAWS, ids=GOLDEN_IDS)
     def test_scenario_draws_golden(self, gen, cfg, expected):
-        data = gen(cfg)
-        got = tuple(
+        assert self.digests(gen(cfg)) == expected
+
+    @pytest.mark.parametrize("gen, cfg, expected", GOLDEN_DRAWS, ids=GOLDEN_IDS)
+    def test_scenario_draws_golden_into_reused_buffer(self, gen, cfg, expected):
+        # The buffer first holds another seed's draw; none of it may survive.
+        buf = np.empty((cfg.n, 4), order="F")
+        gen(replace(cfg, seed=cfg.seed + 1), out=buf)
+        data = gen(cfg, out=buf)
+        assert all(np.shares_memory(arr, buf) for arr in (data.x, data.y, data.z))
+        assert self.digests(data) == expected
+        assert buf.flags.writeable
+
+    @staticmethod
+    def digests(data):
+        return tuple(
             hashlib.sha256(arr.tobytes()).hexdigest()[:16]
             for arr in (data.x, data.y, data.z)
         )
-        assert got == expected
 
     def test_philox_stream_stable(self):
         # Same key, same stream; independent of global numpy state.
