@@ -29,11 +29,18 @@ def positive_int(text):
     return value
 
 
+def finite_nonnegative(text):
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {value}")
+    return value
+
+
 def parse_args():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--instances", type=positive_int, default=500)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--sup", type=float, default=1.0, help="loss sup-norm cap")
+    ap.add_argument("--sup", type=finite_nonnegative, default=1.0, help="loss sup-norm cap")
     ap.add_argument("--out", default="results/bounds_sweep.csv")
     return ap.parse_args()
 

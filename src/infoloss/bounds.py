@@ -25,7 +25,7 @@ The same machinery yields the two-distribution comparison
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -136,13 +136,24 @@ class BoundReport:
     holds: bool | None
 
     def to_dict(self) -> dict:
-        return {
-            "delta_I": float(self.delta_I),
-            "bound": float(self.bound),
-            "excess": float(self.excess),
-            "corollary": self.corollary,
-            "holds": None if self.holds is None else bool(self.holds),
-        }
+        return asdict(self)
+
+
+def _report(
+    joint: DiscreteJoint,
+    tmap: DeterministicMap,
+    gap: float,
+    bound: float,
+    corollary: str,
+    loss: LossMatrix | None,
+) -> BoundReport:
+    """A certificate, checked against the oracle excess when a loss is given."""
+    if loss is None:
+        excess, holds = math.nan, None
+    else:
+        excess = excess_risk(joint, tmap, loss)
+        holds = bool(excess <= bound + _HOLDS_TOL)
+    return BoundReport(delta_I=gap, bound=bound, excess=excess, corollary=corollary, holds=holds)
 
 
 def bound_bounded_loss(
@@ -151,14 +162,7 @@ def bound_bounded_loss(
     """Bounded-loss certificate: excess <= (sup|loss|/sqrt 2) sqrt(delta_I)."""
     gap = information_gap(joint)
     bound = loss.sup_norm / math.sqrt(2.0) * math.sqrt(max(gap, 0.0))
-    excess = excess_risk(joint, tmap, loss)
-    return BoundReport(
-        delta_I=gap,
-        bound=bound,
-        excess=excess,
-        corollary="cor1",
-        holds=bool(excess <= bound + _HOLDS_TOL),
-    )
+    return _report(joint, tmap, gap, bound, "cor1", loss)
 
 
 def bound_subgaussian(
@@ -175,18 +179,14 @@ def bound_subgaussian(
     gap = information_gap(joint)
     expected = profile.expected(joint.p_y)
     bound = math.sqrt(2.0 * expected * max(gap, 0.0))
-    if loss is None:
-        return BoundReport(
-            delta_I=gap, bound=bound, excess=math.nan, corollary="cor2", holds=None
-        )
-    excess = excess_risk(joint, tmap, loss)
-    return BoundReport(
-        delta_I=gap,
-        bound=bound,
-        excess=excess,
-        corollary="cor2",
-        holds=bool(excess <= bound + _HOLDS_TOL),
-    )
+    return _report(joint, tmap, gap, bound, "cor2", loss)
+
+
+def _check_delta_c(delta: float, c: float) -> None:
+    if not delta >= 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
+    if not c > 0:
+        raise ValueError(f"c must be > 0, got {c}")
 
 
 def delta_lossless_bounded(
@@ -197,10 +197,7 @@ def delta_lossless_bounded(
     When true, every loss with sup norm <= c suffers excess at most delta
     under the coarsening Z = T(X).
     """
-    if not delta >= 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    if not c > 0:
-        raise ValueError(f"c must be > 0, got {c}")
+    _check_delta_c(delta, c)
     gap = information_gap(joint)
     return bool(gap <= 2.0 * delta * delta / (c * c))
 
@@ -220,10 +217,7 @@ def family_lossless_check(
     at most E[g(Y)^2].  A zero envelope certifies unconditionally (the loss
     vanishes at the optimum, so nothing can be lost).
     """
-    if not delta >= 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    if not c > 0:
-        raise ValueError(f"c must be > 0, got {c}")
+    _check_delta_c(delta, c)
     g = np.asarray(envelope, dtype=np.float64)
     p_y = joint.p_y
     if g.shape != p_y.shape:

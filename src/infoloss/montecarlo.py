@@ -12,7 +12,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,16 +69,7 @@ class MCRow:
     below_burn_in: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": int(self.n),
-            "rejection_rate": float(self.rejection_rate),
-            "mean_L_n": float(self.mean_L_n),
-            "median_L_n": float(self.median_L_n),
-            "mean_t_n": float(self.mean_t_n),
-            "type1_bound": float(self.type1_bound),
-            "wall_time": float(self.wall_time),
-            "below_burn_in": bool(self.below_burn_in),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ t_n -> 0, so the test eventually rejects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -335,7 +335,10 @@ def threshold(n: int, m: int, m_prime: int, m_dprime: int, h: float, c1: float) 
         + math.sqrt(m * m_dprime / n)
         + math.sqrt(m_dprime / n)
     )
-    return c1 * sampling + math.log(n) * h
+    t_n = c1 * sampling + math.log(n) * h
+    if not math.isfinite(t_n):
+        raise ValueError(f"threshold overflows: t_n = {t_n} for c1={c1}, h={h}, n={n}")
+    return t_n
 
 
 def type1_bound(c1: float, m_dprime: int) -> float:
@@ -358,8 +361,10 @@ class TestConfig:
     h: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.c1 > C1_MIN:
-            raise ValueError(f"c1 must exceed sqrt(2 log 2) = {C1_MIN:.6f}, got {self.c1}")
+        if not (C1_MIN < self.c1 < math.inf):
+            raise ValueError(
+                f"c1 must be finite and exceed sqrt(2 log 2) = {C1_MIN:.6f}, got {self.c1}"
+            )
         if self.h is None and self.delta is None:
             raise ValueError("either h or delta must be given")
         if self.h is not None and not 0.0 < self.h <= 1.0:
@@ -388,16 +393,7 @@ class TestOutcome:
     type1_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "L_n": float(self.L_n),
-            "t_n": float(self.t_n),
-            "m": int(self.m),
-            "m_prime": int(self.m_prime),
-            "m_dprime": int(self.m_dprime),
-            "h": float(self.h),
-            "reject": bool(self.reject),
-            "type1_bound": float(self.type1_bound),
-        }
+        return asdict(self)
 
 
 def run_test(
@@ -421,7 +417,7 @@ def run_test(
         m=part.m,
         m_prime=part.m_prime,
         m_dprime=part.m_dprime,
-        h=h,
+        h=float(h),
         reject=bool(l_n >= t_n),
         type1_bound=type1_bound(cfg.c1, part.m_dprime),
     )

@@ -91,24 +91,15 @@ def greedy_lossless_selection(data: Dataset, cfg: TestConfig = TestConfig()) -> 
     steps: list[SelectionStep] = []
     while True:
         outcome = _run_subset(data, selected, cfg)
-        if not outcome.reject:
-            steps.append(
-                SelectionStep(
-                    subset=tuple(selected), outcome=outcome, candidate_scores={}, added=None
-                )
-            )
-            return SelectionResult(
-                selected=tuple(selected), accepted=True, steps=tuple(steps)
-            )
         remaining = [j for j in range(data.d) if j not in selected]
-        if not remaining:
+        if not outcome.reject or not remaining:
             steps.append(
                 SelectionStep(
                     subset=tuple(selected), outcome=outcome, candidate_scores={}, added=None
                 )
             )
             return SelectionResult(
-                selected=tuple(selected), accepted=False, steps=tuple(steps)
+                selected=tuple(selected), accepted=not outcome.reject, steps=tuple(steps)
             )
         scores = {
             j: _run_subset(data, selected + [j], cfg).L_n for j in remaining

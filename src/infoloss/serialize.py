@@ -32,7 +32,6 @@ __all__ = [
     "market_to_dict",
     "read_dataset_csv",
     "save_json",
-    "write_dataset_csv",
 ]
 
 
@@ -45,11 +44,32 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise SchemaError(f"{path}: {message}")
 
 
-def _require(obj: dict, key: str, path: str):
+def _object(obj, path) -> dict:
     _expect(isinstance(obj, dict), path, f"expected an object, got {type(obj).__name__}")
-    if key not in obj:
+    return obj
+
+
+def _require(obj: dict, key: str, path: str):
+    if key not in _object(obj, path):
         raise SchemaError(f"{path}.{key}: missing field")
     return obj[key]
+
+
+def _build(path, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``, its validation errors reported at ``path``."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _positive_int(value, path: str) -> int:
+    _expect(
+        isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+        path,
+        f"expected a positive integer, got {value!r}",
+    )
+    return value
 
 
 def _number_list(values, path: str) -> list[float]:
@@ -76,11 +96,7 @@ def joint_from_dict(obj, path: str = "joint") -> DiscreteJoint:
     shape = _require(obj, "shape", path)
     _expect(isinstance(shape, list) and len(shape) == 3, f"{path}.shape", "expected 3 axis sizes")
     for i, s in enumerate(shape):
-        _expect(
-            isinstance(s, int) and not isinstance(s, bool) and s >= 1,
-            f"{path}.shape[{i}]",
-            f"expected a positive integer, got {s!r}",
-        )
+        _positive_int(s, f"{path}.shape[{i}]")
     probs = _number_list(_require(obj, "probs", path), f"{path}.probs")
     expected = shape[0] * shape[1] * shape[2]
     _expect(
@@ -88,10 +104,7 @@ def joint_from_dict(obj, path: str = "joint") -> DiscreteJoint:
         f"{path}.probs",
         f"expected {expected} entries for shape {shape}, got {len(probs)}",
     )
-    try:
-        return DiscreteJoint(np.asarray(probs).reshape(shape))
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    return _build(path, DiscreteJoint, np.asarray(probs).reshape(shape))
 
 
 def loss_to_dict(loss: LossMatrix) -> dict:
@@ -109,10 +122,7 @@ def loss_from_dict(obj, path: str = "loss") -> LossMatrix:
             f"{path}.cost[{i}]",
             f"row length {len(rows[-1])} != {len(rows[0])}",
         )
-    try:
-        return LossMatrix(np.asarray(rows))
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    return _build(path, LossMatrix, np.asarray(rows))
 
 
 def map_to_dict(tmap: DeterministicMap) -> dict:
@@ -130,16 +140,8 @@ def map_from_dict(obj, path: str = "map") -> DeterministicMap:
             f"expected an integer, got {v!r}",
         )
         entries.append(v)
-    n_z = obj.get("n_z", max(entries) + 1) if isinstance(obj, dict) else None
-    _expect(
-        isinstance(n_z, int) and not isinstance(n_z, bool) and n_z >= 1,
-        f"{path}.n_z",
-        f"expected a positive integer, got {n_z!r}",
-    )
-    try:
-        return DeterministicMap(table=np.asarray(entries, dtype=np.int64), n_z=n_z)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    n_z = _positive_int(obj.get("n_z", max(entries) + 1), f"{path}.n_z")
+    return _build(path, DeterministicMap, table=np.asarray(entries, dtype=np.int64), n_z=n_z)
 
 
 def market_to_dict(market: MarketModel) -> dict:
@@ -152,12 +154,7 @@ def market_to_dict(market: MarketModel) -> dict:
 
 
 def market_from_dict(obj, path: str = "market") -> MarketModel:
-    d_a = _require(obj, "d_a", path)
-    _expect(
-        isinstance(d_a, int) and not isinstance(d_a, bool) and d_a >= 1,
-        f"{path}.d_a",
-        f"expected a positive integer, got {d_a!r}",
-    )
+    d_a = _positive_int(_require(obj, "d_a", path), f"{path}.d_a")
     raw = _require(obj, "returns", path)
     _expect(isinstance(raw, list) and raw, f"{path}.returns", "expected a nonempty list of rows")
     rows = []
@@ -170,18 +167,16 @@ def market_from_dict(obj, path: str = "market") -> MarketModel:
         )
     joint = joint_from_dict(_require(obj, "joint", path), f"{path}.joint")
     tmap = map_from_dict(_require(obj, "map", path), f"{path}.map")
-    try:
-        return MarketModel(returns=np.asarray(rows), joint=joint, tmap=tmap)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    return _build(path, MarketModel, returns=np.asarray(rows), joint=joint, tmap=tmap)
 
 
 def load_json(path) -> dict:
     text = Path(path).read_text()
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    return _object(obj, path)
 
 
 def save_json(obj: dict, path) -> None:
@@ -207,10 +202,6 @@ def dataset_to_csv(data: Dataset) -> str:
             ",".join(map(repr, row)) for row in cols[start : start + _WRITE_BLOCK].tolist()
         )
     return "\n".join(lines) + "\n"
-
-
-def write_dataset_csv(data: Dataset, path) -> None:
-    Path(path).write_text(dataset_to_csv(data))
 
 
 def _scan_rows(path, lines: list[str], width: int) -> list[list[float]]:
@@ -287,7 +278,4 @@ def read_dataset_csv(path, d: int | None = None, d_prime: int | None = None) -> 
         arr = None
     if arr is None or arr.shape[1] != width:
         arr = np.asarray(_scan_rows(path, lines, width), dtype=np.float64)
-    try:
-        return Dataset(x=arr[:, :d_file], y=arr[:, d_file], z=arr[:, d_file + 1 :])
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    return _build(path, Dataset, x=arr[:, :d_file], y=arr[:, d_file], z=arr[:, d_file + 1 :])

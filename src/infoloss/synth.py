@@ -174,8 +174,8 @@ def gen_random_joint(
 
 def gen_random_loss(size: int, sup: float, seed: int) -> LossMatrix:
     """Random nonnegative loss matrix with sup norm at most ``sup``."""
-    if sup < 0:
-        raise ValueError(f"sup must be >= 0, got {sup}")
+    if not (math.isfinite(sup) and sup >= 0):
+        raise ValueError(f"sup must be finite and >= 0, got {sup}")
     rng = philox(seed)
     return LossMatrix(sup * rng.random((size, size)))
 

@@ -1,15 +1,36 @@
 """Fixtures, and the oracles and generators that only the tests use."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from infoloss import Dataset, DeterministicMap, DiscreteJoint, LossMatrix, philox
+from infoloss import (
+    Dataset,
+    DeterministicMap,
+    DiscreteJoint,
+    LossMatrix,
+    dataset_to_csv,
+    philox,
+)
+from infoloss.partition import TestOutcome
 from infoloss.synth import H0Config, _surjective_map
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def write_dataset_csv(data: Dataset, path) -> None:
+    """Write ``data`` to ``path`` in the CLI's sample CSV format."""
+    Path(path).write_text(dataset_to_csv(data))
+
+
+def always_reject(data, cfg):
+    """Stand-in for ``run_test`` that rejects every subset it is given."""
+    return TestOutcome(L_n=1.0, t_n=0.5, m=1, m_prime=1, m_dprime=1, h=1.0,
+                       reject=True, type1_bound=1.0)
 
 
 def random_pmf(rng, size):

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import infoloss.selection
 from infoloss import (
     Dataset,
     gen_market,
@@ -17,10 +18,11 @@ from infoloss import (
     map_to_dict,
     market_to_dict,
     save_json,
-    write_dataset_csv,
     zero_one_loss,
 )
 from infoloss.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, main
+
+from conftest import always_reject, write_dataset_csv
 
 
 def write_sample(path, rng, n=5000, dependent=False):
@@ -31,6 +33,18 @@ def write_sample(path, rng, n=5000, dependent=False):
     data = Dataset(x=np.stack([x1, x2], axis=1), y=y, z=z[:, None])
     write_dataset_csv(data, path)
     return data
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def h1_csv(tmp_path_factory):
+    """A 3000-row h1 sample written by ``gen`` with seed 7."""
+    stem = tmp_path_factory.mktemp("golden") / "h1"
+    main(["gen", "--scenario", "h1", "--n", "3000", "--seed", "7", "--output", str(stem)])
+    return stem.with_suffix(".csv")
 
 
 class TestTestCommand:
@@ -88,6 +102,18 @@ class TestTestCommand:
         code = main(["test", "--input", str(csv), "--c1", "0.5"])
         assert code == EXIT_ERROR
         assert "c1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--c1", "inf"), "error: c1 must be finite"),
+        (("--c1", "1e308", "--h", "0.05"), "error: threshold overflows: t_n = inf"),
+    ])
+    def test_non_finite_threshold_exit_one(self, h1_csv, capsys, flags, message):
+        capsys.readouterr()
+        code = main(["test", "--input", str(h1_csv), *flags])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
 
 
 class TestGenCommand:
@@ -193,6 +219,13 @@ class TestMcCommand:
         assert capsys.readouterr().err == f"error: threads must be >= 1, got {threads}\n"
         assert not (tmp_path / "out.csv").exists()
 
+    def test_infinite_c1_exit_one(self, tmp_path, capsys):
+        code = main(["mc", "--n-grid", "200", "--reps", "2", "--c1", "inf",
+                     "--output", str(tmp_path / "out")])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: c1 must be finite")
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestBoundsCommand:
     def test_reports_certificate(self, tmp_path, capsys):
@@ -218,6 +251,14 @@ class TestBoundsCommand:
         code = main(["bounds", "--input", str(path)])
         assert code == EXIT_ERROR
         assert "probs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("top, kind", [([1, 2], "list"), ("s", "str")])
+    def test_non_object_top_level_exit_one(self, tmp_path, capsys, top, kind):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(top))
+        code = main(["bounds", "--input", str(path)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {path}: expected an object, got {kind}\n"
 
 
 class TestPortfolioCommand:
@@ -247,6 +288,71 @@ class TestSelectCommand:
         assert result["selected"] == ["x1"]
         assert result["accepted"] is True
         assert result["trace"][0]["added"] == "x1"
+
+    def test_no_accepted_subset_warns_exit_zero(self, tmp_path, rng, capsys, monkeypatch):
+        monkeypatch.setattr(infoloss.selection, "run_test", always_reject)
+        csv = tmp_path / "sample.csv"
+        write_sample(csv, rng, n=100)
+        code = main(["select", "--input", str(csv)])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["accepted"] is False
+        assert captured.err == "warning: no subset accepted; returning the full set\n"
+
+
+class TestGoldenOutputs:
+    """sha256 of what each command prints or writes for fixed inputs.
+
+    They pin every record's keys, key order and values, so a refactor of the
+    result types or the certificates cannot change an output byte unseen.
+    """
+
+    @pytest.mark.parametrize("flags, expected", [
+        ((), "db77c2e48772b644c645b93fb0ca8abe1a84cf33b915a84540646cc94a51f4e4"),
+        (("--h", "0.1"), "5d536ad0170f59ed921cbdcc8f440b60460067c4d623685b68093926f2aacf44"),
+    ])
+    def test_test_stdout(self, h1_csv, capsys, flags, expected):
+        capsys.readouterr()
+        main(["test", "--input", str(h1_csv), *flags])
+        assert sha256(capsys.readouterr().out) == expected
+
+    def test_select_stdout(self, tmp_path, capsys):
+        # y follows x1, so the trace holds a rejected step with candidate
+        # scores and an accepted one.
+        rng = np.random.default_rng(0)
+        n = 100_000
+        x = rng.random((n, 2))
+        y = x[:, 0] + 0.05 * rng.standard_normal(n)
+        csv = tmp_path / "dep.csv"
+        write_dataset_csv(Dataset(x=x, y=y, z=np.zeros((n, 1))), csv)
+        main(["select", "--input", str(csv), "--h", "0.1"])
+        assert sha256(capsys.readouterr().out) == (
+            "3c4a2d8a79ca2f9ddbe1f6c99ee6551bb609f143de0c14936c169821bfb91a24"
+        )
+
+    def test_bounds_stdout(self, tmp_path, capsys):
+        joint, tmap = gen_random_joint((3, 4, 2), 0)
+        path = tmp_path / "instance.json"
+        save_json({"joint": joint_to_dict(joint), "map": map_to_dict(tmap),
+                   "loss": loss_to_dict(zero_one_loss(3))}, path)
+        main(["bounds", "--input", str(path)])
+        assert sha256(capsys.readouterr().out) == (
+            "7fdb936d6c66ed0b0afe0eef8061bc150bec9c22af05d6a35ae6267095517b21"
+        )
+
+    def test_mc_files(self, tmp_path, capsys):
+        stem = tmp_path / "mc"
+        main(["mc", "--scenario", "h1", "--n-grid", "1000,5000", "--reps", "10",
+              "--threads", "2", "--output", str(stem)])
+        assert sha256(stem.with_suffix(".csv").read_text()) == (
+            "33d7a02201c4431ffa583c9f39d135e498380511ca7f01b5397c6716270689c4"
+        )
+        # Every JSON line but the measured wall times.
+        lines = stem.with_suffix(".json").read_text().splitlines(keepends=True)
+        kept = "".join(line for line in lines if '"wall_time":' not in line)
+        assert sha256(kept) == (
+            "3bdfe9f61e799c6c90091652c7d1c89c560a24e9e881d7c5b12c5037ef6fcb0d"
+        )
 
 
 class TestArgparseBehavior:

@@ -475,6 +475,11 @@ class TestThreshold:
         assert ts[0] > ts[1] > ts[2] > ts[3]
         assert ts[-1] < 0.5
 
+    def test_overflow_raises(self):
+        # A finite c1 times a sampling term above 1 overflows to inf.
+        with pytest.raises(ValueError, match="^threshold overflows: t_n = inf"):
+            threshold(3000, 400, 20, 20, 0.05, 1e308)
+
 
 class TestType1Bound:
     def test_formula(self):
@@ -497,6 +502,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="c1"):
             TestConfig(c1=C1_MIN)
 
+    def test_c1_must_be_finite(self):
+        with pytest.raises(ValueError, match="^c1 must be finite"):
+            TestConfig(c1=math.inf)
+
     def test_h_range(self):
         with pytest.raises(ValueError):
             TestConfig(h=0.0)
@@ -514,6 +523,10 @@ class TestRunTest:
         out = run_test(data, TestConfig(h=0.5))
         assert out.L_n == 0.0
         assert not out.reject
+
+    def test_integer_h_reported_as_float(self):
+        data = Dataset(x=np.array([[0.0]]), y=np.array([0.0]), z=np.array([[0.0]]))
+        assert type(run_test(data, TestConfig(h=1)).to_dict()["h"]) is float
 
     def test_outcome_fields_consistent(self, rng):
         data = make_dataset(rng, 2000)

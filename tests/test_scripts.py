@@ -45,6 +45,16 @@ def test_bounds_sweep_rejects_empty_sweep(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bounds_sweep_rejects_bad_sup(tmp_path, value):
+    proc = run_script("run_bounds_sweep.py", "--instances", "2", f"--sup={value}",
+                      "--out", str(tmp_path / "s.csv"))
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr
+    assert f"argument --sup: must be a finite number >= 0, got {float(value)}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_portfolio_demo_rejects_empty_sweep():
     proc = run_script("run_portfolio_demo.py", "--markets", "0")
     assert proc.returncode == 2

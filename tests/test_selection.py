@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+import infoloss.selection
 from infoloss import Dataset, TestConfig, greedy_lossless_selection
+
+from conftest import always_reject
 
 
 def selection_data(rng, n, target):
@@ -63,6 +66,18 @@ class TestGreedySelection:
         r2 = greedy_lossless_selection(data, cfg)
         assert r1.selected == r2.selected
         assert [s.added for s in r1.steps] == [s.added for s in r2.steps]
+
+
+class TestExhaustedCandidates:
+    def test_full_set_returned_unaccepted(self, rng, monkeypatch):
+        # Real data cannot get here: once Z is all of X, L_n is about 0.
+        monkeypatch.setattr(infoloss.selection, "run_test", always_reject)
+        res = greedy_lossless_selection(selection_data(rng, 100, "none"))
+        assert res.accepted is False
+        assert res.selected == (0, 1)
+        assert len(res.steps) == 3
+        assert [s.added for s in res.steps] == [0, 1, None]
+        assert res.steps[-1].candidate_scores == {}
 
 
 class TestScheduleClamp:

@@ -32,8 +32,9 @@ from infoloss import (
     market_to_dict,
     read_dataset_csv,
     save_json,
-    write_dataset_csv,
 )
+
+from conftest import write_dataset_csv
 
 
 class TestJointRoundTrip:
@@ -117,6 +118,29 @@ class TestMarketRoundTrip:
         del d["joint"]["probs"]
         with pytest.raises(SchemaError, match="market.joint.probs"):
             market_from_dict(d)
+
+
+class TestPositiveIntegerFields:
+    """Every positive-integer field reports its path and the offending value."""
+
+    @pytest.mark.parametrize("loader, obj, message", [
+        (joint_from_dict, {"shape": [2, 0, 2], "probs": []},
+         "joint.shape[1]: expected a positive integer, got 0"),
+        (joint_from_dict, {"shape": [2, True, 2], "probs": []},
+         "joint.shape[1]: expected a positive integer, got True"),
+        (map_from_dict, {"table": [0], "n_z": 0},
+         "map.n_z: expected a positive integer, got 0"),
+        (map_from_dict, {"table": [-3, -2]},
+         "map.n_z: expected a positive integer, got -1"),
+        (market_from_dict, {"d_a": True},
+         "market.d_a: expected a positive integer, got True"),
+        (market_from_dict, {"d_a": "2"},
+         "market.d_a: expected a positive integer, got '2'"),
+    ])
+    def test_message(self, loader, obj, message):
+        with pytest.raises(SchemaError) as exc:
+            loader(obj)
+        assert str(exc.value) == message
 
 
 class TestJsonFiles:

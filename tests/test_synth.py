@@ -274,6 +274,11 @@ class TestDiscreteGenerators:
         assert loss.sup_norm <= 2.5
         assert np.all(loss.cost >= 0)
 
+    @pytest.mark.parametrize("sup", [-1.0, float("nan"), float("inf")])
+    def test_random_loss_sup_finite_and_nonnegative(self, sup):
+        with pytest.raises(ValueError, match=f"^sup must be finite and >= 0, got {sup}$"):
+            gen_random_loss(3, sup, 0)
+
 
 class TestAtomicDataset:
     def test_embeds_at_given_positions(self):
