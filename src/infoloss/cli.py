@@ -26,6 +26,7 @@ from .portfolio import growth_gap_bound
 from .selection import greedy_lossless_selection
 from .serialize import (
     SchemaError,
+    _require,
     dataset_to_csv,
     joint_from_dict,
     load_json,
@@ -87,9 +88,9 @@ def _cmd_mc(args) -> int:
 
 def _cmd_bounds(args) -> int:
     obj = load_json(args.input)
-    joint = joint_from_dict(obj.get("joint"), "joint")
-    tmap = map_from_dict(obj.get("map"), "map")
-    loss = loss_from_dict(obj.get("loss"), "loss")
+    joint = joint_from_dict(_require(obj, "joint", args.input), "joint")
+    tmap = map_from_dict(_require(obj, "map", args.input), "map")
+    loss = loss_from_dict(_require(obj, "loss", args.input), "loss")
     report = bound_bounded_loss(joint, tmap, loss)
     _emit_json(report.to_dict(), args.output)
     return EXIT_OK

@@ -100,10 +100,6 @@ class Dataset:
     def d_prime(self) -> int:
         return self.z.shape[1]
 
-    def columns(self) -> np.ndarray:
-        """All coordinates as one (n, d + 1 + d') matrix, ordered x, y, z."""
-        return np.hstack([self.x, self.y[:, None], self.z])
-
     @classmethod
     def _owned(cls, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> Dataset:
         """Wrap float64 arrays without re-validating or copying them.

@@ -187,21 +187,21 @@ def _header(d: int, d_prime: int) -> list[str]:
     return [f"x{i + 1}" for i in range(d)] + ["y"] + [f"z{i + 1}" for i in range(d_prime)]
 
 
-# Rows converted to Python floats at a time.  A Python float and its list slot
-# take 32 bytes per cell against numpy's 8, so a whole-sample tolist() would
-# add four times the sample's size to the writer's peak memory; one small block,
-# released before the lines are joined, adds nothing measurable.
+# Rows formatted at a time.  Each block's lines are joined into one string as
+# soon as they are made, so the writer holds the finished blocks, one block of
+# Python floats and line strings (a float and its list slot take 32 bytes
+# against numpy's 8), and at the end the joined text: about twice the CSV.
 _WRITE_BLOCK = 1024
 
 
 def dataset_to_csv(data: Dataset) -> str:
-    lines = [",".join(_header(data.d, data.d_prime))]
-    cols = data.columns()
-    for start in range(0, len(cols), _WRITE_BLOCK):
-        lines.extend(
-            ",".join(map(repr, row)) for row in cols[start : start + _WRITE_BLOCK].tolist()
-        )
-    return "\n".join(lines) + "\n"
+    blocks = [",".join(_header(data.d, data.d_prime))]
+    for start in range(0, data.n, _WRITE_BLOCK):
+        stop = start + _WRITE_BLOCK
+        rows = np.column_stack((data.x[start:stop], data.y[start:stop], data.z[start:stop]))
+        blocks.append("\n".join(",".join(map(repr, row)) for row in rows.tolist()))
+    blocks.append("")
+    return "\n".join(blocks)
 
 
 def _scan_rows(path, lines: list[str], width: int) -> list[list[float]]:
@@ -233,23 +233,73 @@ def _scan_rows(path, lines: list[str], width: int) -> list[list[float]]:
     return rows
 
 
+# Bytes at which numpy's file reader would split lines otherwise than
+# str.splitlines: \x0b, \x0c and \x1c-\x1e end a line for splitlines only.
+# Non-ASCII bytes are set aside as well (\x85, U+2028 and U+2029 end a line).
+_LINE_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+# What str.strip removes from an ASCII line free of _LINE_BREAKS; \x1f is
+# whitespace to str.strip but not to bytes.strip.
+_BLANK = b" \t\r\n\x1f"
+# Suffixes by which numpy's path opener decompresses a file.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+_READ_CHUNK = 1 << 20
+
+
+def _probe_csv(path) -> tuple[str, bool] | None:
+    r"""The header line and whether any later line is non-blank, in one pass.
+
+    Returns None when numpy's file reader could split the file into other
+    lines than ``str.splitlines`` does, or would decompress it.  Otherwise
+    the file is ASCII and both break its lines at ``\r``, ``\n`` and
+    ``\r\n`` only.
+    """
+    if str(path).endswith(_COMPRESSED):
+        return None
+    head, header, has_body = b"", None, False
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_READ_CHUNK):
+            if not chunk.isascii() or any(b in chunk for b in _LINE_BREAKS):
+                return None
+            if header is None:
+                head += chunk
+                end = min((i for i in (head.find(b"\n"), head.find(b"\r")) if i >= 0), default=-1)
+                if end < 0:
+                    continue
+                header, chunk = head[:end].decode("ascii"), head[end:]
+            has_body = has_body or bool(chunk.strip(_BLANK))
+    return (head.decode("ascii") if header is None else header), has_body
+
+
 def read_dataset_csv(path, d: int | None = None, d_prime: int | None = None) -> Dataset:
-    """Parse a sample CSV with header x1..xd,y,z1..zd'.
+    r"""Parse a sample CSV with header x1..xd,y,z1..zd'.
 
     Dimensions are inferred from the header and checked against ``d`` and
-    ``d_prime`` when given.  Blank lines are skipped.  Parse failures report
-    1-based line numbers.
+    ``d_prime`` when given.  Lines are those of ``str.splitlines`` over the
+    decoded text; blank lines are skipped.  Parse failures report 1-based
+    line numbers.
 
-    The body is parsed by one ``np.loadtxt`` pass over the lines.  When that
-    fails or finds the wrong width, the line scanner parses them again and
-    either locates the error or accepts what only ``float`` reads
-    (whitespace-only lines, ``1_0``, non-ASCII digits).  Both paths read
-    numbers with the parser ``float`` uses, so their values are identical.
+    One binary pass over the file, in 1 MiB chunks, reads the header and
+    finds whether any body line is non-blank.  ``np.loadtxt`` then parses
+    the body from the path, reading the file in chunks itself, so no copy of
+    the text is held.  The exact path, the line scanner over
+    ``read_text().splitlines()``, takes the files numpy would read
+    otherwise: non-ASCII ones and those holding ``\x0b``, ``\x0c`` or
+    ``\x1c``-``\x1e``, where only ``splitlines`` breaks a line, and names
+    ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma``, which numpy would
+    decompress.  It also runs when ``np.loadtxt`` fails or finds the wrong
+    width, and either locates the error or accepts what only ``float``
+    reads (whitespace-only lines, ``1_0``).  Both paths read numbers with
+    the parser ``float`` uses, so their values are identical.
     """
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].strip():
+    probe = _probe_csv(path)
+    lines = None
+    if probe is None:
+        lines = Path(path).read_text().splitlines()
+        probe = (lines[0] if lines else ""), any(line.strip() for line in lines[1:])
+    header, has_body = probe
+    if not header.strip():
         raise SchemaError(f"{path}: empty file")
-    names = [t.strip() for t in lines[0].split(",")]
+    names = [t.strip() for t in header.split(",")]
     if "y" not in names:
         raise SchemaError(f"{path}, line 1: header must contain a 'y' column")
     d_file = names.index("y")
@@ -268,14 +318,20 @@ def read_dataset_csv(path, d: int | None = None, d_prime: int | None = None) -> 
     if d_file < 1:
         raise SchemaError(f"{path}, line 1: need at least one x column")
     width = len(names)
-    if not any(line.strip() for line in lines[1:]):
+    if not has_body:
         raise SchemaError(f"{path}: empty dataset (header only)")
-    try:
-        arr = np.loadtxt(
-            lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2, skiprows=1
-        )
-    except ValueError:
-        arr = None
+    arr = None
+    if lines is None:
+        try:
+            # An absolute path, so numpy's opener cannot take it for a URL.
+            arr = np.loadtxt(
+                Path(path).absolute(), delimiter=",", comments=None, dtype=np.float64,
+                ndmin=2, skiprows=1,
+            )
+        except ValueError:
+            pass
     if arr is None or arr.shape[1] != width:
+        if lines is None:
+            lines = Path(path).read_text().splitlines()
         arr = np.asarray(_scan_rows(path, lines, width), dtype=np.float64)
     return _build(path, Dataset, x=arr[:, :d_file], y=arr[:, d_file], z=arr[:, d_file + 1 :])

@@ -22,6 +22,11 @@ def rng():
     return np.random.default_rng(42)
 
 
+def columns(data: Dataset) -> np.ndarray:
+    """All coordinates as one (n, d + 1 + d') matrix, ordered x, y, z."""
+    return np.hstack([data.x, data.y[:, None], data.z])
+
+
 def write_dataset_csv(data: Dataset, path) -> None:
     """Write ``data`` to ``path`` in the CLI's sample CSV format."""
     Path(path).write_text(dataset_to_csv(data))
@@ -96,7 +101,7 @@ def dense_l_statistic(data, part) -> float:
 
     bins = part.bins_per_axis
     h = part.h
-    cols = data.columns()
+    cols = columns(data)
     idx = np.minimum(np.floor(cols / h).astype(int), bins - 1)
     d, dp = data.d, data.d_prime
     triples = Counter()

@@ -260,6 +260,22 @@ class TestBoundsCommand:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {path}: expected an object, got {kind}\n"
 
+    @pytest.mark.parametrize("missing", [("joint",), ("map",), ("loss",), ("joint", "map", "loss")])
+    def test_missing_field_exit_one(self, tmp_path, capsys, missing):
+        joint, tmap = gen_random_joint((3, 4, 2), 0)
+        instance = {
+            "joint": joint_to_dict(joint),
+            "map": map_to_dict(tmap),
+            "loss": loss_to_dict(zero_one_loss(3)),
+        }
+        path = tmp_path / "instance.json"
+        save_json({k: v for k, v in instance.items() if k not in missing}, path)
+        code = main(["bounds", "--input", str(path)])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}.{missing[0]}: missing field\n"
+
 
 class TestPortfolioCommand:
     def test_reports_growth_gap(self, tmp_path, capsys):

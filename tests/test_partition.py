@@ -27,7 +27,7 @@ from infoloss import (
     type1_bound,
 )
 
-from conftest import dense_l_statistic
+from conftest import columns, dense_l_statistic
 
 
 def make_dataset(rng, n, d=1, d_prime=1):
@@ -46,7 +46,7 @@ class TestScaling:
             z=rng.normal(0.0, 10.0, (200, 1)),
         )
         scaled = scale_unit(data)
-        cols = scaled.columns()
+        cols = columns(scaled)
         assert cols.min() >= 0.0
         assert cols.max() <= 1.0
         # Each live coordinate attains both endpoints.
@@ -314,7 +314,7 @@ class TestHistogram:
     def _recount(scaled, part):
         """Occupied triples and their marginals from np.unique over row tuples."""
         bins = part.bins_per_axis
-        idx = np.minimum(np.floor(scaled.columns() / part.h).astype(np.int64), bins - 1)
+        idx = np.minimum(np.floor(columns(scaled) / part.h).astype(np.int64), bins - 1)
         d = scaled.d
         a = np.zeros(scaled.n, dtype=np.int64)
         for j in range(d):

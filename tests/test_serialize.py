@@ -2,6 +2,7 @@
 
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,10 +18,12 @@ from infoloss import (
     SchemaError,
     dataset_to_csv,
     gen_h0,
+    gen_h1,
     gen_market,
     gen_random_joint,
     gen_random_loss,
     H0Config,
+    H1Config,
     joint_from_dict,
     joint_to_dict,
     load_json,
@@ -33,8 +36,9 @@ from infoloss import (
     read_dataset_csv,
     save_json,
 )
+from infoloss import serialize
 
-from conftest import write_dataset_csv
+from conftest import columns, write_dataset_csv
 
 
 class TestJointRoundTrip:
@@ -316,6 +320,92 @@ class TestCsvParserParity:
             read_strict(path, text)
 
 
+# Line breaks of ``str.splitlines`` that numpy's file reader does not split at.
+LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+TWO_ROWS = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]
+
+# (text, rows it reads as, or the message after the path that it raises),
+# recorded with the reader that split ``read_text()`` with ``str.splitlines``.
+LINE_STRUCTURE = {
+    **{
+        f"{kind}-{ord(sep):x}": (text, want)
+        for sep in LINE_BREAKS
+        for kind, text, want in [
+            ("in-cell", f"x1,y,z1\n0.1{sep},0.2,0.3\n", ", line 2: expected 3 fields, got 1"),
+            ("before-cell", f"x1,y,z1\n0.1,0.2,{sep}0.3\n",
+             ", line 2, column 3: could not parse ''"),
+            ("between-rows", f"x1,y,z1\n0.1,0.2,0.3{sep}0.4,0.5,0.6\n", TWO_ROWS),
+            ("after-header", f"x1,y,z1{sep}0.1,0.2,0.3\n", TWO_ROWS[:1]),
+            ("blank-body", f"x1,y,z1\n{sep}\n \t{sep}\n", ": empty dataset (header only)"),
+        ]
+    },
+    # \x1f is whitespace to str.strip and float, but no line break.
+    "in-cell-1f": ("x1,y,z1\n0.1\x1f,0.2,0.3\n", TWO_ROWS[:1]),
+    "before-cell-1f": ("x1,y,z1\n0.1,0.2,\x1f0.3\n", TWO_ROWS[:1]),
+    "between-rows-1f": ("x1,y,z1\n0.1,0.2,0.3\x1f0.4,0.5,0.6\n",
+                        ", line 2: expected 3 fields, got 5"),
+    "blank-body-1f": ("x1,y,z1\n\x1f\n \x1f\t\n", ": empty dataset (header only)"),
+    "whitespace-body": ("x1,y,z1\n \n\t\t\n\r\n", ": empty dataset (header only)"),
+    "cr": ("x1,y,z1\r0.1,0.2,0.3\r0.4,0.5,0.6\r", TWO_ROWS),
+    "cr-no-final": ("x1,y,z1\r0.1,0.2,0.3\r0.4,0.5,0.6", TWO_ROWS),
+    "crlf": ("x1,y,z1\r\n0.1,0.2,0.3\r\n0.4,0.5,0.6\r\n", TWO_ROWS),
+    "cr-crlf-lf": ("x1,y,z1\r\n0.1,0.2,0.3\r0.4,0.5,0.6\n", TWO_ROWS),
+    "cr-blank-body": ("x1,y,z1\r\r\r", ": empty dataset (header only)"),
+    "nul": ("x1,y,z1\n0.1\x00,0.2,0.3\n", ", line 2, column 1: could not parse '0.1\\x00'"),
+    "header-no-newline": ("x1,y,z1", ": empty dataset (header only)"),
+    "blank-first-line": ("\nx1,y,z1\n0.1,0.2,0.3\n", ": empty file"),
+    "empty": ("", ": empty file"),
+}
+
+
+def check_read(path, text, want):
+    """Read ``text`` from ``path``: the rows ``want``, or the SchemaError ``path + want``."""
+    if isinstance(want, str):
+        with pytest.raises(SchemaError, match=re.escape(f"{path}{want}") + "$"):
+            read_strict(path, text)
+        return
+    data = read_strict(path, text)
+    rows = np.array(want)
+    np.testing.assert_array_equal(data.x, rows[:, :1])
+    np.testing.assert_array_equal(data.y, rows[:, 1])
+    np.testing.assert_array_equal(data.z, rows[:, 2:])
+
+
+class TestCsvLineStructure:
+    """Lines and blank lines are those of ``str.splitlines`` and ``str.strip``."""
+
+    @pytest.mark.parametrize("case", sorted(LINE_STRUCTURE))
+    def test_read_as_recorded(self, tmp_path, case):
+        check_read(tmp_path / "in.csv", *LINE_STRUCTURE[case])
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_with_compressed_suffix(self, tmp_path, suffix):
+        check_read(tmp_path / f"in.csv{suffix}", "x1,y,z1\n0.1,0.2,0.3\n0.4,0.5,0.6\n", TWO_ROWS)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_any_read_chunk(self, tmp_path, monkeypatch, chunk):
+        # Header ends, CRLF pairs and blank bodies split across chunks.
+        monkeypatch.setattr(serialize, "_READ_CHUNK", chunk)
+        for case, (text, want) in LINE_STRUCTURE.items():
+            check_read(tmp_path / f"{case}.csv", text, want)
+
+    def test_path_that_parses_as_url_read_locally(self, tmp_path, monkeypatch):
+        def no_network(*args, **kwargs):
+            raise AssertionError("the reader opened a URL")
+
+        monkeypatch.setattr("urllib.request.urlopen", no_network)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "in.csv").write_text("x1,y,z1\n0.1,0.2,0.3\n")
+        data = read_dataset_csv("http://host/in.csv")
+        assert (data.x[0, 0], data.y[0], data.z[0, 0]) == (0.1, 0.2, 0.3)
+
+    def test_compressed_suffixes_cover_numpy_openers(self):
+        from numpy.lib import _datasource
+
+        assert set(_datasource._file_openers.keys()) - {None} <= set(serialize._COMPRESSED)
+
+
 class TestCsvWriter:
     def test_golden_bytes(self):
         data = Dataset(
@@ -332,7 +422,7 @@ class TestCsvWriter:
     def test_matches_per_value_repr_across_blocks(self, rng):
         # 2500 rows span several of the writer's row blocks.
         data = Dataset(x=rng.random((2500, 2)), y=rng.standard_normal(2500), z=rng.random(2500))
-        expected = [",".join(repr(float(v)) for v in row) for row in data.columns()]
+        expected = [",".join(repr(float(v)) for v in row) for row in columns(data)]
         assert dataset_to_csv(data).split("\n") == ["x1,x2,y,z1", *expected, ""]
 
     @settings(max_examples=60, deadline=None)
@@ -343,3 +433,34 @@ class TestCsvWriter:
         for got, want in ((back.x, data.x), (back.y, data.y), (back.z, data.z)):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+class TestCsvMemory:
+    """Reading or writing a sample holds about one extra copy of it, not several."""
+
+    N = 100_000
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_reader_peak(self, tmp_path):
+        data = gen_h1(H1Config(n=self.N, seed=5))
+        path = tmp_path / "big.csv"
+        write_dataset_csv(data, path)
+        back, peak = self.traced_peak(read_dataset_csv, path)
+        assert back.y.tobytes() == data.y.tobytes()
+        floats = 8 * data.n * (data.d + 1 + data.d_prime)
+        assert peak <= 3 * floats, f"peak {peak / floats:.2f}x the float array"
+
+    def test_writer_peak(self):
+        data = gen_h1(H1Config(n=self.N, seed=5))
+        text, peak = self.traced_peak(dataset_to_csv, data)
+        assert peak <= 3 * len(text), f"peak {peak / len(text):.2f}x the CSV text"
