@@ -42,6 +42,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_REJECT = 3
 
+# Characters handed to the file at a time when writing a text, so the encoded
+# copy is one slice rather than the whole text.
+_WRITE_SLICE = 1 << 20
+
 
 def _add_test_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c1", type=float, default=1.5, help="threshold multiplier")
@@ -59,6 +63,13 @@ def _emit_json(obj: dict, output: str | None) -> None:
     if output:
         Path(output).write_text(payload + "\n")
     print(payload)
+
+
+def _write_text(path: Path, text: str) -> None:
+    """``path.write_text(text)`` in slices of _WRITE_SLICE characters: same bytes."""
+    with path.open("w") as fh:
+        for start in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[start:start + _WRITE_SLICE])
 
 
 def _cmd_test(args) -> int:
@@ -129,7 +140,7 @@ def _cmd_gen(args) -> int:
         }
     )
     out = Path(args.output)
-    out.with_suffix(".csv").write_text(dataset_to_csv(data))
+    _write_text(out.with_suffix(".csv"), dataset_to_csv(data))
     save_json(echo, out.with_suffix(".json"))
     print(f"wrote {out.with_suffix('.csv')} and {out.with_suffix('.json')}")
     return EXIT_OK

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from infoloss import (
     save_json,
     zero_one_loss,
 )
-from infoloss.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, main
+from infoloss.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, _WRITE_SLICE, _write_text, main
+from infoloss.serialize import dataset_to_csv
+from infoloss.synth import H1Config, gen_h1
 
 from conftest import always_reject, write_dataset_csv
 
@@ -161,6 +164,23 @@ class TestGenCommand:
         assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
         assert not (tmp_path / "s.csv").exists()
 
+    def test_csv_written_in_slices(self, tmp_path):
+        # The write step holds one encoded slice, not a second copy of the
+        # whole text, and writes the bytes Path.write_text would.
+        text = dataset_to_csv(gen_h1(H1Config(n=100_000, seed=3)))
+        assert len(text) > 4 * _WRITE_SLICE
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _write_text(tmp_path / "sliced.csv", text)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * _WRITE_SLICE, f"peak {peak / len(text):.2f}x the CSV text"
+        (tmp_path / "whole.csv").write_text(text)
+        assert (tmp_path / "sliced.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
     def test_byte_identical_across_runs(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         argv = ["gen", "--scenario", "h1", "--n", "500", "--seed", "9", "--theta", "0.7"]
@@ -287,6 +307,7 @@ class TestPortfolioCommand:
         report = json.loads(capsys.readouterr().out)
         assert set(report) == {
             "W_star", "W_star_X", "W_star_Z", "I_RX", "I_RZ", "gap", "mi_gap",
+            "W_star_err", "W_star_X_err", "W_star_Z_err",
         }
         assert report["gap"] <= report["mi_gap"] + 1e-6
 

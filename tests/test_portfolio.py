@@ -1,5 +1,6 @@
 """Tests for log-optimal investment and growth-gap certificates."""
 
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from infoloss import (
     log_optimal_portfolio,
     side_info_growth,
 )
+import infoloss.portfolio
 from infoloss.discrete import check_pmf
 
 from conftest import grid_growth_oracle
@@ -35,6 +37,45 @@ def horse_race_market(theta=1e-9):
     j = np.array([[0.5, 0.0], [0.0, 0.5]])  # (outcome, x): x = winner
     tmap = DeterministicMap(np.array([0, 0]), n_z=1)
     return MarketModel(returns=returns, joint=apply_map(j, tmap), tmap=tmap)
+
+
+def kuhn_tucker_bound(pmf, returns, b):
+    """log max_i E[R_i / <b, R>], which bounds W* - W(b) from above."""
+    p, r = np.asarray(pmf), np.asarray(returns)
+    return max(math.log((r.T @ (p / (r @ b))).max()), 0.0)
+
+
+def revealed_outcome_market(seed, d_a):
+    """Random market where X reveals the outcome and Z is constant."""
+    rng = np.random.default_rng(seed)
+    outcomes = int(rng.integers(2, 7))
+    p = rng.random(outcomes) + 0.05
+    p /= p.sum()
+    returns = np.exp(rng.uniform(-0.5, 0.5, (outcomes, d_a)))
+    tmap = DeterministicMap(np.zeros(outcomes, dtype=np.int64), n_z=1)
+    return MarketModel(returns=returns, joint=apply_map(np.diag(p), tmap), tmap=tmap)
+
+
+def duplicate_asset_market():
+    """Two identical assets: their split is free, the face's KKT system singular."""
+    returns = np.array([[1.3, 1.3, 0.8], [0.8, 0.8, 1.3]])
+    j = np.array([[0.5, 0.0], [0.0, 0.5]])
+    tmap = DeterministicMap(np.array([0, 0]), n_z=1)
+    return MarketModel(returns=returns, joint=apply_map(j, tmap), tmap=tmap)
+
+
+def record_solves(monkeypatch):
+    """Spy on the solver: a list that fills with (pmf, returns, b) per solve."""
+    solves = []
+    solver = infoloss.portfolio.log_optimal_portfolio
+
+    def spy(pmf, returns, **kwargs):
+        result = solver(pmf, returns, **kwargs)
+        solves.append((np.asarray(pmf), np.asarray(returns), result[0]))
+        return result
+
+    monkeypatch.setattr(infoloss.portfolio, "log_optimal_portfolio", spy)
+    return solves
 
 
 class TestPortfolioValidation:
@@ -124,6 +165,121 @@ class TestLogOptimalPortfolio:
         check_pmf(b, name="portfolio", atol=1e-9)
         assert np.isfinite(w)
 
+    def test_subnormal_returns(self):
+        # Outcome 0 pays 1e-320 on both assets; dividing each outcome by its
+        # largest return keeps the solver's divisions finite (warnings are
+        # errors here), and the best bet puts everything on asset 1.
+        j = np.array([[0.5, 0.0], [0.0, 0.5]])
+        tmap = DeterministicMap(np.array([0, 0]), n_z=1)
+        market = MarketModel(
+            returns=np.array([[1e-320, 1e-320], [1.0, 2.0]]),
+            joint=apply_map(j, tmap),
+            tmap=tmap,
+        )
+        b, w = log_optimal_portfolio([0.5, 0.5], market.returns)
+        expected = 0.5 * math.log(1e-320) + 0.5 * math.log(2.0)
+        assert w == pytest.approx(expected, rel=1e-15)
+        assert b[1] == pytest.approx(1.0)
+        report = growth_gap_bound(market)
+        assert report.w_star == pytest.approx(expected, rel=1e-15)
+        assert report.w_star_x == pytest.approx(expected, rel=1e-15)
+        json.dumps(report.to_dict(), allow_nan=False)
+
+
+class TestCertifiedError:
+    @staticmethod
+    def check_sound(market, step):
+        # W*(X) is known exactly (all on the outcome's best asset); W* and
+        # W*(Z) both solve the outcome law, which the grid oracle covers.
+        report = growth_gap_bound(market)
+        p, returns = market.joint.p_y, market.returns
+        _, w_grid = grid_growth_oracle(p, returns, step=step)
+        assert w_grid - report.w_star <= report.w_star_err + 1e-12
+        assert w_grid - report.w_star_z <= report.w_star_z_err + 1e-12
+        w_x = float(p @ np.log(returns.max(axis=1)))
+        assert w_x - report.w_star_x <= report.w_star_x_err + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_sound_against_grid_2d(self, seed):
+        self.check_sound(revealed_outcome_market(seed, 2), 1e-4)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_sound_against_grid_3d(self, seed):
+        self.check_sound(revealed_outcome_market(seed, 3), 1e-3)
+
+    def test_horse_race_exact(self):
+        report = growth_gap_bound(horse_race_market())
+        assert report.w_star_x_err == 0.0
+        assert report.w_star_z_err == 0.0
+        assert report.w_star_err == 0.0
+
+    def test_benchmark_markets_certify(self, monkeypatch):
+        # The certificates workload's markets (perfbench/workloads.py): at
+        # least 98% of the multi-asset solves certify within 1e-12, and each
+        # report's W* error is the bound its one solve's b reaches.
+        rng = np.random.default_rng(0)
+        markets = [
+            gen_market(int(rng.integers(1, 4)), int(rng.integers(2, 7)), i)
+            for i in range(200)
+        ] + [horse_race_market()]
+        solves = record_solves(monkeypatch)
+        for market in markets:
+            first = len(solves)
+            report = growth_gap_bound(market)
+            p, r, b = solves[first]  # the W* solve
+            assert report.w_star_err == pytest.approx(kuhn_tucker_bound(p, r, b), abs=1e-15)
+            assert 0.0 <= report.w_star_x_err <= 1e-6
+            assert 0.0 <= report.w_star_z_err <= 1e-6
+        bounds = [kuhn_tucker_bound(p[p > 0], r[p > 0], b) for p, r, b in solves if b.size > 1]
+        assert len(bounds) > 900
+        certified = sum(bound <= 1e-12 for bound in bounds)
+        assert certified >= 0.98 * len(bounds), f"{certified} of {len(bounds)} certified"
+
+    def test_fallback_reports_bound_reached(self, monkeypatch):
+        # Without side information Newton cannot solve the singular face, so
+        # the ascent runs on and stops uncertified; the report carries the
+        # bound the solver's b reached, which still covers the grid oracle's
+        # optimum.
+        polished = []
+        polish = infoloss.portfolio._newton_polish
+
+        def spy(*args):
+            result = polish(*args)
+            polished.append(result)
+            return result
+
+        monkeypatch.setattr(infoloss.portfolio, "_newton_polish", spy)
+        solves = record_solves(monkeypatch)
+        report = growth_gap_bound(duplicate_asset_market())
+        assert polished[0] is None
+        p, returns, b = solves[0]
+        reached = kuhn_tucker_bound(p, returns, b)
+        assert reached > 1e-12
+        assert report.w_star_err == pytest.approx(reached, rel=1e-9)
+        _, w_grid = grid_growth_oracle(p, returns)
+        assert w_grid - report.w_star <= report.w_star_err + 1e-12
+
+    def test_inflated_rate_raises(self, monkeypatch):
+        solves = infoloss.portfolio._side_info_solves
+
+        def inflated(market, condition_on):
+            w, err = solves(market, condition_on)
+            return (w + 1e-3 if condition_on == "x" else w), err
+
+        monkeypatch.setattr(infoloss.portfolio, "_side_info_solves", inflated)
+        with pytest.raises(ValueError, match="exceeds information gap"):
+            growth_gap_bound(horse_race_market())
+
+    def test_nan_rate_raises(self, monkeypatch):
+        def nan_solver(pmf, returns, **kwargs):
+            return np.full(np.shape(returns)[1], math.nan), math.nan
+
+        monkeypatch.setattr(infoloss.portfolio, "log_optimal_portfolio", nan_solver)
+        with pytest.raises(ValueError, match="W_star: growth rate nan from market returns"):
+            growth_gap_bound(gen_market(2, 3, 0))
+
 
 class TestSideInfoGrowth:
     def test_ordering_no_less_coarse_full(self, rng):
@@ -181,6 +337,7 @@ class TestGrowthGapBound:
         d = growth_gap_bound(horse_race_market()).to_dict()
         assert set(d) == {
             "W_star", "W_star_X", "W_star_Z", "I_RX", "I_RZ", "gap", "mi_gap",
+            "W_star_err", "W_star_X_err", "W_star_Z_err",
         }
 
 

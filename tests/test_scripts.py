@@ -35,6 +35,8 @@ def test_portfolio_demo():
     out = proc.stdout
     assert "I gap   = 0.693147   (log 2 = 0.693147; tight)" in out
     assert "random markets (5 seeds, d_a <= 3, <= 6 outcomes):" in out
+    line = next(ln for ln in out.splitlines() if ln.startswith("  max certified error "))
+    assert float(line.split()[3]) <= 1e-12
     assert out.rstrip().endswith("certificate violations: 0 (growth_gap_bound raises otherwise)")
 
 
