@@ -266,20 +266,14 @@ def _side_info_solves(market: MarketModel, condition_on: str | None) -> tuple[fl
     The error is sum_v P(v) log max_i E[R_i / <b_v, R> | V = v], recomputed
     from each returned b_v: W*(V) minus the rate is at most this.
     """
-    probs = market.joint.probs
     if condition_on is None:
         conds = [(1.0, market.joint.p_y)]
-    else:
-        if condition_on == "x":
-            joint_rv = probs.sum(axis=2)
-        elif condition_on == "z":
-            joint_rv = probs.sum(axis=1)
-        else:
-            raise ValueError(
-                f"condition_on must be None, 'x', or 'z', got {condition_on!r}"
-            )
+    elif condition_on in ("x", "z"):
+        joint_rv = market.joint.probs.sum(axis=2 if condition_on == "x" else 1)
         p_v = joint_rv.sum(axis=0)
         conds = [(p_v[v], joint_rv[:, v] / p_v[v]) for v in np.flatnonzero(p_v > 0)]
+    else:
+        raise ValueError(f"condition_on must be None, 'x', or 'z', got {condition_on!r}")
     unit = _unit_rows(market.returns)
     total = err = 0.0
     for weight, cond in conds:
