@@ -114,25 +114,24 @@ class MCResult:
 
 
 def _replicate(plan: ExperimentPlan, n: int, rep: int, local: threading.local):
-    """One replicate, drawn and scaled in its worker's two reusable blocks."""
-    if not hasattr(local, "blocks"):
-        local.blocks = tuple(np.empty((n, SAMPLE_COLUMNS), order="F") for _ in range(2))
-    sample, scaled = local.blocks
+    """One replicate, drawn into its worker's reusable block."""
+    if not hasattr(local, "block"):
+        local.block = np.empty((n, SAMPLE_COLUMNS), order="F")
     seed = plan.base_seed + rep
     if plan.scenario == "h0":
-        data = gen_h0(H0Config(n=n, seed=seed), out=sample)
+        data = gen_h0(H0Config(n=n, seed=seed), out=local.block)
     else:
-        data = gen_h1(H1Config(n=n, seed=seed, theta=plan.theta), out=sample)
-    outcome = run_test(data, plan.cfg, scratch=scaled)
+        data = gen_h1(H1Config(n=n, seed=seed, theta=plan.theta), out=local.block)
+    outcome = run_test(data, plan.cfg)
     return outcome.L_n, outcome.t_n, outcome.reject, outcome.type1_bound
 
 
 def run_plan(plan: ExperimentPlan, threads: int | None = None) -> MCResult:
     """Execute a plan; results are independent of the thread count.
 
-    Each worker draws and scales its replicates of one n in two blocks of
-    (n, 4) floats, allocated on its first replicate of that n and dropped
-    when that n's pool closes: 64 bytes per row per worker.
+    Each worker draws its replicates of one n into one block of (n, 4)
+    floats, allocated on its first replicate of that n and dropped when
+    that n's pool closes: 32 bytes per row per worker.
     """
     workers = threads if threads is not None else (os.cpu_count() or 1)
     if workers < 1:

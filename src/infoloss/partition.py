@@ -1,10 +1,10 @@
 """Partition-based conditional independence test on continuous data.
 
 Given an i.i.d. sample of (X, Y, Z) with X in R^d, Y real, and Z in R^d',
-the test scales every coordinate to [0, 1], partitions each of the three
-spaces into axis-aligned cubes of common side h, and compares the empirical
-cell masses of the joint against the product predicted by conditional
-independence of Y and X given Z:
+the test bins the raw columns through each coordinate's min-max map onto
+[0, 1] (no scaled copy is made), partitions each unit cube into cubes of
+common side h, and compares the empirical cell masses of the joint against
+the product predicted by conditional independence of Y and X given Z:
 
     L_n = sum_{A,B,C} | P_n(A,B,C) - P_n(A,C) P_n(B,C) / P_n(C) |
 
@@ -49,6 +49,7 @@ __all__ = [
 C1_MIN = math.sqrt(2.0 * math.log(2.0))
 
 _MAX_TOTAL_CELLS = 2**62  # flat cell ids must fit in int64
+_CHUNK_ROWS = 1 << 16  # rows binned per pass, so its buffers stay cache-sized
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class Dataset:
 
     The arrays are read-only float64 copies of the inputs.  x and z are
     stored column-major, so each coordinate is one contiguous column: the
-    layout that ``scale_unit`` writes and ``build_histogram`` reads.
+    layout that the generators write and ``build_histogram`` reads.
     """
 
     x: np.ndarray
@@ -104,42 +105,20 @@ class Dataset:
     def _owned(cls, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> Dataset:
         """Wrap float64 arrays without re-validating or copying them.
 
-        Callers pass arrays computed from a validated ``Dataset``
-        (``scale_unit``'s scaled block, ``select``'s probe), or the
-        generators' column-major draws (``gen_h0``/``gen_h1``).  Either way
-        the shapes agree and every value is finite: a generator's x and z
-        are affine images of uniforms with finite, checked parameters, so
-        they lie in [0, 1], and it checks the one column that can overflow,
-        y, itself.  The arrays are made read-only in place; when they are
-        views of a caller's buffer, the buffer itself stays writable.
+        Callers pass arrays taken from a validated ``Dataset`` (``select``'s
+        probe), or the generators' column-major draws (``gen_h0``/``gen_h1``).
+        Either way the shapes agree and every value is finite: a generator's
+        x and z are affine images of uniforms with finite, checked
+        parameters, so they lie in [0, 1], and it checks the one column that
+        can overflow, y, itself.  The arrays are made read-only in place;
+        when they are views of a caller's buffer, the buffer itself stays
+        writable.
         """
         data = object.__new__(cls)
         for name, arr in (("x", x), ("y", y), ("z", z)):
             arr.flags.writeable = False
             object.__setattr__(data, name, arr)
         return data
-
-    @classmethod
-    def _split(cls, block: np.ndarray, d: int) -> Dataset:
-        """Wrap a column-major (n, d + 1 + d') block as x, y, z views of it."""
-        return cls._owned(block[:, :d], block[:, d], block[:, d + 1 :])
-
-
-def _column_block(n: int, width: int, out: np.ndarray | None) -> np.ndarray:
-    """A column-major float64 (n, width) block: fresh, or ``out`` once checked."""
-    if out is None:
-        return np.empty((n, width), order="F")
-    if not isinstance(out, np.ndarray):
-        raise TypeError(f"buffer must be a numpy array, got {type(out).__name__}")
-    if out.shape != (n, width):
-        raise ValueError(f"buffer must have shape {(n, width)}, got {out.shape}")
-    if out.dtype != np.float64:
-        raise ValueError(f"buffer must have dtype float64, got {out.dtype}")
-    if not out.flags.f_contiguous:
-        raise ValueError("buffer must be column-major (F-contiguous)")
-    if not out.flags.writeable:
-        raise ValueError("buffer is read-only")
-    return out
 
 
 def _coordinates(data: Dataset) -> list[tuple[str, np.ndarray]]:
@@ -151,30 +130,20 @@ def _coordinates(data: Dataset) -> list[tuple[str, np.ndarray]]:
     )
 
 
-def scale_unit(data: Dataset, out: np.ndarray | None = None) -> Dataset:
-    """Min-max scale every coordinate of the sample onto [0, 1].
+def scale_unit(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Min-max map of every coordinate of the sample onto [0, 1].
 
-    Constant coordinates map to 0.5.  The scaled coordinates are written
-    into one column-major (n, d + 1 + d') float64 block, ordered x, y, z:
-    a fresh one, or ``out`` when given.  With ``out`` the returned
-    ``Dataset`` aliases it and stays valid only until the next write into
-    ``out``.  ``out`` may not overlap ``data``.
+    Returns ``(lo, span)``, one entry per coordinate ordered x, y, z: the
+    coordinate's minimum and its max - min.  ``build_histogram`` maps a
+    value c to (c - lo) / span, and a constant coordinate (span 0) to 0.5.
     """
-    block = _column_block(data.n, data.d + 1 + data.d_prime, out)
-    if out is not None and any(np.may_share_memory(out, a) for a in (data.x, data.y, data.z)):
-        raise ValueError("buffer overlaps the sample it would scale")
+    lo, span = np.empty((2, data.d + 1 + data.d_prime))
     for j, (name, col) in enumerate(_coordinates(data)):
-        dest = block[:, j]
-        lo, hi = col.min(), col.max()
-        span = float(hi) - float(lo)
-        if math.isinf(span):
-            raise ValueError(f"{name}: max - min = {hi!r} - {lo!r} overflows float64")
-        if span == 0.0:
-            dest.fill(0.5)
-        else:
-            np.subtract(col, lo, out=dest)
-            np.divide(dest, span, out=dest)
-    return Dataset._split(block, data.d)
+        lo[j], hi = col.min(), col.max()
+        span[j] = float(hi) - float(lo[j])
+        if math.isinf(span[j]):
+            raise ValueError(f"{name}: max - min = {hi!r} - {lo[j]!r} overflows float64")
+    return lo, span
 
 
 def h_schedule(n: int, d: int, d_prime: int, delta: float) -> float:
@@ -252,16 +221,17 @@ class JointHistogram:
     c_counts: np.ndarray
 
 
-def build_histogram(data: Dataset, part: CubicPartition) -> JointHistogram:
-    """Bin a scaled sample into the cubic partition.
+def build_histogram(data: Dataset, part: CubicPartition, scaling: tuple) -> JointHistogram:
+    """Bin a sample into the cubic partition through its min-max map.
 
-    Every coordinate must already lie in [0, 1]; values exactly at 1 fall
-    into the last bin along their axis.  Each coordinate's cell index
-    floor(u / h) is added into one mixed-radix key over x..., y, z....  When
-    the whole grid has no more cells than the sample has rows, one bincount
-    counts it and the marginals are sums of that grid; finer grids are
-    counted by sorting the keys.  Either way the occupied triples come out
-    in ascending key order.
+    ``scaling`` is ``scale_unit``'s ``(lo, span)``: coordinate j maps to
+    u = (c - lo[j]) / span[j], or to 0.5 when span[j] is 0, and u must lie
+    in [0, 1]; u = 1 falls into the last bin along its axis.  _CHUNK_ROWS
+    rows at a time, each cell index floor(u / h) is added into one
+    mixed-radix key over x..., y, z....  A grid with no more cells than the
+    sample has rows counts each chunk's keys, and its marginals are sums of
+    it; finer grids keep every row's key and count them by sorting.  Either
+    way the occupied triples come out in ascending key order.
     """
     if data.d != part.d or data.d_prime != part.d_prime:
         raise ValueError(
@@ -269,20 +239,36 @@ def build_histogram(data: Dataset, part: CubicPartition) -> JointHistogram:
             f"partition is ({part.d}, 1, {part.d_prime})"
         )
     bins = part.bins_per_axis
-    key = np.zeros(data.n, dtype=np.int64)
-    index = np.empty(data.n, dtype=np.int64)
-    for _, col in _coordinates(data):
-        if col.min() < 0.0 or col.max() > 1.0:
-            raise ValueError("unscaled coordinate outside [0, 1]; call scale_unit first")
-        # u / h >= 0 here, so the cast's truncation toward zero is floor.
-        np.divide(col, part.h, out=index, casting="unsafe")
-        np.minimum(index, bins - 1, out=index)
-        key *= bins
-        key += index
-
     shape = (part.m, bins, part.m_dprime)
-    if math.prod(shape) <= data.n:
-        grid = np.bincount(key, minlength=math.prod(shape))
+    cells = math.prod(shape)
+    dense = cells <= data.n
+    step = min(_CHUNK_ROWS, data.n)
+    unit, index = np.empty(step), np.empty(step, dtype=np.int64)
+    key = np.empty(step if dense else data.n, dtype=np.int64)
+    grid = np.zeros(cells if dense else 0, dtype=np.int64)
+    columns = [col for _, col in _coordinates(data)]
+    for start in range(0, data.n, step):
+        stop = min(start + step, data.n)
+        k = key[: stop - start] if dense else key[start:stop]
+        u, i = unit[: stop - start], index[: stop - start]
+        k.fill(0)
+        for col, c_lo, c_span in zip(columns, *scaling, strict=True):
+            if c_span == 0.0:
+                u.fill(0.5)
+            else:
+                np.subtract(col[start:stop], c_lo, out=u)
+                np.divide(u, c_span, out=u)
+            if u.min() < 0.0 or u.max() > 1.0:
+                raise ValueError("coordinate outside [0, 1] under the given scaling")
+            # u / h >= 0 here, so the cast's truncation toward zero is floor.
+            np.divide(u, part.h, out=i, casting="unsafe")
+            np.minimum(i, bins - 1, out=i)
+            k *= bins
+            k += i
+        if dense:
+            np.add.at(grid, k, 1)
+
+    if dense:
         ids = np.flatnonzero(grid)
         counts = grid[ids]
         a_ids, b_ids, c_ids = np.unravel_index(ids, shape)
@@ -392,19 +378,12 @@ class TestOutcome:
         return asdict(self)
 
 
-def run_test(
-    data: Dataset, cfg: TestConfig = TestConfig(), *, scratch: np.ndarray | None = None
-) -> TestOutcome:
-    """Scale, bin, and test a sample for conditional independence.
-
-    Rejects (dependence found) iff L_n >= t_n.  ``scratch``, when given, is
-    the ``out`` block of ``scale_unit``: a reusable column-major float64
-    (n, d + 1 + d') buffer that must not overlap ``data``.
-    """
-    scaled = scale_unit(data, out=scratch)
+def run_test(data: Dataset, cfg: TestConfig = TestConfig()) -> TestOutcome:
+    """Scale, bin, and test a sample; rejects (dependence found) iff L_n >= t_n."""
+    scaling = scale_unit(data)
     h = cfg.bandwidth(data.n, data.d, data.d_prime)
     part = CubicPartition(h=h, d=data.d, d_prime=data.d_prime)
-    hist = build_histogram(scaled, part)
+    hist = build_histogram(data, part, scaling)
     l_n = l_statistic(hist)
     t_n = threshold(data.n, part.m, part.m_prime, part.m_dprime, h, cfg.c1)
     return TestOutcome(

@@ -131,7 +131,8 @@ def _newton_polish(pk: np.ndarray, rk: np.ndarray, b: np.ndarray, g: np.ndarray)
     The face starts as {i : g_i >= max g - _FACE_SLACK}; the other
     coordinates are set to zero and the face renormalized.  Each step solves
     the KKT system [H 1; 1^T 0] of the face's Hessian H = -E[R R^T / <b, R>^2]
-    under the constraint sum_i b_i = 1.  A step that would make a coordinate
+    under the constraint sum_i b_i = 1, by minimum-norm least squares when it
+    is singular (identical assets).  A step that would make a coordinate
     non-positive is rejected and those coordinates leave the face; a
     coordinate off the face whose g_i reaches the face's largest joins it.
     Returns (b, wealth) once the certified bound is at most _CERT_TOL.
@@ -157,10 +158,11 @@ def _newton_polish(pk: np.ndarray, rk: np.ndarray, b: np.ndarray, g: np.ndarray)
         kkt = np.ones((k + 1, k + 1))
         kkt[:k, :k] = -(sub.T @ sub)
         kkt[k, k] = 0.0
+        rhs = np.append(-g[idx], 0.0)
         try:
-            step_x = np.linalg.solve(kkt, np.append(-g[idx], 0.0))[:k]
+            step_x = np.linalg.solve(kkt, rhs)[:k]
         except np.linalg.LinAlgError:
-            return None
+            step_x = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
         moved = x[idx] + step_x
         if np.all(moved > 0):
             x[idx] = moved

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import DeterministicMap, DiscreteJoint, LossMatrix, apply_map
-from .partition import Dataset, _column_block
+from .partition import Dataset
 from .portfolio import MarketModel
 
 __all__ = [
@@ -47,6 +47,23 @@ def philox(seed: int) -> np.random.Generator:
 
 # Columns of a generated sample's block: x1, x2, y, z (d = 2, d' = 1).
 SAMPLE_COLUMNS = 4
+
+
+def _column_block(n: int, width: int, out: np.ndarray | None) -> np.ndarray:
+    """A column-major float64 (n, width) block: fresh, or ``out`` once checked."""
+    if out is None:
+        return np.empty((n, width), order="F")
+    if not isinstance(out, np.ndarray):
+        raise TypeError(f"buffer must be a numpy array, got {type(out).__name__}")
+    if out.shape != (n, width):
+        raise ValueError(f"buffer must have shape {(n, width)}, got {out.shape}")
+    if out.dtype != np.float64:
+        raise ValueError(f"buffer must have dtype float64, got {out.dtype}")
+    if not out.flags.f_contiguous:
+        raise ValueError("buffer must be column-major (F-contiguous)")
+    if not out.flags.writeable:
+        raise ValueError("buffer is read-only")
+    return out
 
 
 @dataclass(frozen=True)
@@ -125,7 +142,7 @@ def _draw(cfg: H0Config, theta: float | None, out: np.ndarray | None) -> Dataset
     # Finite parameters keep x and z inside [0, 1]; only y can overflow.
     if not np.isfinite(y).all():
         raise ValueError("y: non-finite values")
-    return Dataset._split(blk, 2)
+    return Dataset._owned(blk[:, :2], y, blk[:, 3:])
 
 
 def gen_h0(cfg: H0Config, out: np.ndarray | None = None) -> Dataset:

@@ -27,6 +27,22 @@ def columns(data: Dataset) -> np.ndarray:
     return np.hstack([data.x, data.y[:, None], data.z])
 
 
+def unit_scaled(data: Dataset) -> Dataset:
+    """Reference min-max scaling: every coordinate mapped onto [0, 1] whole.
+
+    A constant coordinate maps to 0.5.  This is the scaled sample whose
+    cells ``build_histogram`` must reproduce from ``scale_unit``'s map.
+    """
+    cols = columns(data)
+    lo, hi = cols.min(axis=0), cols.max(axis=0)
+    span = hi - lo
+    scaled = np.full_like(cols, 0.5)
+    live = span != 0.0
+    scaled[:, live] = (cols[:, live] - lo[live]) / span[live]
+    d = data.d
+    return Dataset(x=scaled[:, :d], y=scaled[:, d], z=scaled[:, d + 1 :])
+
+
 def write_dataset_csv(data: Dataset, path) -> None:
     """Write ``data`` to ``path`` in the CLI's sample CSV format."""
     Path(path).write_text(dataset_to_csv(data))

@@ -27,7 +27,7 @@ from infoloss import (
     type1_bound,
 )
 
-from conftest import columns, dense_l_statistic
+from conftest import columns, dense_l_statistic, unit_scaled
 
 
 def make_dataset(rng, n, d=1, d_prime=1):
@@ -38,6 +38,24 @@ def make_dataset(rng, n, d=1, d_prime=1):
     )
 
 
+def identity_scaling(data):
+    """The map (lo, span) = (0, 1) on every coordinate, for data already in [0, 1]."""
+    width = data.d + 1 + data.d_prime
+    return np.zeros(width), np.ones(width)
+
+
+def with_constant_column(rng, n):
+    x = rng.random((n, 2))
+    x[:, 1] = 0.25
+    return Dataset(x=x, y=x[:, 0] + rng.random(n), z=rng.random((n, 1)))
+
+
+def with_two_z(rng, n):
+    x = rng.random((n, 2))
+    z = np.column_stack([x[:, 0] // 0.25, rng.integers(0, 3, n)])
+    return Dataset(x=x, y=x[:, 1] + 0.1 * rng.random(n), z=z)
+
+
 class TestScaling:
     def test_maps_onto_unit_cube(self, rng):
         data = Dataset(
@@ -45,13 +63,16 @@ class TestScaling:
             y=rng.normal(-2.0, 1.0, 200),
             z=rng.normal(0.0, 10.0, (200, 1)),
         )
-        scaled = scale_unit(data)
-        cols = columns(scaled)
-        assert cols.min() >= 0.0
-        assert cols.max() <= 1.0
-        # Each live coordinate attains both endpoints.
-        assert np.allclose(cols.min(axis=0), 0.0)
-        assert np.allclose(cols.max(axis=0), 1.0)
+        lo, span = scale_unit(data)
+        cols = columns(data)
+        np.testing.assert_array_equal(lo, cols.min(axis=0))
+        np.testing.assert_array_equal(span, cols.max(axis=0) - cols.min(axis=0))
+        # Each coordinate's minimum maps to 0 and its maximum to 1 exactly.
+        np.testing.assert_array_equal((cols.min(axis=0) - lo) / span, 0.0)
+        np.testing.assert_array_equal((cols.max(axis=0) - lo) / span, 1.0)
+        # Every other value maps inside [0, 1], or binning would raise.
+        hist = build_histogram(data, CubicPartition(h=0.25, d=2, d_prime=1), (lo, span))
+        assert hist.counts.sum() == 200
 
     def test_constant_coordinate_pins_to_half(self):
         data = Dataset(
@@ -59,10 +80,13 @@ class TestScaling:
             y=np.arange(10.0),
             z=np.ones((10, 1)),
         )
-        scaled = scale_unit(data)
-        assert np.all(scaled.x == 0.5)
-        assert np.all(scaled.z == 0.5)
-        assert scaled.y[0] == 0.0 and scaled.y[-1] == 1.0
+        lo, span = scale_unit(data)
+        np.testing.assert_array_equal(lo, [3.0, 0.0, 1.0])
+        np.testing.assert_array_equal(span, [0.0, 9.0, 0.0])
+        # 0.5 lies in cell 2 of 4: every row shares its x and z cell.
+        hist = build_histogram(data, CubicPartition(h=0.25, d=1, d_prime=1), (lo, span))
+        assert np.all(hist.a_ids == 2) and np.all(hist.c_ids == 2)
+        np.testing.assert_array_equal(hist.b_ids, [0, 1, 2, 3])
 
     def test_affine_invariance_of_statistic(self, rng):
         # Shifting/stretching coordinates leaves the scaled test unchanged.
@@ -145,46 +169,7 @@ def read_only_block(n):
 
 
 class TestBuffers:
-    """``gen_h0``/``gen_h1(out=)`` and ``run_test(scratch=)`` reuse caller blocks."""
-
-    @staticmethod
-    def with_constant_column(rng):
-        x = rng.random((3000, 2))
-        x[:, 1] = 0.25
-        return Dataset(x=x, y=x[:, 0] + rng.random(3000), z=rng.random((3000, 1)))
-
-    @staticmethod
-    def with_two_z(rng):
-        x = rng.random((3000, 2))
-        z = np.column_stack([x[:, 0] // 0.25, rng.integers(0, 3, 3000)])
-        return Dataset(x=x, y=x[:, 1] + 0.1 * rng.random(3000), z=z)
-
-    @pytest.mark.parametrize("make", ["h0", "h1", "constant", "dprime2"])
-    def test_scratch_matches_fresh(self, rng, make):
-        data = {
-            "h0": lambda: gen_h0(H0Config(n=20_000, seed=3)),
-            "h1": lambda: gen_h1(H1Config(n=20_000, seed=3)),
-            "constant": lambda: self.with_constant_column(rng),
-            "dprime2": lambda: self.with_two_z(rng),
-        }[make]()
-        cfg = TestConfig(delta=0.15)  # admissible up to d + 1 + d' = 5
-        fresh = run_test(data, cfg)
-        scratch = np.full((data.n, data.d + 1 + data.d_prime), np.nan, order="F")
-        for _ in range(2):  # the second call finds the first call's scaled values
-            got = run_test(data, cfg, scratch=scratch)
-            assert got == fresh  # every field
-            assert got.L_n.hex() == fresh.L_n.hex()
-
-    def test_scaled_sample_aliases_out(self, rng):
-        data = make_dataset(rng, 100, d=2, d_prime=2)
-        out = np.empty((100, 5), order="F")
-        scaled = scale_unit(data, out=out)
-        fresh = scale_unit(data)
-        for got, want in zip((scaled.x, scaled.y, scaled.z), (fresh.x, fresh.y, fresh.z)):
-            assert np.shares_memory(got, out)
-            assert not got.flags.writeable
-            np.testing.assert_array_equal(got, want)
-        assert out.flags.writeable
+    """``gen_h0``/``gen_h1(out=)`` draw into a caller's block."""
 
     # (buffer for n = 50 rows and 4 columns, the error it must raise)
     BAD = {
@@ -211,23 +196,9 @@ class TestBuffers:
         with pytest.raises(ValueError, match=match):
             gen(cfg(n=50, seed=0), out=buf)
 
-    def test_bad_scratch(self, bad):
-        buf, match = bad
-        data = gen_h0(H0Config(n=50, seed=0))
-        with pytest.raises(ValueError, match=match):
-            run_test(data, TestConfig(h=0.5), scratch=buf)
-        with pytest.raises(ValueError, match=match):
-            scale_unit(data, out=buf)
-
     def test_non_array_buffer(self):
         with pytest.raises(TypeError, match="^buffer must be a numpy array, got list$"):
             gen_h0(H0Config(n=2, seed=0), out=[[0.0] * 4] * 2)
-
-    def test_scratch_overlapping_sample(self):
-        block = np.empty((50, 4), order="F")
-        data = gen_h0(H0Config(n=50, seed=0), out=block)
-        with pytest.raises(ValueError, match="^buffer overlaps the sample it would scale$"):
-            run_test(data, TestConfig(h=0.5), scratch=block)
 
 
 class TestBandwidthSchedule:
@@ -275,9 +246,8 @@ class TestPartitionCounts:
 class TestHistogram:
     def test_counts_sum_to_n(self, rng):
         data = make_dataset(rng, 300, d=2)
-        scaled = scale_unit(data)
         part = CubicPartition(h=0.25, d=2, d_prime=1)
-        hist = build_histogram(scaled, part)
+        hist = build_histogram(data, part, scale_unit(data))
         assert hist.counts.sum() == 300
         assert hist.n == 300
 
@@ -285,15 +255,14 @@ class TestHistogram:
         # Value exactly 1.0 lands in the top bin, not one past it.
         data = Dataset(x=np.array([[1.0]]), y=np.array([1.0]), z=np.array([[1.0]]))
         part = CubicPartition(h=0.25, d=1, d_prime=1)
-        hist = build_histogram(data, part)
+        hist = build_histogram(data, part, identity_scaling(data))
         assert hist.a_ids[0] == 3 and hist.b_ids[0] == 3 and hist.c_ids[0] == 3
 
     def test_marginal_alignment(self, rng):
         # The aligned per-triple marginal counts agree with a recount.
         data = make_dataset(rng, 500)
-        scaled = scale_unit(data)
         part = CubicPartition(h=0.2, d=1, d_prime=1)
-        hist = build_histogram(scaled, part)
+        hist = build_histogram(data, part, scale_unit(data))
         for i in range(len(hist.counts)):
             a, b, c = hist.a_ids[i], hist.b_ids[i], hist.c_ids[i]
             ac = hist.counts[(hist.a_ids == a) & (hist.c_ids == c)].sum()
@@ -307,7 +276,7 @@ class TestHistogram:
         data = Dataset(x=np.array([[1.5]]), y=np.array([0.5]), z=np.array([[0.5]]))
         part = CubicPartition(h=0.5, d=1, d_prime=1)
         with pytest.raises(ValueError):
-            build_histogram(data, part)
+            build_histogram(data, part, identity_scaling(data))
 
 
     @staticmethod
@@ -342,13 +311,16 @@ class TestHistogram:
     )
     def test_both_counting_paths_match_recount(self, rng, n, h, d, d_prime):
         data = make_dataset(rng, n, d=d, d_prime=d_prime)
-        scaled = scale_unit(data)
         part = CubicPartition(h=h, d=d, d_prime=d_prime)
         # The first case counts on the dense grid, the second by sorting.
         assert (part.m * part.m_prime * part.m_dprime <= n) == (n == 5000)
-        hist = build_histogram(scaled, part)
-        triples, counts, ac, bc, cm = self._recount(scaled, part)
-        assert hist.n == n and hist.part == part
+        self.assert_matches_recount(data, part)
+
+    @classmethod
+    def assert_matches_recount(cls, data, part):
+        hist = build_histogram(data, part, scale_unit(data))
+        triples, counts, ac, bc, cm = cls._recount(unit_scaled(data), part)
+        assert hist.n == data.n and hist.part == part
         np.testing.assert_array_equal(hist.a_ids, triples[:, 0])
         np.testing.assert_array_equal(hist.b_ids, triples[:, 1])
         np.testing.assert_array_equal(hist.c_ids, triples[:, 2])
@@ -356,6 +328,24 @@ class TestHistogram:
         np.testing.assert_array_equal(hist.ac_counts, ac)
         np.testing.assert_array_equal(hist.bc_counts, bc)
         np.testing.assert_array_equal(hist.c_counts, cm)
+
+    @pytest.mark.parametrize("make", ["h0", "h1", "constant", "dprime2"])
+    def test_chunks_match_recount(self, rng, monkeypatch, make):
+        # 40-row chunks: n one short of a chunk, one chunk, one row over and
+        # several chunks, each counted on the dense grid (h = 0.5, at most
+        # 2^5 cells) and by sorting (h = 0.2, at least 5^4 cells).
+        monkeypatch.setattr("infoloss.partition._CHUNK_ROWS", 40)
+        for n in (39, 40, 41, 250):
+            data = {
+                "h0": lambda: gen_h0(H0Config(n=n, seed=3)),
+                "h1": lambda: gen_h1(H1Config(n=n, seed=3)),
+                "constant": lambda: with_constant_column(rng, n),
+                "dprime2": lambda: with_two_z(rng, n),
+            }[make]()
+            for h, dense in ((0.5, True), (0.2, False)):
+                part = CubicPartition(h=h, d=data.d, d_prime=data.d_prime)
+                assert (part.m * part.m_prime * part.m_dprime <= n) == dense
+                self.assert_matches_recount(data, part)
 
     @pytest.mark.parametrize(
         "h", [0.25, 1 / 3, 0.1, h_schedule(100_000, 2, 1, 0.2)],
@@ -371,7 +361,7 @@ class TestHistogram:
         cols = [rng.permutation(np.concatenate([rng.random(500), special])) for _ in range(4)]
         data = Dataset(x=np.stack(cols[:2], axis=1), y=cols[2], z=cols[3])
         part = CubicPartition(h=h, d=2, d_prime=1)
-        hist = build_histogram(data, part)
+        hist = build_histogram(data, part, identity_scaling(data))
         triples, counts, *_ = self._recount(data, part)
         np.testing.assert_array_equal(
             np.stack([hist.a_ids, hist.b_ids, hist.c_ids], axis=1), triples
@@ -382,7 +372,7 @@ class TestHistogram:
         data = Dataset(x=np.array([[0.5]]), y=np.array([-0.1]), z=np.array([[0.5]]))
         part = CubicPartition(h=0.5, d=1, d_prime=1)
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-            build_histogram(data, part)
+            build_histogram(data, part, identity_scaling(data))
 
 
 class TestLStatistic:
@@ -393,7 +383,8 @@ class TestLStatistic:
         y = np.array([0.1, 0.9, 0.1, 0.9])
         z = np.full((4, 1), 0.5)
         part = CubicPartition(h=0.5, d=1, d_prime=1)
-        hist = build_histogram(Dataset(x=x, y=y, z=z), part)
+        data = Dataset(x=x, y=y, z=z)
+        hist = build_histogram(data, part, identity_scaling(data))
         assert l_statistic(hist) == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_independence_is_zero(self):
@@ -402,32 +393,32 @@ class TestLStatistic:
         y = np.array([0.1, 0.9, 0.1, 0.9])
         z = np.full((4, 1), 0.5)
         part = CubicPartition(h=0.5, d=1, d_prime=1)
-        hist = build_histogram(Dataset(x=x, y=y, z=z), part)
+        data = Dataset(x=x, y=y, z=z)
+        hist = build_histogram(data, part, identity_scaling(data))
         assert l_statistic(hist) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_point_is_zero(self):
         data = Dataset(x=np.array([[0.3]]), y=np.array([0.7]), z=np.array([[0.2]]))
         part = CubicPartition(h=0.5, d=1, d_prime=1)
-        assert l_statistic(build_histogram(data, part)) == pytest.approx(0.0)
+        hist = build_histogram(data, part, identity_scaling(data))
+        assert l_statistic(hist) == pytest.approx(0.0)
 
     def test_matches_dense_oracle(self, rng):
         # Sparse closed form vs the full sum over every cell triple.
         for n, h in [(50, 0.5), (120, 0.25), (200, 0.34)]:
             data = make_dataset(rng, n)
-            scaled = scale_unit(data)
             part = CubicPartition(h=h, d=1, d_prime=1)
-            hist = build_histogram(scaled, part)
+            hist = build_histogram(data, part, scale_unit(data))
             assert l_statistic(hist) == pytest.approx(
-                dense_l_statistic(scaled, part), abs=1e-10
+                dense_l_statistic(unit_scaled(data), part), abs=1e-10
             )
 
     def test_matches_dense_oracle_2d(self, rng):
         data = make_dataset(rng, 150, d=2, d_prime=1)
-        scaled = scale_unit(data)
         part = CubicPartition(h=0.34, d=2, d_prime=1)
-        hist = build_histogram(scaled, part)
+        hist = build_histogram(data, part, scale_unit(data))
         assert l_statistic(hist) == pytest.approx(
-            dense_l_statistic(scaled, part), abs=1e-10
+            dense_l_statistic(unit_scaled(data), part), abs=1e-10
         )
 
     @settings(max_examples=40, deadline=None)
@@ -435,9 +426,8 @@ class TestLStatistic:
     def test_in_unit_range(self, n, h, seed):
         rng = np.random.default_rng(seed)
         data = make_dataset(rng, n)
-        scaled = scale_unit(data)
         part = CubicPartition(h=h, d=1, d_prime=1)
-        val = l_statistic(build_histogram(scaled, part))
+        val = l_statistic(build_histogram(data, part, scale_unit(data)))
         assert -1e-12 <= val <= 2.0 + 1e-12
 
 

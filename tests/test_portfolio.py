@@ -237,23 +237,19 @@ class TestCertifiedError:
         certified = sum(bound <= 1e-12 for bound in bounds)
         assert certified >= 0.98 * len(bounds), f"{certified} of {len(bounds)} certified"
 
+    def test_duplicate_assets_certify(self):
+        # The face's KKT system is singular; the minimum-norm step certifies.
+        report = growth_gap_bound(duplicate_asset_market())
+        assert report.w_star_err <= 1e-12
+        assert report.w_star_z_err <= 1e-12
+
     def test_fallback_reports_bound_reached(self, monkeypatch):
-        # Without side information Newton cannot solve the singular face, so
-        # the ascent runs on and stops uncertified; the report carries the
-        # bound the solver's b reached, which still covers the grid oracle's
-        # optimum.
-        polished = []
-        polish = infoloss.portfolio._newton_polish
-
-        def spy(*args):
-            result = polish(*args)
-            polished.append(result)
-            return result
-
-        monkeypatch.setattr(infoloss.portfolio, "_newton_polish", spy)
+        # With the Newton stage failing, the ascent runs on and stops
+        # uncertified; the report carries the bound the solver's b reached,
+        # which still covers the grid oracle's optimum.
+        monkeypatch.setattr(infoloss.portfolio, "_newton_polish", lambda *args: None)
         solves = record_solves(monkeypatch)
         report = growth_gap_bound(duplicate_asset_market())
-        assert polished[0] is None
         p, returns, b = solves[0]
         reached = kuhn_tucker_bound(p, returns, b)
         assert reached > 1e-12
