@@ -308,8 +308,11 @@ def quantizer_sequence_bound(
         raise ValueError("widths must be strictly decreasing")
     reports = []
     for w in ws:
-        cells = np.floor(pos / w).astype(np.int64)
-        _, table = np.unique(cells, return_inverse=True)
+        with np.errstate(over="ignore"):
+            scaled = pos / w
+        if not np.all(np.isfinite(scaled)):
+            raise ValueError(f"width {w}: positions / width overflows float64")
+        _, table = np.unique(np.floor(scaled), return_inverse=True)
         tmap = DeterministicMap(table=table.astype(np.int64), n_z=int(table.max()) + 1)
         joint3 = apply_map(j, tmap)
         reports.append(bound_bounded_loss(joint3, tmap, loss))

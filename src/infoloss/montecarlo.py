@@ -21,7 +21,14 @@ from .synth import SAMPLE_COLUMNS, H0Config, H1Config, gen_h0, gen_h1
 
 __all__ = ["ExperimentPlan", "MCResult", "MCRow", "run_plan"]
 
-CSV_COLUMNS = ("n", "rejection_rate", "mean_Ln", "mean_tn", "type1_bound")
+# MCRow field -> column of the plot-ready CSV, in output order.
+CSV_COLUMNS = {
+    "n": "n",
+    "rejection_rate": "rejection_rate",
+    "mean_L_n": "mean_Ln",
+    "mean_t_n": "mean_tn",
+    "type1_bound": "type1_bound",
+}
 
 
 @dataclass(frozen=True)
@@ -80,19 +87,9 @@ class MCResult:
     rows: tuple[MCRow, ...]
 
     def to_csv(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
+        lines = [",".join(CSV_COLUMNS.values())]
         for row in self.rows:
-            lines.append(
-                ",".join(
-                    (
-                        repr(row.n),
-                        repr(row.rejection_rate),
-                        repr(row.mean_L_n),
-                        repr(row.mean_t_n),
-                        repr(row.type1_bound),
-                    )
-                )
-            )
+            lines.append(",".join(repr(getattr(row, field)) for field in CSV_COLUMNS))
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:

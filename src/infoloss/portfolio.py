@@ -42,18 +42,15 @@ __all__ = [
     "side_info_growth",
 ]
 
-# The solver tries up to _NEWTON_STEPS Newton steps on the face
-# {i : g_i >= max g - _FACE_SLACK} from its uniform start, and again once
-# exponentiated-gradient (EG) ascent brings the certified bound to
-# _NEWTON_START; it stops once the bound is at most _CERT_TOL.  When Newton
-# does not certify, EG runs on and stops when one step gains less than
-# _SOLVER_TOL, or after _SOLVER_MAX_ITER steps.
+# The solver starts on the face {i : g_i >= max g - _FACE_SLACK} of the
+# uniform portfolio and takes at most _MAX_STEPS Newton steps; it stops once
+# the certified bound is at most _CERT_TOL.  A KKT solve whose residual
+# exceeds _RTOL (1 + max g) counts as singular, and coordinates whose
+# ratio-test step lengths agree to _RTOL reach zero together.
 _CERT_TOL = 1e-12
-_NEWTON_START = 1e-4
 _FACE_SLACK = 1e-3
-_NEWTON_STEPS = 6
-_SOLVER_TOL = 1e-10
-_SOLVER_MAX_ITER = 10_000
+_MAX_STEPS = 200
+_RTOL = 1e-9
 # growth_gap_bound's rounding allowance, in units of the double epsilon times
 # the magnitudes compared (plus 1): each growth rate and mutual information is
 # a probability-weighted sum of a few dozen logarithms at most, each term and
@@ -125,81 +122,33 @@ def _unit_rows(returns: np.ndarray) -> np.ndarray:
     return returns / returns.max(axis=1, keepdims=True)
 
 
-def _newton_polish(pk: np.ndarray, rk: np.ndarray, b: np.ndarray, g: np.ndarray):
-    """Newton steps on the face the gradient points at, or None if they do not certify.
-
-    The face starts as {i : g_i >= max g - _FACE_SLACK}; the other
-    coordinates are set to zero and the face renormalized.  Each step solves
-    the KKT system [H 1; 1^T 0] of the face's Hessian H = -E[R R^T / <b, R>^2]
-    under the constraint sum_i b_i = 1, by minimum-norm least squares when it
-    is singular (identical assets).  A step that would make a coordinate
-    non-positive is rejected and those coordinates leave the face; a
-    coordinate off the face whose g_i reaches the face's largest joins it.
-    Returns (b, wealth) once the certified bound is at most _CERT_TOL.
-    """
-    face = g >= g.max() - _FACE_SLACK
-    x = np.where(face, b, 0.0)
-    for step in range(_NEWTON_STEPS + 1):
-        total = x.sum()
-        if not total > 0:
-            return None
-        x /= total
-        wealth = rk @ x
-        u = pk / wealth
-        g = rk.T @ u
-        if _kuhn_tucker_bound(g) <= _CERT_TOL:
-            return x, wealth
-        if step == _NEWTON_STEPS:
-            return None
-        face |= g >= g[face].max()
-        idx = np.flatnonzero(face)
-        k = idx.size
-        sub = rk[:, idx] * (np.sqrt(pk) / wealth)[:, None]
-        kkt = np.ones((k + 1, k + 1))
-        kkt[:k, :k] = -(sub.T @ sub)
-        kkt[k, k] = 0.0
-        rhs = np.append(-g[idx], 0.0)
-        try:
-            step_x = np.linalg.solve(kkt, rhs)[:k]
-        except np.linalg.LinAlgError:
-            step_x = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
-        moved = x[idx] + step_x
-        if np.all(moved > 0):
-            x[idx] = moved
-        else:
-            out = idx[~(moved > 0)]
-            face[out] = False
-            x[out] = 0.0
-    return None
-
-
 def log_optimal_portfolio(pmf, returns, *, return_trace: bool = False):
     """Maximize E[log <b, R>] over the simplex, to a certified tolerance.
 
     Each outcome's returns are first divided by its largest entry, which
     leaves the optimal b unchanged; sum_k p_k log max_i R_ki is added back to
     the growth rate.  With g = E[R / <b, R>] the gradient, Jensen's
-    inequality bounds the shortfall W* - W(b) by log max_i g_i.  The solver
-    works in three stages:
+    inequality bounds the shortfall W* - W(b) by log max_i g_i.
 
-    1. Exponentiated-gradient ascent with a backtracking multiplicative step:
-       candidates b * exp(eta * g) (normalized) are only accepted when they
-       improve the objective.  It runs until the certified bound falls to
-       1e-4.
-    2. Up to 6 Newton steps on the face {i : g_i >= max g - 1e-3}, with the
-       other coordinates set to zero, each solving the face's KKT system;
-       coordinates leave the face when a step would make them non-positive
-       and join it when their g_i reaches the face's largest.  This stage is
-       also tried once from the uniform start, where markets with a few
-       assets usually certify at once.
-    3. The solver stops as soon as the certified bound is at most 1e-12.  If
-       Newton does not get there, its steps are discarded and the ascent of
-       stage 1 runs on, stopping when one step gains less than 1e-10 or after
-       10 000 steps; the bound it reached then stays above 1e-12.
+    The solver is an active-set Newton method.  It starts from the uniform
+    portfolio restricted to the face {i : g_i >= max g - 1e-3} and
+    renormalized.  Each step adds to the face every coordinate whose g_i
+    reaches the face's largest, and solves the KKT system [H 1; 1^T 0] of
+    the face's Hessian H = -E[R R^T / <b, R>^2] under sum_i b_i = 1, by
+    minimum-norm least squares when it is singular (identical assets, or
+    more assets than outcomes plus one).  A coordinate at zero whose step
+    is negative leaves the face and the system is solved again.  The step
+    length is min(1, t_max), where at t_max the first coordinate reaches
+    zero and leaves the face; it is halved until the objective rises or the
+    Kuhn-Tucker bound falls.  The solver stops once the bound is at most
+    1e-12, when the step length underflows, or after 200 steps; the bound it
+    reached then stays above 1e-12.
 
-    Every accepted step raises the objective, so the trace is strictly
-    increasing.  Returns (b, w) with w the achieved growth rate, plus the
-    objective trace when ``return_trace`` is set.
+    The trace records the objective at the start and after every step that
+    lifts it above the trace's last entry, so it is strictly increasing.  A
+    last step that only lowers the bound can leave w a few ulps below it.
+    Returns (b, w) with w the growth rate at b, plus the trace when
+    ``return_trace`` is set.
     """
     p = check_pmf(pmf, name="pmf")
     r = _check_returns(returns)
@@ -218,48 +167,73 @@ def log_optimal_portfolio(pmf, returns, *, return_trace: bool = False):
     offset = float(pk @ np.log(rk.max(axis=1)))
     rk = _unit_rows(rk)
 
+    def gradient(wealth: np.ndarray) -> np.ndarray:
+        return rk.T @ (pk / wealth)
+
     def objective(wealth: np.ndarray) -> float:
         return float(pk @ np.log(wealth)) + offset
 
-    b = np.full(d, 1.0 / d)
+    g = gradient(rk @ np.full(d, 1.0 / d))
+    face = g >= g.max() - _FACE_SLACK
+    b = np.where(face, 1.0 / d, 0.0)
+    b /= b.sum()
     wealth = rk @ b
-    best = objective(wealth)
-    trace = [best]
-    eta = 1.0
-    polish_below = math.inf
-    for _ in range(_SOLVER_MAX_ITER):
-        grad = rk.T @ (pk / wealth)
-        bound = _kuhn_tucker_bound(grad)
+    g = gradient(wealth)
+    w = objective(wealth)
+    trace = [w]
+    for _ in range(_MAX_STEPS):
+        bound = _kuhn_tucker_bound(g)
         if bound <= _CERT_TOL:
             break
-        if bound <= polish_below:
-            polish_below = _NEWTON_START if bound > _NEWTON_START else -1.0
-            done = _newton_polish(pk, rk, b, grad)
-            if done is not None:
-                val = objective(done[1])
-                if val > best:
-                    b, best = done[0], val
-                    trace.append(best)
-                    break
-        val = -math.inf
-        cand, cand_wealth = b, wealth
-        while eta > 1e-14:
-            cand = b * np.exp(eta * (grad - grad.max()))
+        face |= g >= g[face].max()
+        while True:
+            idx = np.flatnonzero(face)
+            k = idx.size
+            sub = rk[:, idx] * (np.sqrt(pk) / wealth)[:, None]
+            kkt = np.ones((k + 1, k + 1))
+            kkt[:k, :k] = -(sub.T @ sub)
+            kkt[k, k] = 0.0
+            rhs = np.append(-g[idx], 0.0)
+            sol = None
+            # rank H <= outcomes, so a face of more than outcomes + 1 assets
+            # is singular on the simplex's tangent space.
+            if k <= pk.size + 1:
+                try:
+                    sol = np.linalg.solve(kkt, rhs)
+                except np.linalg.LinAlgError:
+                    pass
+            if sol is None or not np.abs(kkt @ sol - rhs).max() <= _RTOL * (1.0 + g.max()):
+                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+            step = sol[:k]
+            down = step < 0
+            falling = idx[down]
+            ratios = b[falling] / -step[down]
+            t_max = ratios.min(initial=math.inf)
+            if t_max > 0:
+                break
+            face[falling[ratios == 0.0]] = False  # at zero and falling
+        t = min(1.0, t_max)
+        while t > 0:
+            cand = b.copy()
+            cand[idx] += t * step
+            if t == t_max:
+                leaving = falling[ratios <= t_max * (1.0 + _RTOL)]
+                cand[leaving] = 0.0
             cand /= cand.sum()
             cand_wealth = rk @ cand
+            cand_g = gradient(cand_wealth)
             val = objective(cand_wealth)
-            if val > best:
+            if val > w or _kuhn_tucker_bound(cand_g) < bound:
                 break
-            eta *= 0.5
-        if val <= best:
+            t *= 0.5
+        else:
             break
-        gain = val - best
-        b, wealth, best = cand, cand_wealth, val
-        trace.append(best)
-        eta = min(eta * 2.0, 1e3)
-        if gain < _SOLVER_TOL:
-            break
-    return (b, best, trace) if return_trace else (b, best)
+        if t == t_max:
+            face[leaving] = False
+        if val > trace[-1]:
+            trace.append(val)
+        b, wealth, g, w = cand, cand_wealth, cand_g, val
+    return (b, w, trace) if return_trace else (b, w)
 
 
 def _side_info_solves(market: MarketModel, condition_on: str | None) -> tuple[float, float]:

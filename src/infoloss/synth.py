@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import DeterministicMap, DiscreteJoint, LossMatrix, apply_map
-from .partition import Dataset
+from .partition import _CHUNK_ROWS, Dataset
 from .portfolio import MarketModel
 
 __all__ = [
@@ -118,13 +118,19 @@ def _draw(cfg: H0Config, theta: float | None, out: np.ndarray | None) -> Dataset
     x2, y, z of one column-major block, and the in-place arithmetic keeps
     the formulas' operand order, so values are bit-identical to the
     fresh-array expressions x1 = z_J + w U and y = z_J (+ theta X2) + noise.
+    J and the theta X2 term go through _CHUNK_ROWS rows at a time, so no
+    temporary grows with n; the generator continues one stream across
+    calls, so drawing J by chunks gives the same values as one call.
     """
     rng = philox(cfg.seed)
     blk = _column_block(cfg.n, SAMPLE_COLUMNS, out)
     x1, x2, y, zj = blk[:, 0], blk[:, 1], blk[:, 2], blk[:, 3]
-    # J lies in [0, k), so "clip" never clips; unlike "raise" it writes
-    # straight into zj instead of through a buffered copy.
-    np.take(cfg.atoms, rng.integers(0, cfg.k, size=cfg.n), out=zj, mode="clip")
+    chunks = [slice(lo, lo + _CHUNK_ROWS) for lo in range(0, cfg.n, _CHUNK_ROWS)]
+    for rows in chunks:
+        # J lies in [0, k), so "clip" never clips; unlike "raise" it writes
+        # straight into zj instead of through a buffered copy.
+        atoms = zj[rows]
+        np.take(cfg.atoms, rng.integers(0, cfg.k, size=atoms.size), out=atoms, mode="clip")
     rng.random(out=x1)
     rng.random(out=x2)
     rng.random(out=y)
@@ -134,9 +140,11 @@ def _draw(cfg: H0Config, theta: float | None, out: np.ndarray | None) -> Dataset
     y -= 1.0
     y *= cfg.noise_scale  # the noise term
     if theta is not None:
-        level = np.multiply(x2, theta)
-        level += zj
-        y += level
+        buf = np.empty(min(cfg.n, _CHUNK_ROWS))
+        for rows in chunks:
+            level = np.multiply(x2[rows], theta, out=buf[: zj[rows].size])
+            level += zj[rows]
+            y[rows] += level
     else:
         y += zj
     # Finite parameters keep x and z inside [0, 1]; only y can overflow.

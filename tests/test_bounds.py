@@ -305,6 +305,21 @@ class TestQuantizerSequence:
             with pytest.raises(ValueError, match="positions: non-finite entries"):
                 quantizer_sequence_bound(joint, [0.0, bad], [1.0, 0.5], zero_one_loss(2))
 
+    def test_cells_beyond_int64_stay_apart(self):
+        # pos / w is about 1e20 and 2e20, past the int64 range: the cells
+        # still separate the atoms, so nothing is lost.
+        [report] = quantizer_sequence_bound(
+            np.diag([0.5, 0.5]), [1e10, 2e10], [1e-10], zero_one_loss(2)
+        )
+        assert report.delta_I == 0.0
+        assert report.excess == 0.0
+
+    def test_rejects_overflowing_width(self):
+        with pytest.raises(ValueError, match="width 1e-300: positions / width overflows"):
+            quantizer_sequence_bound(
+                np.diag([0.5, 0.5]), [0.0, 1e10], [1.0, 1e-300], zero_one_loss(2)
+            )
+
 
 class TestProfileValidation:
     def test_rejects_negative_sigma(self):

@@ -120,7 +120,7 @@ class TestOutputFormats:
     def test_csv_header_and_shape(self):
         res = run_plan(small_plan(), threads=1)
         lines = res.to_csv().splitlines()
-        assert lines[0] == ",".join(CSV_COLUMNS)
+        assert lines[0] == ",".join(CSV_COLUMNS.values())
         assert lines[0] == "n,rejection_rate,mean_Ln,mean_tn,type1_bound"
         assert len(lines) == 1 + len(res.rows)
         first = lines[1].split(",")

@@ -64,6 +64,22 @@ def duplicate_asset_market():
     return MarketModel(returns=returns, joint=apply_map(j, tmap), tmap=tmap)
 
 
+def wide_market_laws(seed, count, duplicate=False):
+    """(pmf, returns) pairs: 2-20 assets, 2-30 outcomes, R = exp(U(-5, 5)).
+
+    With ``duplicate`` the last asset copies another one's returns.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d, m = int(rng.integers(2, 21)), int(rng.integers(2, 31))
+        p = rng.random(m) + 0.01
+        p /= p.sum()
+        returns = np.exp(rng.uniform(-5.0, 5.0, (m, d)))
+        if duplicate:
+            returns[:, -1] = returns[:, int(rng.integers(0, d - 1))]
+        yield p, returns
+
+
 def record_solves(monkeypatch):
     """Spy on the solver: a list that fills with (pmf, returns, b) per solve."""
     solves = []
@@ -244,10 +260,10 @@ class TestCertifiedError:
         assert report.w_star_z_err <= 1e-12
 
     def test_fallback_reports_bound_reached(self, monkeypatch):
-        # With the Newton stage failing, the ascent runs on and stops
-        # uncertified; the report carries the bound the solver's b reached,
-        # which still covers the grid oracle's optimum.
-        monkeypatch.setattr(infoloss.portfolio, "_newton_polish", lambda *args: None)
+        # Capped at one Newton step, the solver stops uncertified; the report
+        # carries the bound the solver's b reached, which still covers the
+        # grid oracle's optimum.
+        monkeypatch.setattr(infoloss.portfolio, "_MAX_STEPS", 1)
         solves = record_solves(monkeypatch)
         report = growth_gap_bound(duplicate_asset_market())
         p, returns, b = solves[0]
@@ -256,6 +272,22 @@ class TestCertifiedError:
         assert report.w_star_err == pytest.approx(reached, rel=1e-9)
         _, w_grid = grid_growth_oracle(p, returns)
         assert w_grid - report.w_star <= report.w_star_err + 1e-12
+
+    @pytest.mark.parametrize(
+        "seed, duplicate",
+        # The first 50 markets of each sweep include ones the earlier
+        # exponentiated-gradient solver left uncertified: 2 wide markets
+        # (bounds up to 6.8e-4) and 6 with a duplicated asset (up to 2.1e-4).
+        [(123, False), (7, True)],
+        ids=["wide", "duplicated"],
+    )
+    def test_wide_markets_certify(self, seed, duplicate):
+        for p, returns in wide_market_laws(seed, 50, duplicate):
+            b, w, trace = log_optimal_portfolio(p, returns, return_trace=True)
+            assert kuhn_tucker_bound(p, returns, b) <= 1e-12
+            assert all(y > x for x, y in zip(trace, trace[1:]))
+            # A last step that only lowers the bound may lower w by rounding.
+            assert 0.0 <= trace[-1] - w <= 4 * np.spacing(abs(w))
 
     def test_inflated_rate_raises(self, monkeypatch):
         solves = infoloss.portfolio._side_info_solves
