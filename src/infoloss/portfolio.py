@@ -44,9 +44,8 @@ __all__ = [
 
 # The solver starts on the face {i : g_i >= max g - _FACE_SLACK} of the
 # uniform portfolio and takes at most _MAX_STEPS Newton steps; it stops once
-# the certified bound is at most _CERT_TOL.  A KKT solve whose residual
-# exceeds _RTOL (1 + max g) counts as singular, and coordinates whose
-# ratio-test step lengths agree to _RTOL reach zero together.
+# the certified bound is at most _CERT_TOL.  Coordinates whose ratio-test
+# step lengths agree to _RTOL reach zero together.
 _CERT_TOL = 1e-12
 _FACE_SLACK = 1e-3
 _MAX_STEPS = 200
@@ -134,19 +133,22 @@ def log_optimal_portfolio(pmf, returns, *, return_trace: bool = False):
     portfolio restricted to the face {i : g_i >= max g - 1e-3} and
     renormalized.  Each step adds to the face every coordinate whose g_i
     reaches the face's largest, and solves the KKT system [H 1; 1^T 0] of
-    the face's Hessian H = -E[R R^T / <b, R>^2] under sum_i b_i = 1, by
-    minimum-norm least squares when it is singular (identical assets, or
-    more assets than outcomes plus one).  A coordinate at zero whose step
-    is negative leaves the face and the system is solved again.  The step
-    length is min(1, t_max), where at t_max the first coordinate reaches
-    zero and leaves the face; it is halved until the objective rises or the
-    Kuhn-Tucker bound falls.  The solver stops once the bound is at most
-    1e-12, when the step length underflows, or after 200 steps; the bound it
+    the face's Hessian H = -E[R R^T / <b, R>^2] under sum_i b_i = 1 by
+    minimum-norm least squares, which also gives a step when the system is
+    singular (identical assets, or more assets than outcomes plus one).  A
+    coordinate at zero whose step is negative leaves the face and the system
+    is solved again.  The step length is min(1, t_max), where at t_max the
+    first coordinate reaches zero and leaves the face; it is halved until
+    the objective rises or the Kuhn-Tucker bound reaches 1e-12, and given up
+    once the step no longer moves b.  The solver stops once the bound is at
+    most 1e-12, when a step is given up, or after 200 steps; the bound it
     reached then stays above 1e-12.
 
     The trace records the objective at the start and after every step that
-    lifts it above the trace's last entry, so it is strictly increasing.  A
-    last step that only lowers the bound can leave w a few ulps below it.
+    raises it, so it is strictly increasing.  Only a last step, one that
+    brings the bound to 1e-12, may leave the objective where it was or lower
+    it, by at most that bound; the trace does not count it.
+
     Returns (b, w) with w the growth rate at b, plus the trace when
     ``return_trace`` is set.
     """
@@ -194,17 +196,7 @@ def log_optimal_portfolio(pmf, returns, *, return_trace: bool = False):
             kkt[:k, :k] = -(sub.T @ sub)
             kkt[k, k] = 0.0
             rhs = np.append(-g[idx], 0.0)
-            sol = None
-            # rank H <= outcomes, so a face of more than outcomes + 1 assets
-            # is singular on the simplex's tangent space.
-            if k <= pk.size + 1:
-                try:
-                    sol = np.linalg.solve(kkt, rhs)
-                except np.linalg.LinAlgError:
-                    pass
-            if sol is None or not np.abs(kkt @ sol - rhs).max() <= _RTOL * (1.0 + g.max()):
-                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-            step = sol[:k]
+            step = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
             down = step < 0
             falling = idx[down]
             ratios = b[falling] / -step[down]
@@ -213,6 +205,7 @@ def log_optimal_portfolio(pmf, returns, *, return_trace: bool = False):
                 break
             face[falling[ratios == 0.0]] = False  # at zero and falling
         t = min(1.0, t_max)
+        reach = np.abs(step).max()
         while t > 0:
             cand = b.copy()
             cand[idx] += t * step
@@ -223,14 +216,15 @@ def log_optimal_portfolio(pmf, returns, *, return_trace: bool = False):
             cand_wealth = rk @ cand
             cand_g = gradient(cand_wealth)
             val = objective(cand_wealth)
-            if val > w or _kuhn_tucker_bound(cand_g) < bound:
+            if val > w or _kuhn_tucker_bound(cand_g) <= _CERT_TOL:
                 break
-            t *= 0.5
+            # Halve until t * step no longer moves b.
+            t = 0.5 * t if t * reach > np.spacing(b.max()) else 0.0
         else:
             break
         if t == t_max:
             face[leaving] = False
-        if val > trace[-1]:
+        if val > w:
             trace.append(val)
         b, wealth, g, w = cand, cand_wealth, cand_g, val
     return (b, w, trace) if return_trace else (b, w)

@@ -273,6 +273,35 @@ class TestCertifiedError:
         _, w_grid = grid_growth_oracle(p, returns)
         assert w_grid - report.w_star <= report.w_star_err + 1e-12
 
+    def test_stalled_step_gives_up_early(self, monkeypatch):
+        # With one asset a copy of another times 1 + 1e-10 noise, a Newton
+        # step often finds no length that raises the objective.  The line
+        # search gives up once the step no longer moves b, after a few dozen
+        # candidates (halving until t underflowed took over 1000), and an
+        # uncertified stop keeps the best objective reached: accepting steps
+        # that only lowered the bound left w an ulp below it on 9 of these.
+        bound = infoloss.portfolio._kuhn_tucker_bound
+        calls = []
+
+        def spy(g):
+            calls.append(None)
+            return bound(g)
+
+        monkeypatch.setattr(infoloss.portfolio, "_kuhn_tucker_bound", spy)
+        rng = np.random.default_rng(2)
+        for _ in range(400):
+            d, m = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+            p = rng.random(m) + 0.01
+            p /= p.sum()
+            returns = np.exp(rng.uniform(-3.0, 3.0, (m, d)))
+            twin = returns[:, int(rng.integers(0, d - 1))]
+            returns[:, -1] = twin * (1.0 + 1e-10 * rng.standard_normal(m))
+            calls.clear()
+            b, w, trace = log_optimal_portfolio(p, returns, return_trace=True)
+            assert len(calls) <= 100
+            if kuhn_tucker_bound(p, returns, b) > 1e-12:
+                assert w == trace[-1]
+
     @pytest.mark.parametrize(
         "seed, duplicate",
         # The first 50 markets of each sweep include ones the earlier
