@@ -80,9 +80,15 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    n_grid = []
+    for tok in args.n_grid.split(","):
+        try:
+            n_grid.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--n-grid: {tok!r} is not an integer") from None
     plan = ExperimentPlan(
         scenario=args.scenario,
-        n_grid=tuple(int(tok) for tok in args.n_grid.split(",")),
+        n_grid=tuple(n_grid),
         reps=args.reps,
         cfg=_test_config(args),
         base_seed=args.seed,
@@ -176,7 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: all cores)")
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads (default: all cores); each holds about 34 bytes "
+                        "per row of the sample size being run")
     p.add_argument("--min-n", type=int, default=1000, help="burn-in below which rates are informational")
     p.add_argument("--output", required=True, help="output path stem for .csv and .json")
     _add_test_flags(p)

@@ -9,7 +9,6 @@ replicate order, so results are identical whatever the worker count.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -17,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .partition import TestConfig, run_test
-from .synth import SAMPLE_COLUMNS, H0Config, H1Config, gen_h0, gen_h1
+from .synth import H0Config, H1Config, gen_h0, gen_h1
 
 __all__ = ["ExperimentPlan", "MCResult", "MCRow", "run_plan"]
 
@@ -110,15 +109,13 @@ class MCResult:
         }
 
 
-def _replicate(plan: ExperimentPlan, n: int, rep: int, local: threading.local):
-    """One replicate, drawn into its worker's reusable block."""
-    if not hasattr(local, "block"):
-        local.block = np.empty((n, SAMPLE_COLUMNS), order="F")
+def _replicate(plan: ExperimentPlan, n: int, rep: int):
+    """One replicate on a fresh sample: (L_n, t_n, reject, type1_bound)."""
     seed = plan.base_seed + rep
     if plan.scenario == "h0":
-        data = gen_h0(H0Config(n=n, seed=seed), out=local.block)
+        data = gen_h0(H0Config(n=n, seed=seed))
     else:
-        data = gen_h1(H1Config(n=n, seed=seed, theta=plan.theta), out=local.block)
+        data = gen_h1(H1Config(n=n, seed=seed, theta=plan.theta))
     outcome = run_test(data, plan.cfg)
     return outcome.L_n, outcome.t_n, outcome.reject, outcome.type1_bound
 
@@ -126,33 +123,33 @@ def _replicate(plan: ExperimentPlan, n: int, rep: int, local: threading.local):
 def run_plan(plan: ExperimentPlan, threads: int | None = None) -> MCResult:
     """Execute a plan; results are independent of the thread count.
 
-    Each worker draws its replicates of one n into one block of (n, 4)
-    floats, allocated on its first replicate of that n and dropped when
-    that n's pool closes: 32 bytes per row per worker.
+    Each worker draws one fresh sample per replicate and holds about 34
+    bytes per row of the n it is running: the (n, 4) float64 sample plus
+    chunked binning buffers.  The default is one worker per core, so pick
+    ``threads`` for the largest n: w workers need about 34 w n bytes.
     """
     workers = threads if threads is not None else (os.cpu_count() or 1)
     if workers < 1:
         raise ValueError(f"threads must be >= 1, got {workers}")
     rows = []
-    for n in plan.n_grid:
-        start = time.perf_counter()
-        local = threading.local()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda r: _replicate(plan, n, r, local), range(plan.reps)))
-        elapsed = time.perf_counter() - start
-        l_vals = np.array([res[0] for res in results])
-        t_vals = np.array([res[1] for res in results])
-        rejects = np.array([res[2] for res in results])
-        rows.append(
-            MCRow(
-                n=n,
-                rejection_rate=float(rejects.mean()),
-                mean_L_n=float(l_vals.mean()),
-                median_L_n=float(np.median(l_vals)),
-                mean_t_n=float(t_vals.mean()),
-                type1_bound=float(results[0][3]),
-                wall_time=elapsed,
-                below_burn_in=bool(n < plan.min_n),
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for n in plan.n_grid:
+            start = time.perf_counter()
+            results = list(pool.map(lambda r: _replicate(plan, n, r), range(plan.reps)))
+            elapsed = time.perf_counter() - start
+            l_vals = np.array([res[0] for res in results])
+            t_vals = np.array([res[1] for res in results])
+            rejects = np.array([res[2] for res in results])
+            rows.append(
+                MCRow(
+                    n=n,
+                    rejection_rate=float(rejects.mean()),
+                    mean_L_n=float(l_vals.mean()),
+                    median_L_n=float(np.median(l_vals)),
+                    mean_t_n=float(t_vals.mean()),
+                    type1_bound=float(results[0][3]),
+                    wall_time=elapsed,
+                    below_burn_in=bool(n < plan.min_n),
+                )
             )
-        )
     return MCResult(plan=plan, rows=tuple(rows))

@@ -110,9 +110,7 @@ class Dataset:
         Either way the shapes agree and every value is finite: a generator's
         x and z are affine images of uniforms with finite, checked
         parameters, so they lie in [0, 1], and it checks the one column that
-        can overflow, y, itself.  The arrays are made read-only in place;
-        when they are views of a caller's buffer, the buffer itself stays
-        writable.
+        can overflow, y, itself.  The arrays are made read-only in place.
         """
         data = object.__new__(cls)
         for name, arr in (("x", x), ("y", y), ("z", z)):

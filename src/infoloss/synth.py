@@ -45,27 +45,6 @@ def philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-# Columns of a generated sample's block: x1, x2, y, z (d = 2, d' = 1).
-SAMPLE_COLUMNS = 4
-
-
-def _column_block(n: int, width: int, out: np.ndarray | None) -> np.ndarray:
-    """A column-major float64 (n, width) block: fresh, or ``out`` once checked."""
-    if out is None:
-        return np.empty((n, width), order="F")
-    if not isinstance(out, np.ndarray):
-        raise TypeError(f"buffer must be a numpy array, got {type(out).__name__}")
-    if out.shape != (n, width):
-        raise ValueError(f"buffer must have shape {(n, width)}, got {out.shape}")
-    if out.dtype != np.float64:
-        raise ValueError(f"buffer must have dtype float64, got {out.dtype}")
-    if not out.flags.f_contiguous:
-        raise ValueError("buffer must be column-major (F-contiguous)")
-    if not out.flags.writeable:
-        raise ValueError("buffer is read-only")
-    return out
-
-
 @dataclass(frozen=True)
 class H0Config:
     """Null-scenario parameters: Y independent of X given the atom Z.
@@ -111,19 +90,20 @@ class H1Config(H0Config):
             raise ValueError(f"theta must be finite and nonzero (0 is the null), got {self.theta}")
 
 
-def _draw(cfg: H0Config, theta: float | None, out: np.ndarray | None) -> Dataset:
+def _draw(cfg: H0Config, theta: float | None) -> Dataset:
     """Null (``theta`` None) or alternative sample, built in place.
 
     Draws come in the order J, X1, X2, noise, straight into the columns x1,
-    x2, y, z of one column-major block, and the in-place arithmetic keeps
-    the formulas' operand order, so values are bit-identical to the
-    fresh-array expressions x1 = z_J + w U and y = z_J (+ theta X2) + noise.
+    x2, y, z of one fresh column-major (n, 4) block, and the in-place
+    arithmetic keeps the formulas' operand order, so values are
+    bit-identical to the fresh-array expressions x1 = z_J + w U and
+    y = z_J (+ theta X2) + noise.
     J and the theta X2 term go through _CHUNK_ROWS rows at a time, so no
     temporary grows with n; the generator continues one stream across
     calls, so drawing J by chunks gives the same values as one call.
     """
     rng = philox(cfg.seed)
-    blk = _column_block(cfg.n, SAMPLE_COLUMNS, out)
+    blk = np.empty((cfg.n, 4), order="F")
     x1, x2, y, zj = blk[:, 0], blk[:, 1], blk[:, 2], blk[:, 3]
     chunks = [slice(lo, lo + _CHUNK_ROWS) for lo in range(0, cfg.n, _CHUNK_ROWS)]
     for rows in chunks:
@@ -153,25 +133,14 @@ def _draw(cfg: H0Config, theta: float | None, out: np.ndarray | None) -> Dataset
     return Dataset._owned(blk[:, :2], y, blk[:, 3:])
 
 
-def gen_h0(cfg: H0Config, out: np.ndarray | None = None) -> Dataset:
-    """Sample the null scenario: d = 2, d' = 1, Y indep of X given Z.
-
-    The sample is drawn into one column-major float64 (n, 4) block with
-    columns x1, x2, y, z: a fresh one, or ``out`` when given.  With ``out``
-    the returned ``Dataset`` aliases it and stays valid only until the next
-    write into ``out``.
-    """
-    return _draw(cfg, None, out)
+def gen_h0(cfg: H0Config) -> Dataset:
+    """Sample the null scenario: d = 2, d' = 1, Y indep of X given Z."""
+    return _draw(cfg, None)
 
 
-def gen_h1(cfg: H1Config, out: np.ndarray | None = None) -> Dataset:
-    """Sample the alternative: Y leans on X2, which T(x) = atom(x1) discards.
-
-    Same block layout and ``out`` contract as ``gen_h0``: with ``out`` the
-    returned ``Dataset`` aliases it and stays valid only until the next
-    write into ``out``.
-    """
-    return _draw(cfg, cfg.theta, out)
+def gen_h1(cfg: H1Config) -> Dataset:
+    """Sample the alternative: Y leans on X2, which T(x) = atom(x1) discards."""
+    return _draw(cfg, cfg.theta)
 
 
 def _surjective_map(rng: np.random.Generator, nx: int, nz: int) -> DeterministicMap:

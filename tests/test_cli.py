@@ -231,6 +231,14 @@ class TestMcCommand:
                      "--h", "0.25", "--output", str(tmp_path / "out")])
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize("grid, token", [("1000,", "''"), ("1e3", "'1e3'")])
+    def test_non_integer_grid_names_flag(self, tmp_path, capsys, grid, token):
+        code = main(["mc", "--n-grid", grid, "--reps", "2",
+                     "--output", str(tmp_path / "out")])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: --n-grid: {token} is not an integer\n"
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_non_positive_threads_exit_one(self, tmp_path, capsys, threads):
         code = main(["mc", "--n-grid", "200", "--reps", "2", "--h", "0.25",

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,9 +80,10 @@ class TestRunPlan:
         )
 
     def test_threaded_mean_equals_direct_replicates_exactly(self):
-        # Workers drawing into their own reused blocks give each replicate's
-        # L_n bit for bit, so the aggregates are exactly equal.  Five workers
-        # on a short switch interval would expose blocks shared across threads.
+        # Each replicate draws its own fresh sample, so the workers give each
+        # replicate's L_n bit for bit and the aggregates are exactly equal.
+        # Five workers on a short switch interval would expose a sample shared
+        # across threads.
         plan = small_plan(n_grid=(300, 20_000), reps=10, base_seed=17, cfg=TestConfig())
         direct = {
             n: [run_test(gen_h0(H0Config(n=n, seed=17 + r)), plan.cfg).L_n for r in range(10)]
@@ -97,6 +99,24 @@ class TestRunPlan:
             for row in res.rows:
                 assert row.mean_L_n == np.mean(direct[row.n])
                 assert row.median_L_n == np.median(direct[row.n])
+
+    @pytest.mark.parametrize("scenario", ["h0", "h1"])
+    def test_one_worker_holds_one_sample(self, scenario):
+        # README states about 34 B/row per worker: the fresh (n, 4) float64
+        # sample of the running replicate (32 B/row) plus chunked binning.
+        # A freed replicate still held while the next one draws would read
+        # 64 B/row or more.
+        n = 1_000_000
+        plan = small_plan(scenario=scenario, n_grid=(n,), reps=3, cfg=TestConfig())
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            run_plan(plan, threads=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * n, f"peak {peak / n:.1f} B/row"
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_non_positive_threads_rejected(self, threads):

@@ -162,45 +162,6 @@ class TestLayout:
             np.testing.assert_array_equal(arr, old)
 
 
-def read_only_block(n):
-    buf = np.empty((n, 4), order="F")
-    buf.flags.writeable = False
-    return buf
-
-
-class TestBuffers:
-    """``gen_h0``/``gen_h1(out=)`` draw into a caller's block."""
-
-    # (buffer for n = 50 rows and 4 columns, the error it must raise)
-    BAD = {
-        "width": (lambda n: np.empty((n, 3), order="F"),
-                  r"^buffer must have shape \(50, 4\), got \(50, 3\)$"),
-        "rows": (lambda n: np.empty((n + 1, 4), order="F"),
-                 r"^buffer must have shape \(50, 4\), got \(51, 4\)$"),
-        "dtype": (lambda n: np.empty((n, 4), dtype=np.float32, order="F"),
-                  r"^buffer must have dtype float64, got float32$"),
-        "c-order": (lambda n: np.empty((n, 4)), r"^buffer must be column-major \(F-contiguous\)$"),
-        "strided": (lambda n: np.empty((n, 8), order="F")[:, ::2],
-                    r"^buffer must be column-major \(F-contiguous\)$"),
-        "read-only": (read_only_block, r"^buffer is read-only$"),
-    }
-
-    @pytest.fixture(params=sorted(BAD))
-    def bad(self, request):
-        make, match = self.BAD[request.param]
-        return make(50), match
-
-    @pytest.mark.parametrize("gen, cfg", [(gen_h0, H0Config), (gen_h1, H1Config)])
-    def test_bad_generator_buffer(self, bad, gen, cfg):
-        buf, match = bad
-        with pytest.raises(ValueError, match=match):
-            gen(cfg(n=50, seed=0), out=buf)
-
-    def test_non_array_buffer(self):
-        with pytest.raises(TypeError, match="^buffer must be a numpy array, got list$"):
-            gen_h0(H0Config(n=2, seed=0), out=[[0.0] * 4] * 2)
-
-
 class TestBandwidthSchedule:
     def test_power_law_value(self):
         # n = 1024, delta = 0.2: 1024^(-0.2) = 2^(-2) = 0.25.
