@@ -183,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: all cores); each holds about 34 bytes "
-                        "per row of the sample size being run")
+                   help="worker threads (default: the cores this process may run on); "
+                        "each holds about 34 bytes per row of the sample size being run")
     p.add_argument("--min-n", type=int, default=1000, help="burn-in below which rates are informational")
     p.add_argument("--output", required=True, help="output path stem for .csv and .json")
     _add_test_flags(p)

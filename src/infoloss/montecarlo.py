@@ -120,15 +120,24 @@ def _replicate(plan: ExperimentPlan, n: int, rep: int):
     return outcome.L_n, outcome.t_n, outcome.reject, outcome.type1_bound
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_plan(plan: ExperimentPlan, threads: int | None = None) -> MCResult:
     """Execute a plan; results are independent of the thread count.
 
     Each worker draws one fresh sample per replicate and holds about 34
     bytes per row of the n it is running: the (n, 4) float64 sample plus
-    chunked binning buffers.  The default is one worker per core, so pick
+    chunked binning buffers.  The default is one worker per core this
+    process may run on (its CPU affinity, else ``os.cpu_count()``), so pick
     ``threads`` for the largest n: w workers need about 34 w n bytes.
     """
-    workers = threads if threads is not None else (os.cpu_count() or 1)
+    workers = threads if threads is not None else _usable_cores()
     if workers < 1:
         raise ValueError(f"threads must be >= 1, got {workers}")
     rows = []

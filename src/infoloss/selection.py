@@ -10,6 +10,10 @@ restriction of the X-partition.
 This is an explicit heuristic: the test guarantees each accepted subset is
 consistent with conditional independence at the current sample size, not
 that the subset is minimal.
+
+Each subset is tested once: the winning candidate's outcome is the next
+round's test of the grown subset, since its probe has the same columns in
+the same order and the same per-step schedule.
 """
 
 from __future__ import annotations
@@ -89,8 +93,8 @@ def greedy_lossless_selection(data: Dataset, cfg: TestConfig = TestConfig()) -> 
     """
     selected: list[int] = []
     steps: list[SelectionStep] = []
+    outcome = _run_subset(data, selected, cfg)
     while True:
-        outcome = _run_subset(data, selected, cfg)
         remaining = [j for j in range(data.d) if j not in selected]
         if not outcome.reject or not remaining:
             steps.append(
@@ -101,9 +105,8 @@ def greedy_lossless_selection(data: Dataset, cfg: TestConfig = TestConfig()) -> 
             return SelectionResult(
                 selected=tuple(selected), accepted=not outcome.reject, steps=tuple(steps)
             )
-        scores = {
-            j: _run_subset(data, selected + [j], cfg).L_n for j in remaining
-        }
+        outcomes = {j: _run_subset(data, selected + [j], cfg) for j in remaining}
+        scores = {j: o.L_n for j, o in outcomes.items()}
         best = min(scores, key=lambda j: (scores[j], j))
         steps.append(
             SelectionStep(
@@ -114,3 +117,4 @@ def greedy_lossless_selection(data: Dataset, cfg: TestConfig = TestConfig()) -> 
             )
         )
         selected.append(best)
+        outcome = outcomes[best]

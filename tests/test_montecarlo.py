@@ -1,7 +1,9 @@
 """Tests for the Monte Carlo harness."""
 
+import os
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from infoloss import (
     run_plan,
     run_test,
 )
+import infoloss.montecarlo
 from infoloss.montecarlo import CSV_COLUMNS
 
 
@@ -122,6 +125,26 @@ class TestRunPlan:
     def test_non_positive_threads_rejected(self, threads):
         with pytest.raises(ValueError, match=rf"^threads must be >= 1, got {threads}$"):
             run_plan(small_plan(), threads=threads)
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch, affinity):
+        # The default is the cores this process may run on, not the host's;
+        # without sched_getaffinity it falls back to os.cpu_count().
+        workers = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kw):
+                workers.append(max_workers)
+                super().__init__(max_workers=max_workers, **kw)
+
+        monkeypatch.setattr(infoloss.montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        run_plan(small_plan(n_grid=(200,), reps=2))
+        assert workers == [3 if affinity else 64]
 
     def test_h0_low_rejection_rate(self):
         plan = small_plan(n_grid=(2000,), reps=20, min_n=1000)

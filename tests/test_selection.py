@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import infoloss.selection
-from infoloss import Dataset, TestConfig, greedy_lossless_selection
+from infoloss import Dataset, TestConfig, greedy_lossless_selection, run_test
+from infoloss.partition import TestOutcome
 
 from conftest import always_reject
 
@@ -78,6 +79,48 @@ class TestExhaustedCandidates:
         assert len(res.steps) == 3
         assert [s.added for s in res.steps] == [0, 1, None]
         assert res.steps[-1].candidate_scores == {}
+
+
+class TestEachSubsetTestedOnce:
+    def test_winning_candidate_outcome_is_not_retested(self, rng, monkeypatch):
+        # The stub names each probe's subset by matching its z columns to x,
+        # and rejects until Z holds both coordinates of `target`; a subset
+        # scores lower the more of `target` it holds.
+        x = rng.random((50, 3))
+        data = Dataset(x=x, y=rng.random(50), z=np.zeros((50, 1)))
+        target = {0, 2}
+        tested = []
+
+        def recording_test(probe, cfg):
+            subset = tuple(
+                next(j for j in range(3) if np.array_equal(probe.z[:, k], x[:, j]))
+                for k in range(probe.d_prime)
+            )
+            tested.append(subset)
+            hits = len(target & set(subset))
+            return TestOutcome(L_n=1.0 - 0.25 * hits, t_n=0.5, m=1, m_prime=1, m_dprime=1,
+                               h=1.0, reject=hits < len(target), type1_bound=1.0)
+
+        monkeypatch.setattr(infoloss.selection, "run_test", recording_test)
+        res = greedy_lossless_selection(data)
+        assert len(tested) == len(set(tested))
+        assert tested == [(), (0,), (1,), (2,), (0, 1), (0, 2)]
+        assert res.accepted
+        assert res.selected == (0, 2)
+        assert [s.subset for s in res.steps] == [(), (0,), (0, 2)]
+        assert [s.outcome.L_n for s in res.steps] == [1.0, 0.75, 0.5]
+
+    def test_step_outcomes_equal_a_fresh_test(self, rng):
+        # Every step's outcome, the second one reused from the first round's
+        # candidates, is the outcome of testing that step's subset afresh.
+        data = selection_data(rng, 100_000, "x1")
+        cfg = TestConfig(c1=1.5, h=0.1)
+        res = greedy_lossless_selection(data, cfg)
+        assert [s.subset for s in res.steps] == [(), (0,)]
+        for step in res.steps:
+            z = data.x[:, list(step.subset)] if step.subset else np.empty((data.n, 0))
+            probe = Dataset._owned(data.x, data.y, z)
+            assert step.outcome == run_test(probe, cfg)
 
 
 class TestScheduleClamp:
