@@ -8,8 +8,8 @@ Subcommands:
   gen        write a synthetic sample CSV plus a config echo JSON
   select     greedy forward feature selection on a CSV sample
 
-Exit codes: 0 success (test/select: independence accepted), 3 test rejected,
-1 any error, 2 bad arguments.
+Exit codes: 0 success (test: independence accepted; select: always, with
+the outcome in its JSON), 3 test rejected, 1 any error, 2 bad arguments.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .bounds import bound_bounded_loss
 from .montecarlo import ExperimentPlan, run_plan
-from .partition import TestConfig, run_test
+from .partition import L_MAX, TestConfig, run_test
 from .portfolio import growth_gap_bound
 from .selection import greedy_lossless_selection
 from .serialize import (
@@ -93,7 +93,6 @@ def _cmd_mc(args) -> int:
         cfg=_test_config(args),
         base_seed=args.seed,
         theta=args.theta,
-        min_n=args.min_n,
     )
     result = run_plan(plan, threads=args.threads)
     out = Path(args.output)
@@ -158,6 +157,11 @@ def _cmd_select(args) -> int:
     _emit_json(result.to_dict(), args.output)
     if not result.accepted:
         print("warning: no subset accepted; returning the full set", file=sys.stderr)
+    elif result.steps[-1].outcome.vacuous:
+        outcome = result.steps[-1].outcome
+        print(f"warning: t_n = {outcome.t_n:.4g} >= {L_MAX:g} at n = {data.n}, "
+              f"h = {outcome.h:g}, so the test cannot reject and the acceptance is "
+              "no evidence of sufficiency", file=sys.stderr)
     return EXIT_OK
 
 
@@ -185,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads (default: the cores this process may run on); "
                         "each holds about 34 bytes per row of the sample size being run")
-    p.add_argument("--min-n", type=int, default=1000, help="burn-in below which rates are informational")
     p.add_argument("--output", required=True, help="output path stem for .csv and .json")
     _add_test_flags(p)
     p.set_defaults(func=_cmd_mc)

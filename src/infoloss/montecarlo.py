@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .partition import TestConfig, run_test
+from .partition import TestConfig, TestOutcome, run_test
 from .synth import H0Config, H1Config, gen_h0, gen_h1
 
 __all__ = ["ExperimentPlan", "MCResult", "MCRow", "run_plan"]
@@ -44,7 +44,6 @@ class ExperimentPlan:
     cfg: TestConfig
     base_seed: int = 0
     theta: float = 0.5
-    min_n: int = 1000
 
     def __post_init__(self) -> None:
         if self.scenario not in ("h0", "h1"):
@@ -63,7 +62,12 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class MCRow:
-    """Aggregates for one sample size."""
+    """Aggregates for one sample size.
+
+    ``vacuous`` marks a size whose threshold t_n is at least ``L_MAX``, so
+    no replicate can reject there.  t_n depends only on n and the test
+    config, so every replicate shares the flag.
+    """
 
     n: int
     rejection_rate: float
@@ -72,7 +76,7 @@ class MCRow:
     mean_t_n: float
     type1_bound: float
     wall_time: float
-    below_burn_in: bool
+    vacuous: bool
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -103,21 +107,19 @@ class MCResult:
                 "h": plan.cfg.h,
                 "base_seed": plan.base_seed,
                 "theta": plan.theta if plan.scenario == "h1" else None,
-                "min_n": plan.min_n,
             },
             "results": [row.to_dict() for row in self.rows],
         }
 
 
-def _replicate(plan: ExperimentPlan, n: int, rep: int):
-    """One replicate on a fresh sample: (L_n, t_n, reject, type1_bound)."""
+def _replicate(plan: ExperimentPlan, n: int, rep: int) -> TestOutcome:
+    """One replicate's test outcome on a fresh sample."""
     seed = plan.base_seed + rep
     if plan.scenario == "h0":
         data = gen_h0(H0Config(n=n, seed=seed))
     else:
         data = gen_h1(H1Config(n=n, seed=seed, theta=plan.theta))
-    outcome = run_test(data, plan.cfg)
-    return outcome.L_n, outcome.t_n, outcome.reject, outcome.type1_bound
+    return run_test(data, plan.cfg)
 
 
 def _usable_cores() -> int:
@@ -146,9 +148,9 @@ def run_plan(plan: ExperimentPlan, threads: int | None = None) -> MCResult:
             start = time.perf_counter()
             results = list(pool.map(lambda r: _replicate(plan, n, r), range(plan.reps)))
             elapsed = time.perf_counter() - start
-            l_vals = np.array([res[0] for res in results])
-            t_vals = np.array([res[1] for res in results])
-            rejects = np.array([res[2] for res in results])
+            l_vals = np.array([res.L_n for res in results])
+            t_vals = np.array([res.t_n for res in results])
+            rejects = np.array([res.reject for res in results])
             rows.append(
                 MCRow(
                     n=n,
@@ -156,9 +158,9 @@ def run_plan(plan: ExperimentPlan, threads: int | None = None) -> MCResult:
                     mean_L_n=float(l_vals.mean()),
                     median_L_n=float(np.median(l_vals)),
                     mean_t_n=float(t_vals.mean()),
-                    type1_bound=float(results[0][3]),
+                    type1_bound=float(results[0].type1_bound),
                     wall_time=elapsed,
-                    below_burn_in=bool(n < plan.min_n),
+                    vacuous=results[0].vacuous,
                 )
             )
     return MCResult(plan=plan, rows=tuple(rows))

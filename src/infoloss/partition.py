@@ -34,6 +34,7 @@ __all__ = [
     "CubicPartition",
     "Dataset",
     "JointHistogram",
+    "L_MAX",
     "TestConfig",
     "TestOutcome",
     "build_histogram",
@@ -284,6 +285,11 @@ def build_histogram(data: Dataset, part: CubicPartition, scaling: tuple) -> Join
     return JointHistogram(data.n, part, a_ids, b_ids, c_ids, counts, *marginals)
 
 
+# Supremum of L_n: every occupied triple has q > 0, so L_n < L_MAX on any
+# sample, and a test whose threshold is at least L_MAX cannot reject.
+L_MAX = 2.0
+
+
 def l_statistic(hist: JointHistogram) -> float:
     """L1 conditional-independence statistic of a binned sample.
 
@@ -293,7 +299,7 @@ def l_statistic(hist: JointHistogram) -> float:
 
         L_n = 1 + sum_occupied( |p - q| - q ).
 
-    Always in [0, 2].
+    Always in [0, L_MAX).
     """
     n = float(hist.n)
     p = hist.counts / n
@@ -359,7 +365,11 @@ class TestConfig:
 
 @dataclass(frozen=True)
 class TestOutcome:
-    """Result of one run of the conditional independence test."""
+    """Result of one run of the conditional independence test.
+
+    ``vacuous`` marks a threshold t_n >= L_MAX: the test accepts whatever
+    the sample, so its acceptance is no evidence of independence.
+    """
 
     __test__ = False  # keep pytest from collecting this as a test class
 
@@ -370,6 +380,7 @@ class TestOutcome:
     m_dprime: int
     h: float
     reject: bool
+    vacuous: bool
     type1_bound: float
 
     def to_dict(self) -> dict:
@@ -392,5 +403,6 @@ def run_test(data: Dataset, cfg: TestConfig = TestConfig()) -> TestOutcome:
         m_dprime=part.m_dprime,
         h=float(h),
         reject=bool(l_n >= t_n),
+        vacuous=t_n >= L_MAX,
         type1_bound=type1_bound(cfg.c1, part.m_dprime),
     )

@@ -42,6 +42,7 @@ class SelectionStep:
             "L_n": float(self.outcome.L_n),
             "t_n": float(self.outcome.t_n),
             "accepted": not bool(self.outcome.reject),
+            "vacuous": bool(self.outcome.vacuous),
             "candidates": {
                 f"x{i + 1}": float(score) for i, score in self.candidate_scores.items()
             },

@@ -42,6 +42,8 @@ __all__ = [
 
 def philox(seed: int) -> np.random.Generator:
     """The package-wide counter-based generator, keyed by a 64-bit seed."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 

@@ -59,8 +59,20 @@ class TestTestCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["reject"] is False
         assert set(out) == {
-            "L_n", "t_n", "m", "m_prime", "m_dprime", "h", "reject", "type1_bound",
+            "L_n", "t_n", "m", "m_prime", "m_dprime", "h", "reject", "vacuous", "type1_bound",
         }
+
+    def test_short_sample_is_vacuous(self, tmp_path, capsys):
+        # With the default schedule t_n = 3.158 at n = 1000, above L_n's
+        # supremum of 2, so the test cannot reject and says so.
+        stem = tmp_path / "short"
+        main(["gen", "--scenario", "h1", "--n", "1000", "--seed", "7", "--output", str(stem)])
+        capsys.readouterr()
+        code = main(["test", "--input", str(stem.with_suffix(".csv"))])
+        assert code == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["t_n"] >= 2.0
+        assert out["vacuous"] is True and out["reject"] is False
 
     def test_dependent_rejects_exit_three(self, tmp_path, rng, capsys):
         csv = tmp_path / "dep.csv"
@@ -188,6 +200,14 @@ class TestGenCommand:
         main(argv + ["--output", str(b)])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_exit_one(self, tmp_path, capsys, seed):
+        code = main(["gen", "--scenario", "h0", "--n", "10", "--seed", seed,
+                     "--output", str(tmp_path / "s")])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
+        assert not (tmp_path / "s.csv").exists()
+
     def test_h1_echo_carries_theta(self, tmp_path, capsys):
         stem = tmp_path / "alt"
         main(["gen", "--scenario", "h1", "--n", "50", "--theta", "0.9",
@@ -209,7 +229,7 @@ class TestMcCommand:
         stem = tmp_path / "mc"
         code = main([
             "mc", "--scenario", "h0", "--n-grid", "200,400", "--reps", "5",
-            "--h", "0.25", "--min-n", "300", "--output", str(stem),
+            "--h", "0.25", "--output", str(stem),
         ])
         assert code == EXIT_OK
         lines = (tmp_path / "mc.csv").read_text().splitlines()
@@ -218,6 +238,25 @@ class TestMcCommand:
         blob = json.loads((tmp_path / "mc.json").read_text())
         assert blob["plan"]["n_grid"] == [200, 400]
         assert len(blob["results"]) == 2
+        assert [row["vacuous"] for row in blob["results"]] == [True, True]
+
+    def test_burn_in_flag_removed_exit_two(self, tmp_path, capsys):
+        # Burn-in follows from the threshold (each row's "vacuous"), so no
+        # cut-off flag exists.
+        with pytest.raises(SystemExit) as exc:
+            main(["mc", "--n-grid", "200", "--reps", "2", "--min-n", "5",
+                  "--output", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --min-n 5" in capsys.readouterr().err
+
+    # The last seed overflows at replicate 1, whose seed is base + 1.
+    @pytest.mark.parametrize("seed, reps, bad", [("-1", 1, -1), (str(2**64 - 1), 2, 2**64)])
+    def test_out_of_range_seed_exit_one(self, tmp_path, capsys, seed, reps, bad):
+        code = main(["mc", "--n-grid", "200", "--reps", str(reps), "--seed", seed,
+                     "--output", str(tmp_path / "out")])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {bad}\n"
+        assert not (tmp_path / "out.csv").exists()
 
     def test_thread_count_does_not_change_csv(self, tmp_path, capsys):
         argv = ["mc", "--scenario", "h1", "--n-grid", "300", "--reps", "6",
@@ -329,10 +368,33 @@ class TestSelectCommand:
         write_dataset_csv(Dataset(x=x, y=y, z=np.zeros((n, 1))), csv)
         code = main(["select", "--input", str(csv), "--h", "0.1"])
         assert code == EXIT_OK
-        result = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        result = json.loads(captured.out)
         assert result["selected"] == ["x1"]
         assert result["accepted"] is True
         assert result["trace"][0]["added"] == "x1"
+        assert result["trace"][-1]["vacuous"] is False
+        assert captured.err == ""
+
+    def test_vacuous_acceptance_warns_exit_zero(self, tmp_path, capsys):
+        # y depends on x2 and x3, but at h = 0.34 the empty subset's t_n is
+        # 4.21 against L_n = 0.835: accepted only because it cannot reject.
+        rng = np.random.default_rng(0)
+        n = 200_000
+        x = rng.random((n, 3))
+        y = x[:, 2] + 0.5 * x[:, 1] + 0.05 * rng.standard_normal(n)
+        csv = tmp_path / "dep.csv"
+        write_dataset_csv(Dataset(x=x, y=y, z=np.zeros((n, 1))), csv)
+        code = main(["select", "--input", str(csv), "--h", "0.34"])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        result = json.loads(captured.out)
+        assert result["selected"] == [] and result["accepted"] is True
+        assert result["trace"][-1]["vacuous"] is True
+        assert captured.err == (
+            "warning: t_n = 4.207 >= 2 at n = 200000, h = 0.34, so the test cannot reject "
+            "and the acceptance is no evidence of sufficiency\n"
+        )
 
     def test_no_accepted_subset_warns_exit_zero(self, tmp_path, rng, capsys, monkeypatch):
         monkeypatch.setattr(infoloss.selection, "run_test", always_reject)
@@ -353,8 +415,8 @@ class TestGoldenOutputs:
     """
 
     @pytest.mark.parametrize("flags, expected", [
-        ((), "db77c2e48772b644c645b93fb0ca8abe1a84cf33b915a84540646cc94a51f4e4"),
-        (("--h", "0.1"), "5d536ad0170f59ed921cbdcc8f440b60460067c4d623685b68093926f2aacf44"),
+        ((), "f34b372a23d33ffa1c18eab8c68e29e0c6c01b41bb0dbee59b0a0d7d714f08e5"),
+        (("--h", "0.1"), "9a33054b19573bfffb28e2e8fa3127d46beddc75b83f9548984dbe237d9ceb4d"),
     ])
     def test_test_stdout(self, h1_csv, capsys, flags, expected):
         capsys.readouterr()
@@ -372,7 +434,7 @@ class TestGoldenOutputs:
         write_dataset_csv(Dataset(x=x, y=y, z=np.zeros((n, 1))), csv)
         main(["select", "--input", str(csv), "--h", "0.1"])
         assert sha256(capsys.readouterr().out) == (
-            "3c4a2d8a79ca2f9ddbe1f6c99ee6551bb609f143de0c14936c169821bfb91a24"
+            "8eef66e279304d277ea17f248d7dd896ab8ae8db0d7f718ec43d7c307945042e"
         )
 
     def test_bounds_stdout(self, tmp_path, capsys):
@@ -396,7 +458,7 @@ class TestGoldenOutputs:
         lines = stem.with_suffix(".json").read_text().splitlines(keepends=True)
         kept = "".join(line for line in lines if '"wall_time":' not in line)
         assert sha256(kept) == (
-            "3bdfe9f61e799c6c90091652c7d1c89c560a24e9e881d7c5b12c5037ef6fcb0d"
+            "aeeef93002f08a38a9ed94e7e179618b8071ca2669b8e209c79d508c473ae79f"
         )
 
 

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harness."""
 
+import dataclasses
 import os
 import sys
 import tracemalloc
@@ -18,6 +19,7 @@ from infoloss import (
 )
 import infoloss.montecarlo
 from infoloss.montecarlo import CSV_COLUMNS
+from infoloss.partition import L_MAX
 
 
 def small_plan(scenario="h0", **kw):
@@ -27,7 +29,6 @@ def small_plan(scenario="h0", **kw):
         reps=8,
         cfg=TestConfig(c1=1.5, h=0.25),
         base_seed=0,
-        min_n=300,
     )
     defaults.update(kw)
     return ExperimentPlan(**defaults)
@@ -147,16 +148,23 @@ class TestRunPlan:
         assert workers == [3 if affinity else 64]
 
     def test_h0_low_rejection_rate(self):
-        plan = small_plan(n_grid=(2000,), reps=20, min_n=1000)
+        # At n = 2000 the threshold exceeds L_MAX, so its rate is 0 by
+        # construction; the 1e5 row is the one whose rate says something.
+        plan = small_plan(n_grid=(2000, 100_000), reps=20, cfg=TestConfig())
         res = run_plan(plan)
-        assert res.rows[0].rejection_rate <= 0.1
-        assert not res.rows[0].below_burn_in
+        assert [row.rejection_rate <= 0.1 for row in res.rows] == [True, True]
+        assert [row.vacuous for row in res.rows] == [True, False]
 
     def test_burn_in_flag(self):
-        plan = small_plan(n_grid=(200, 400), min_n=300)
+        # Burn-in is where the test cannot reject: t_n >= L_MAX.  With the
+        # default schedule t_n is 3.158, 2.617 and 1.838 on the acceptance
+        # grid, so only its largest row can reject.
+        plan = small_plan(scenario="h1", n_grid=(1000, 10_000, 100_000), reps=2,
+                          cfg=TestConfig())
         res = run_plan(plan)
-        assert res.rows[0].below_burn_in
-        assert not res.rows[1].below_burn_in
+        assert [row.vacuous for row in res.rows] == [True, True, False]
+        assert [row.mean_t_n >= L_MAX for row in res.rows] == [True, True, False]
+        assert res.rows[0].rejection_rate == res.rows[1].rejection_rate == 0.0
 
 
 class TestOutputFormats:
@@ -187,6 +195,17 @@ class TestOutputFormats:
         assert {"n", "rejection_rate", "mean_L_n", "median_L_n"} <= set(
             d["results"][0]
         )
+
+    def test_plan_echo_keys_are_plan_fields(self):
+        # The echo lists every ExperimentPlan field, cfg as its own fields,
+        # so a field added to or removed from the plan cannot go unechoed.
+        expected = []
+        for field in dataclasses.fields(ExperimentPlan):
+            if field.name == "cfg":
+                expected += [f.name for f in dataclasses.fields(TestConfig)]
+            else:
+                expected.append(field.name)
+        assert list(run_plan(small_plan(), threads=1).to_dict()["plan"]) == expected
 
     def test_theta_omitted_for_null(self):
         res = run_plan(small_plan(), threads=1)

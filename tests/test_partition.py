@@ -27,6 +27,8 @@ from infoloss import (
     type1_bound,
 )
 
+from infoloss.partition import L_MAX
+
 from conftest import columns, dense_l_statistic, unit_scaled
 
 
@@ -489,7 +491,7 @@ class TestRunTest:
         assert out.reject == (out.L_n >= out.t_n)
         d = out.to_dict()
         assert set(d) == {
-            "L_n", "t_n", "m", "m_prime", "m_dprime", "h", "reject", "type1_bound",
+            "L_n", "t_n", "m", "m_prime", "m_dprime", "h", "reject", "vacuous", "type1_bound",
         }
 
     def test_strong_dependence_rejects_at_moderate_n(self, rng):
@@ -506,6 +508,27 @@ class TestRunTest:
         data = make_dataset(rng, 5000)
         out = run_test(data, TestConfig(c1=1.5, delta=0.2))
         assert not out.reject
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3000),
+        st.sampled_from([0.01, 0.05, 0.1, 0.25, 0.5, 1.0]),
+        st.floats(C1_MIN + 1e-9, 3.0),
+        st.booleans(),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_vacuous_never_rejects(self, n, h, c1, dependent, seed):
+        # L_n < L_MAX on every sample, so t_n >= L_MAX forces acceptance.
+        # y = x on fine cells puts L_n close to L_MAX.
+        rng = np.random.default_rng(seed)
+        x = rng.random(n)
+        y = x if dependent else rng.random(n)
+        data = Dataset(x=x[:, None], y=y, z=np.empty((n, 0)))
+        out = run_test(data, TestConfig(c1=c1, h=h))
+        assert out.vacuous == (out.t_n >= L_MAX)
+        assert out.L_n < L_MAX
+        if out.vacuous:
+            assert not out.reject
 
 
 # L_n.hex() of the default test on seeded samples, recorded before the

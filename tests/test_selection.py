@@ -99,7 +99,8 @@ class TestEachSubsetTestedOnce:
             tested.append(subset)
             hits = len(target & set(subset))
             return TestOutcome(L_n=1.0 - 0.25 * hits, t_n=0.5, m=1, m_prime=1, m_dprime=1,
-                               h=1.0, reject=hits < len(target), type1_bound=1.0)
+                               h=1.0, reject=hits < len(target), vacuous=False,
+                               type1_bound=1.0)
 
         monkeypatch.setattr(infoloss.selection, "run_test", recording_test)
         res = greedy_lossless_selection(data)

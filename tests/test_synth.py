@@ -79,6 +79,20 @@ class TestDeterminism:
         b = philox(123).random(5)
         np.testing.assert_array_equal(a, b)
 
+    def test_philox_seed_range(self):
+        # Seeds are 64-bit keys: the ends are accepted, anything outside is a
+        # ValueError that every generator shares, gen_market through seed + 1.
+        philox(0), philox(2**64 - 1)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+                philox(seed)
+        with pytest.raises(ValueError, match="got -1$"):
+            gen_h0(H0Config(n=10, seed=-1))
+        with pytest.raises(ValueError, match="got -1$"):
+            gen_random_joint((2, 2, 2), -1)
+        with pytest.raises(ValueError, match=f"got {2**64}$"):
+            gen_market(2, 2, 2**64 - 1)
+
     def test_markets_and_joints_deterministic(self):
         m1, m2 = gen_market(3, 4, 11), gen_market(3, 4, 11)
         assert m1.returns.tobytes() == m2.returns.tobytes()
