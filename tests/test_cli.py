@@ -447,6 +447,14 @@ class TestGoldenOutputs:
             "7fdb936d6c66ed0b0afe0eef8061bc150bec9c22af05d6a35ae6267095517b21"
         )
 
+    def test_portfolio_stdout(self, tmp_path, capsys):
+        path = tmp_path / "market.json"
+        save_json(market_to_dict(gen_market(3, 6, 0)), path)
+        main(["portfolio", "--input", str(path)])
+        assert sha256(capsys.readouterr().out) == (
+            "8bc4ce43c07cb1a5cfffa2f33e6aa40d1224388b9dbe17c853f4030c3b88f075"
+        )
+
     def test_mc_files(self, tmp_path, capsys):
         stem = tmp_path / "mc"
         main(["mc", "--scenario", "h1", "--n-grid", "1000,5000", "--reps", "10",

@@ -1,5 +1,6 @@
 """Smoke tests: the example scripts run at a tiny size and print their summaries."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,12 +11,16 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, cwd=None):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=120, cwd=cwd,
     )
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_bounds_sweep(tmp_path):
@@ -38,6 +43,28 @@ def test_portfolio_demo():
     line = next(ln for ln in out.splitlines() if ln.startswith("  max certified error "))
     assert float(line.split()[3]) <= 1e-12
     assert out.rstrip().endswith("certificate violations: 0 (growth_gap_bound raises otherwise)")
+
+
+def test_bounds_sweep_golden(tmp_path):
+    # Default sizes and output path, run from an empty directory: every
+    # certificate value in the CSV and every summary figure is pinned.
+    proc = run_script("run_bounds_sweep.py", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert sha256(proc.stdout) == (
+        "e88f06920a76010d3a8a2db732f68133d83e090d82dc83b71d71e567edef6dc2"
+    )
+    csv_bytes = (tmp_path / "results" / "bounds_sweep.csv").read_bytes()
+    assert hashlib.sha256(csv_bytes).hexdigest() == (
+        "d5b6fe0b275755574d736b628e03c23d692009a1e202f7ee1d48ed2d487fa9f6"
+    )
+
+
+def test_portfolio_demo_golden():
+    proc = run_script("run_portfolio_demo.py")
+    assert proc.returncode == 0, proc.stderr
+    assert sha256(proc.stdout) == (
+        "b516d9a661f399ce0d8be69b26d9cb30d54897d1007055322268fabf4bb7a7db"
+    )
 
 
 def test_bounds_sweep_rejects_empty_sweep(tmp_path):
