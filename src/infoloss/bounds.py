@@ -60,8 +60,11 @@ _HOLDS_TOL = 1e-9
 
 
 def information_gap(joint: DiscreteJoint) -> float:
-    """I(Y; X) - I(Y; Z) for a three-way joint; >= 0 when Z = T(X)."""
-    return mutual_information(joint.p_yx) - mutual_information(joint.p_yz)
+    """I(Y; X) - I(Y; Z) for a three-way joint; >= 0 when Z = T(X).
+
+    Computed once per joint and cached on it.
+    """
+    return joint.information_gap
 
 
 def hoeffding_sigma(range_width: float) -> float:
@@ -87,7 +90,8 @@ class SubgaussianProfile:
         arr = np.asarray(self.sigma_sq, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("sigma_sq must be a nonempty 1-D array")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+        # A NaN or -inf fails the min test and a +inf the max test.
+        if not (arr.min() >= 0 and arr.max() < math.inf):
             raise ValueError("sigma_sq entries must be finite and >= 0")
         arr = arr.copy()
         arr.flags.writeable = False
@@ -224,7 +228,7 @@ def family_lossless_check(
         raise ValueError(
             f"alphabet mismatch: envelope has {g.size} labels, joint has {p_y.size}"
         )
-    if not np.all(g >= 0):
+    if not (g >= 0).all():
         raise ValueError("envelope must be nonnegative")
     second_moment = float(p_y @ (g * g))
     if second_moment > c * c + _HOLDS_TOL:
@@ -261,7 +265,7 @@ def dv_gap_check(joint_uv, table) -> tuple[float, float]:
     h = np.asarray(table, dtype=np.float64)
     if h.shape != j.shape:
         raise ValueError(f"table shape {h.shape} does not match joint shape {j.shape}")
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise ValueError("table: non-finite entries")
     p_u = j.sum(axis=1)
     p_v = j.sum(axis=0)
@@ -297,7 +301,7 @@ def quantizer_sequence_bound(
         raise ValueError(
             f"positions: expected {j.shape[1]} entries, got shape {pos.shape}"
         )
-    if not np.all(np.isfinite(pos)):
+    if not np.isfinite(pos).all():
         raise ValueError("positions: non-finite entries")
     ws = [float(w) for w in widths]
     if not ws:
@@ -310,7 +314,7 @@ def quantizer_sequence_bound(
     for w in ws:
         with np.errstate(over="ignore"):
             scaled = pos / w
-        if not np.all(np.isfinite(scaled)):
+        if not np.isfinite(scaled).all():
             raise ValueError(f"width {w}: positions / width overflows float64")
         _, table = np.unique(np.floor(scaled), return_inverse=True)
         tmap = DeterministicMap(table=table.astype(np.int64), n_z=int(table.max()) + 1)

@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 PMF_ATOL = 1e-12
+# Below this a product of probabilities may have lost its bits to underflow.
+_TINY = np.finfo(np.float64).tiny
 
 
 def check_pmf(p, ndim: int = 1, *, name: str, atol: float = PMF_ATOL) -> np.ndarray:
@@ -50,11 +52,16 @@ def check_pmf(p, ndim: int = 1, *, name: str, atol: float = PMF_ATOL) -> np.ndar
         raise ValueError(f"{name}: expected a {ndim}-D array, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name}: empty alphabet")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: non-finite entries")
-    if np.any(arr < 0):
-        raise ValueError(f"{name}: negative probabilities")
-    total = float(arr.sum())
+    # A NaN or a negative entry fails the min test, and nonnegative entries
+    # with a finite sum are all finite.  The sum is skipped when the min
+    # fails, so a -inf cannot meet a +inf in it; finite entries whose sum
+    # overflows pass both slow checks and fail the sum check.
+    total = float(arr.sum()) if arr.min() >= 0 else math.nan
+    if not math.isfinite(total):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name}: non-finite entries")
+        if (arr < 0).any():
+            raise ValueError(f"{name}: negative probabilities")
     if abs(total - 1.0) > atol:
         raise ValueError(f"{name}: probabilities sum to {total!r}, not 1")
     return arr
@@ -68,29 +75,39 @@ class DiscreteJoint:
 
     def __post_init__(self) -> None:
         arr = check_pmf(self.probs, 3, name="joint.probs")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "probs", _read_only(arr.copy()))
 
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.probs.shape  # type: ignore[return-value]
 
-    @property
+    # The marginals and the gap are computed once per joint; the arrays are
+    # shared, so they are read-only like ``probs``.
+    @cached_property
     def p_y(self) -> np.ndarray:
-        return self.probs.sum(axis=(1, 2))
+        return _read_only(self.probs.sum(axis=(1, 2)))
 
-    @property
+    @cached_property
     def p_z(self) -> np.ndarray:
-        return self.probs.sum(axis=(0, 1))
+        return _read_only(self.probs.sum(axis=(0, 1)))
 
-    @property
+    @cached_property
     def p_yx(self) -> np.ndarray:
-        return self.probs.sum(axis=2)
+        return _read_only(self.probs.sum(axis=2))
 
-    @property
+    @cached_property
     def p_yz(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
+        return _read_only(self.probs.sum(axis=1))
+
+    @cached_property
+    def information_gap(self) -> float:
+        """I(Y; X) - I(Y; Z); >= 0 when Z = T(X)."""
+        return mutual_information(self.p_yx) - mutual_information(self.p_yz)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -108,11 +125,9 @@ class DeterministicMap:
             raise ValueError("map.table: entries must be integers")
         if self.n_z < 1:
             raise ValueError(f"map.n_z: must be >= 1, got {self.n_z}")
-        if np.any(arr < 0) or np.any(arr >= self.n_z):
+        if arr.min() < 0 or arr.max() >= self.n_z:
             raise ValueError(f"map.table: entries must lie in [0, {self.n_z})")
-        arr = arr.astype(np.int64).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "table", arr)
+        object.__setattr__(self, "table", _read_only(arr.astype(np.int64)))
 
     @property
     def n_x(self) -> int:
@@ -131,13 +146,12 @@ class LossMatrix:
             raise ValueError(f"loss.cost: expected a square matrix, got shape {arr.shape}")
         if arr.size == 0:
             raise ValueError("loss.cost: empty alphabet")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("loss.cost: non-finite entries")
-        if np.any(arr < 0):
+        # A NaN or -inf fails the min test and a +inf the max test.
+        if not (arr.min() >= 0 and arr.max() < math.inf):
+            if not np.isfinite(arr).all():
+                raise ValueError("loss.cost: non-finite entries")
             raise ValueError("loss.cost: negative entries")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "cost", arr)
+        object.__setattr__(self, "cost", _read_only(arr.copy()))
 
     @cached_property
     def sup_norm(self) -> float:
@@ -170,23 +184,29 @@ def kl_divergence(p, q) -> float:
     if p.shape != q.shape:
         raise ValueError(f"alphabet mismatch: p has {p.size} symbols, q has {q.size}")
     mask = p > 0
-    if np.any(q[mask] == 0):
+    if (q[mask] == 0).any():
         return math.inf
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    return float((p[mask] * np.log(p[mask] / q[mask])).sum())
 
 
 def mutual_information(joint2) -> float:
     """I(A; B) of a two-way joint pmf, in nats.
 
     Computed as the divergence between the joint and the product of its
-    marginals; finite for every valid joint.
+    marginals; finite for every valid joint.  When a supported cell's
+    marginal product underflows, every term is taken as
+    log p - log p_a - log p_b instead of the log of the ratio.
     """
     j = check_pmf(joint2, 2, name="joint2")
     pa = j.sum(axis=1)
     pb = j.sum(axis=0)
     mask = j > 0
-    prod = np.outer(pa, pb)
-    return float(np.sum(j[mask] * np.log(j[mask] / prod[mask])))
+    jm = j[mask]
+    prod = np.outer(pa, pb)[mask]
+    if prod.min() >= _TINY:
+        return float((jm * np.log(jm / prod)).sum())
+    a, b = np.nonzero(mask)
+    return float((jm * (np.log(jm) - np.log(pa[a]) - np.log(pb[b]))).sum())
 
 
 def conditional_mutual_information(joint: DiscreteJoint | np.ndarray) -> float:
@@ -194,15 +214,22 @@ def conditional_mutual_information(joint: DiscreteJoint | np.ndarray) -> float:
 
     Equals sum_z P(z) D(P_{YX|z} || P_{Y|z} x P_{X|z}); evaluated directly as
     sum over supported cells of p(y,x,z) log[ p(y,x,z) p(z) / (p(y,z) p(x,z)) ].
+    When a supported cell's numerator or denominator underflows, every term
+    is taken as a sum of the four logarithms instead.
     """
     probs = joint.probs if isinstance(joint, DiscreteJoint) else check_pmf(joint, 3, name="joint")
     p_z = probs.sum(axis=(0, 1))
     p_yz = probs.sum(axis=1)
     p_xz = probs.sum(axis=0)
     mask = probs > 0
-    num = probs * p_z[None, None, :]
-    den = p_yz[:, None, :] * p_xz[None, :, :]
-    return float(np.sum(probs[mask] * np.log(num[mask] / den[mask])))
+    pm = probs[mask]
+    num = (probs * p_z[None, None, :])[mask]
+    den = (p_yz[:, None, :] * p_xz[None, :, :])[mask]
+    if min(num.min(), den.min()) >= _TINY:
+        return float((pm * np.log(num / den)).sum())
+    y, x, z = np.nonzero(mask)
+    logs = np.log(pm) + np.log(p_z[z]) - np.log(p_yz[y, z]) - np.log(p_xz[x, z])
+    return float((pm * logs).sum())
 
 
 def posterior_cost(joint2, loss: LossMatrix, *, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +266,7 @@ def _check_consistent(joint: DiscreteJoint, tmap: DeterministicMap) -> None:
         )
     allowed = tmap.table[None, :, None] == np.arange(nz)[None, None, :]
     off_graph = joint.probs * (~allowed)
-    if np.any(off_graph > 0):
+    if off_graph.max() > 0:
         y, x, z = np.argwhere(off_graph > 0)[0]
         raise ValueError(
             f"joint has mass at (y={y}, x={x}, z={z}) but map sends x={x} to z={tmap.table[x]}"

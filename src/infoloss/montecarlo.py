@@ -58,6 +58,13 @@ class ExperimentPlan:
         object.__setattr__(self, "n_grid", grid)
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
+        # Replicate r draws with seed base_seed + r; check the last one here
+        # rather than when its replicate comes to draw.
+        if not 0 <= self.base_seed <= 2**64 - self.reps:
+            raise ValueError(
+                f"seed {self.base_seed} and reps {self.reps} give replicate seeds "
+                f"{self.base_seed} .. {self.base_seed + self.reps - 1}, outside [0, 2**64)"
+            )
 
 
 @dataclass(frozen=True)

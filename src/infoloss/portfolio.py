@@ -62,7 +62,8 @@ def _check_returns(returns) -> np.ndarray:
     r = np.asarray(returns, dtype=np.float64)
     if r.ndim != 2:
         raise ValueError(f"returns: expected a 2-D array, got shape {r.shape}")
-    if not np.all(np.isfinite(r)) or np.any(r <= 0):
+    # A NaN or an entry <= 0 fails the min test and a +inf the max test.
+    if not (r.min(initial=math.inf) > 0 and r.max(initial=0.0) < math.inf):
         raise ValueError("returns must be finite and strictly positive")
     return r
 
@@ -239,7 +240,7 @@ def _side_info_solves(market: MarketModel, condition_on: str | None) -> tuple[fl
     if condition_on is None:
         conds = [(1.0, market.joint.p_y)]
     elif condition_on in ("x", "z"):
-        joint_rv = market.joint.probs.sum(axis=2 if condition_on == "x" else 1)
+        joint_rv = market.joint.p_yx if condition_on == "x" else market.joint.p_yz
         p_v = joint_rv.sum(axis=0)
         conds = [(p_v[v], joint_rv[:, v] / p_v[v]) for v in np.flatnonzero(p_v > 0)]
     else:

@@ -92,8 +92,13 @@ def run_mc(tmp_path, scenario, reps, n_grid="1000,10000,100000", extra=()):
 def test_criterion_01_type1_error_control(tmp_path, capsys):
     # Null scenario, c1 = 1.5, delta = 0.2 (the defaults), 200 replicates:
     # at every n >= 1e4 the rejection rate stays within the theoretical
-    # false-rejection bound plus the one-sided 99% binomial margin.
+    # false-rejection bound plus the one-sided 99% binomial margin.  With
+    # the default schedule t_n >= 2 at n = 1e4, so that row is vacuous and
+    # its rate is 0 by construction; n = 1e5 is the real type-I check.
     blob = run_mc(tmp_path, "h0", 200)
+    vacuous = {row["n"]: row["vacuous"] for row in blob["results"]}
+    assert vacuous[10_000] is True
+    assert vacuous[100_000] is False
     checked = 0
     for row in blob["results"]:
         if row["n"] < 10_000:

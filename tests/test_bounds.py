@@ -55,6 +55,14 @@ class TestInformationGap:
         joint, _ = fair_bit_merge()
         assert information_gap(joint) == pytest.approx(math.log(2.0))
 
+    def test_cached_gap_is_bit_equal(self, rng):
+        for _ in range(20):
+            j = random_joint2(rng, 3, 4)
+            joint = apply_map(j, DeterministicMap(np.array([0, 1, 0, 1]), n_z=2))
+            want = mutual_information(joint.p_yx) - mutual_information(joint.p_yz)
+            assert information_gap(joint) == want
+            assert joint.information_gap == want
+
     def test_injective_map_is_zero(self, rng):
         j = random_joint2(rng, 2, 3)
         tmap = DeterministicMap(np.array([1, 2, 0]), n_z=3)
@@ -325,6 +333,11 @@ class TestProfileValidation:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             SubgaussianProfile(np.array([-0.1, 0.2]))
+
+    @pytest.mark.parametrize("value", [-0.1, float("nan"), math.inf, -math.inf])
+    def test_sigma_message(self, value):
+        with pytest.raises(ValueError, match="^sigma_sq entries must be finite and >= 0$"):
+            SubgaussianProfile(np.array([value, 0.2]))
 
     def test_expected_shape_mismatch(self):
         profile = SubgaussianProfile(np.array([0.25, 0.25]))

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import infoloss.montecarlo
 import infoloss.selection
 from infoloss import (
     Dataset,
@@ -249,13 +250,21 @@ class TestMcCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments: --min-n 5" in capsys.readouterr().err
 
-    # The last seed overflows at replicate 1, whose seed is base + 1.
+    # The last seed overflows at replicate 1, whose seed is base + 1; the
+    # plan refuses it before any replicate draws.
     @pytest.mark.parametrize("seed, reps, bad", [("-1", 1, -1), (str(2**64 - 1), 2, 2**64)])
-    def test_out_of_range_seed_exit_one(self, tmp_path, capsys, seed, reps, bad):
+    def test_out_of_range_seed_exit_one(self, tmp_path, capsys, monkeypatch, seed, reps, bad):
+        draws = []
+        for name in ("gen_h0", "gen_h1"):
+            monkeypatch.setattr(infoloss.montecarlo, name, lambda cfg: draws.append(cfg))
         code = main(["mc", "--n-grid", "200", "--reps", str(reps), "--seed", seed,
                      "--output", str(tmp_path / "out")])
         assert code == EXIT_ERROR
-        assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {bad}\n"
+        assert capsys.readouterr().err == (
+            f"error: seed {seed} and reps {reps} give replicate seeds {seed} .. {bad}, "
+            "outside [0, 2**64)\n"
+        )
+        assert draws == []
         assert not (tmp_path / "out.csv").exists()
 
     def test_thread_count_does_not_change_csv(self, tmp_path, capsys):

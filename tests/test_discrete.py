@@ -1,6 +1,7 @@
 """Tests for the finite-alphabet information and risk primitives."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from infoloss import (
     squared_loss,
     zero_one_loss,
 )
+
+from infoloss.discrete import check_pmf
 
 from conftest import brute_force_bayes_risk, conditional_dependence_l1, random_joint2
 
@@ -91,6 +94,19 @@ class TestMutualInformation:
         j = np.array([[0.5, 0.0], [0.0, 0.5]])
         assert mutual_information(j) == pytest.approx(math.log(2.0))
 
+    def test_underflowing_marginal_product_stays_finite(self):
+        # p_a p_b of the 1e-200 cell underflows to 0; its term is
+        # 1e-200 log(1e200) and the other cell's is 0.
+        j = np.array([[1e-200, 0.0], [0.0, 1.0 - 1e-200]])
+        assert mutual_information(j) == pytest.approx(1e-200 * 200 * math.log(10), rel=1e-12)
+
+    def test_ordinary_joints_keep_the_ratio_formula(self, rng):
+        for _ in range(20):
+            j = random_joint2(rng, 3, 4)
+            mask = j > 0
+            ratio = j[mask] / np.outer(j.sum(axis=1), j.sum(axis=0))[mask]
+            assert mutual_information(j) == float(np.sum(j[mask] * np.log(ratio)))
+
     def test_matches_kl_definition(self, rng):
         j = random_joint2(rng, 3, 4)
         prod = np.outer(j.sum(axis=1), j.sum(axis=0))
@@ -113,6 +129,22 @@ class TestConditionalMutualInformation:
                 joint.p_yz
             )
             assert direct == pytest.approx(chained, abs=1e-12)
+
+    def test_underflowing_denominator_stays_finite(self):
+        # With one z, I(Y; X | Z) = I(Y; X); p(y,z) p(x,z) of the 1e-200
+        # cell underflows to 0.
+        probs = np.array([[1e-200, 0.0], [0.0, 1.0 - 1e-200]])[:, :, None]
+        assert conditional_mutual_information(probs) == pytest.approx(
+            1e-200 * 200 * math.log(10), rel=1e-12
+        )
+
+    def test_underflowing_numerator_stays_finite(self):
+        # p(y,x,z) p(z) of the 1e-200 cell underflows; given Z, X and Y are
+        # both determined, so I(Y; X | Z) = 0.
+        probs = np.zeros((2, 2, 2))
+        probs[0, 0, 0] = 1e-200
+        probs[1, 1, 1] = 1.0 - 1e-200
+        assert conditional_mutual_information(probs) == 0.0
 
     def test_markov_chain_gives_zero(self, rng):
         # Build P(y,x,z) = P(z) P(y|z) P(x|z): conditional independence.
@@ -287,3 +319,86 @@ class TestValidation:
         tmap = DeterministicMap(np.array([0, 1]), n_z=2)
         with pytest.raises(ValueError, match="x-symbols"):
             apply_map(j, tmap)
+
+
+INF = math.inf
+NAN = math.nan
+
+
+def exact(message):
+    return f"^{re.escape(message)}$"
+
+
+class TestFastPathRejections:
+    """The cheap min/sum checks keep every rejection and its message."""
+
+    @pytest.mark.parametrize("values, message", [
+        ([NAN, 1.0], "p: non-finite entries"),
+        ([INF, 0.5], "p: non-finite entries"),
+        ([-INF, 0.5], "p: non-finite entries"),
+        ([INF, -INF], "p: non-finite entries"),
+        ([NAN, -1.0], "p: non-finite entries"),
+        ([-0.1, 1.1], "p: negative probabilities"),
+        ([0.4, 0.4], "p: probabilities sum to 0.8, not 1"),
+    ])
+    def test_check_pmf_messages(self, values, message):
+        with pytest.raises(ValueError, match=exact(message)):
+            check_pmf(values, name="p")
+
+    def test_check_pmf_overflowing_sum(self):
+        # Finite entries pass both entry checks; their sum overflows (numpy
+        # warns about that, as it always did) and fails the sum check.
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=exact("p: probabilities sum to inf, not 1")):
+                check_pmf([1e308, 1e308], name="p")
+
+    def test_check_pmf_accepts_negative_zero(self):
+        arr = check_pmf([-0.0, 1.0], name="p")
+        assert arr.tobytes() == np.array([-0.0, 1.0]).tobytes()
+
+    def test_joint_messages(self):
+        probs = np.full((2, 2, 2), 0.125)
+        probs[0, 0, 0] = NAN
+        with pytest.raises(ValueError, match=exact("joint.probs: non-finite entries")):
+            DiscreteJoint(probs)
+
+    @pytest.mark.parametrize("value, message", [
+        (NAN, "loss.cost: non-finite entries"),
+        (INF, "loss.cost: non-finite entries"),
+        (-INF, "loss.cost: non-finite entries"),
+        (-1.0, "loss.cost: negative entries"),
+    ])
+    def test_loss_messages(self, value, message):
+        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+        cost[0, 1] = value
+        with pytest.raises(ValueError, match=exact(message)):
+            LossMatrix(cost)
+
+    def test_loss_accepts_huge_finite_costs(self):
+        # Entries whose sum would overflow are still finite and valid.
+        assert LossMatrix(np.full((2, 2), 1e308)).sup_norm == 1e308
+
+    @pytest.mark.parametrize("table", [[0, -1], [0, 2], [2, 0], [-5, 7]])
+    def test_map_messages(self, table):
+        with pytest.raises(ValueError, match=exact("map.table: entries must lie in [0, 2)")):
+            DeterministicMap(np.array(table), n_z=2)
+
+
+class TestCachedMarginals:
+    AXES = {"p_y": (1, 2), "p_z": (0, 1), "p_yx": 2, "p_yz": 1}
+
+    @pytest.mark.parametrize("name", sorted(AXES))
+    def test_bit_equal_to_sum(self, rng, name):
+        joint = DiscreteJoint(rng.dirichlet(np.ones(24)).reshape(2, 3, 4))
+        got = getattr(joint, name)
+        want = joint.probs.sum(axis=self.AXES[name])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert getattr(joint, name) is got
+
+    @pytest.mark.parametrize("name", sorted(AXES))
+    def test_read_only(self, name):
+        marginal = getattr(DiscreteJoint(np.full((2, 2, 2), 0.125)), name)
+        assert not marginal.flags.writeable
+        with pytest.raises(ValueError):
+            marginal[0] = 1.0

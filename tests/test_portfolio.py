@@ -14,6 +14,7 @@ from infoloss import (
     apply_map,
     c_max_bound,
     gen_market,
+    gen_random_joint,
     growth_gap_bound,
     log_optimal_portfolio,
     side_info_growth,
@@ -104,6 +105,21 @@ class TestPortfolioValidation:
             check_pmf([-0.1, 1.1], name="portfolio")
         with pytest.raises(ValueError, match="sum"):
             check_pmf([0.4, 0.4], name="portfolio")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+    def test_rejects_bad_returns(self, value):
+        returns = np.array([[1.1, 0.9], [0.8, 1.2]])
+        returns[1, 0] = value
+        joint, tmap = gen_random_joint((2, 3, 2), 0)
+        message = "^returns must be finite and strictly positive$"
+        with pytest.raises(ValueError, match=message):
+            MarketModel(returns=returns, joint=joint, tmap=tmap)
+        with pytest.raises(ValueError, match=message):
+            log_optimal_portfolio([0.5, 0.5], returns)
+
+    def test_empty_returns_reach_the_shape_check(self):
+        with pytest.raises(ValueError, match="^outcome mismatch: pmf has 1 outcomes, returns has 0$"):
+            log_optimal_portfolio([1.0], np.empty((0, 2)))
 
 
 class TestLogOptimalPortfolio:
