@@ -25,7 +25,6 @@ from .bounds import (
     family_lossless_check,
     hoeffding_profile,
     hoeffding_sigma,
-    information_gap,
     optimal_loss_envelope,
     quantizer_sequence_bound,
     regression_sigma,

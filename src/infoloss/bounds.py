@@ -33,6 +33,8 @@ from .discrete import (
     DeterministicMap,
     DiscreteJoint,
     LossMatrix,
+    _Frozen,
+    _read_only,
     apply_map,
     check_pmf,
     excess_risk,
@@ -50,21 +52,12 @@ __all__ = [
     "family_lossless_check",
     "hoeffding_profile",
     "hoeffding_sigma",
-    "information_gap",
     "optimal_loss_envelope",
     "quantizer_sequence_bound",
     "regression_sigma",
 ]
 
 _HOLDS_TOL = 1e-9
-
-
-def information_gap(joint: DiscreteJoint) -> float:
-    """I(Y; X) - I(Y; Z) for a three-way joint; >= 0 when Z = T(X).
-
-    Computed once per joint and cached on it.
-    """
-    return joint.information_gap
 
 
 def hoeffding_sigma(range_width: float) -> float:
@@ -75,16 +68,14 @@ def hoeffding_sigma(range_width: float) -> float:
 
 
 @dataclass(frozen=True)
-class SubgaussianProfile:
+class SubgaussianProfile(_Frozen):
     """Per-label subgaussian parameters sigma^2(y).
 
-    ``certified`` is True only when the profile was derived from an explicit
-    loss via Hoeffding widths; profiles supplied directly by callers are
-    accepted as assertions about their loss.
+    ``hoeffding_profile`` derives one from a loss; a profile built directly
+    is taken as an assertion about its loss.
     """
 
     sigma_sq: np.ndarray
-    certified: bool = False
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.sigma_sq, dtype=np.float64)
@@ -93,9 +84,7 @@ class SubgaussianProfile:
         # A NaN or -inf fails the min test and a +inf the max test.
         if not (arr.min() >= 0 and arr.max() < math.inf):
             raise ValueError("sigma_sq entries must be finite and >= 0")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "sigma_sq", arr)
+        object.__setattr__(self, "sigma_sq", _read_only(arr.copy()))
 
     def expected(self, p_y: np.ndarray) -> float:
         if p_y.shape != self.sigma_sq.shape:
@@ -117,7 +106,7 @@ def hoeffding_profile(joint_yx, loss: LossMatrix) -> SubgaussianProfile:
     """Certified profile from the ranges of loss(y, f*(.)) over supported x."""
     vals = _optimal_losses(joint_yx, loss)
     widths = vals.max(axis=1) - vals.min(axis=1)
-    return SubgaussianProfile(sigma_sq=widths * widths / 4.0, certified=True)
+    return SubgaussianProfile(sigma_sq=widths * widths / 4.0)
 
 
 def optimal_loss_envelope(joint_yx, loss: LossMatrix) -> np.ndarray:
@@ -164,7 +153,7 @@ def bound_bounded_loss(
     joint: DiscreteJoint, tmap: DeterministicMap, loss: LossMatrix
 ) -> BoundReport:
     """Bounded-loss certificate: excess <= (sup|loss|/sqrt 2) sqrt(delta_I)."""
-    gap = information_gap(joint)
+    gap = joint.information_gap
     bound = loss.sup_norm / math.sqrt(2.0) * math.sqrt(max(gap, 0.0))
     return _report(joint, tmap, gap, bound, "cor1", loss)
 
@@ -180,7 +169,7 @@ def bound_subgaussian(
     When a loss is supplied the oracle excess is evaluated and compared;
     otherwise the report carries the bound alone.
     """
-    gap = information_gap(joint)
+    gap = joint.information_gap
     expected = profile.expected(joint.p_y)
     bound = math.sqrt(2.0 * expected * max(gap, 0.0))
     return _report(joint, tmap, gap, bound, "cor2", loss)
@@ -193,26 +182,17 @@ def _check_delta_c(delta: float, c: float) -> None:
         raise ValueError(f"c must be > 0, got {c}")
 
 
-def delta_lossless_bounded(
-    joint: DiscreteJoint, tmap: DeterministicMap, delta: float, c: float
-) -> bool:
+def delta_lossless_bounded(joint: DiscreteJoint, delta: float, c: float) -> bool:
     """True iff delta_I <= 2 delta^2 / c^2.
 
     When true, every loss with sup norm <= c suffers excess at most delta
     under the coarsening Z = T(X).
     """
     _check_delta_c(delta, c)
-    gap = information_gap(joint)
-    return bool(gap <= 2.0 * delta * delta / (c * c))
+    return bool(joint.information_gap <= 2.0 * delta * delta / (c * c))
 
 
-def family_lossless_check(
-    joint: DiscreteJoint,
-    tmap: DeterministicMap,
-    delta: float,
-    c: float,
-    envelope,
-) -> bool:
+def family_lossless_check(joint: DiscreteJoint, delta: float, c: float, envelope) -> bool:
     """Envelope-family certificate for losses dominated by g at the optimum.
 
     ``envelope`` gives g(y) per label; requires E[g(Y)^2] <= c^2.  Returns
@@ -237,8 +217,7 @@ def family_lossless_check(
         )
     if second_moment == 0.0:
         return True
-    gap = information_gap(joint)
-    return bool(gap <= 2.0 * delta * delta / second_moment)
+    return bool(joint.information_gap <= 2.0 * delta * delta / second_moment)
 
 
 def regression_sigma(fourth_moment: float, bound_k: float) -> float:

@@ -73,7 +73,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _cmd_test(args) -> int:
-    data = read_dataset_csv(args.input, d=args.d, d_prime=args.dprime)
+    data = read_dataset_csv(args.input)
     outcome = run_test(data, _test_config(args))
     _emit_json(outcome.to_dict(), args.output)
     return EXIT_REJECT if outcome.reject else EXIT_OK
@@ -152,7 +152,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    data = read_dataset_csv(args.input, d=args.d)
+    data = read_dataset_csv(args.input)
     result = greedy_lossless_selection(data, _test_config(args))
     _emit_json(result.to_dict(), args.output)
     if not result.accepted:
@@ -166,21 +166,22 @@ def _cmd_select(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No abbreviated long flags: a removed flag must fail as unrecognized,
+    # not parse as a prefix of a live one (``--d`` of ``--delta``).
     parser = argparse.ArgumentParser(
         prog="infoloss",
         description="Conditional independence testing for feature transformations",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("test", help="run the independence test on a CSV sample")
+    p = sub.add_parser("test", help="run the independence test on a CSV sample", allow_abbrev=False)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None, help="also write the JSON outcome here")
-    p.add_argument("--d", type=int, default=None, help="number of x columns (checked against header)")
-    p.add_argument("--dprime", type=int, default=None, help="number of z columns")
     _add_test_flags(p)
     p.set_defaults(func=_cmd_test)
 
-    p = sub.add_parser("mc", help="Monte Carlo rejection-rate experiment")
+    p = sub.add_parser("mc", help="Monte Carlo rejection-rate experiment", allow_abbrev=False)
     p.add_argument("--scenario", choices=("h0", "h1"), default="h0")
     p.add_argument("--n-grid", default="1000,10000,100000", help="comma-separated sample sizes")
     p.add_argument("--reps", type=int, default=200)
@@ -193,17 +194,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_test_flags(p)
     p.set_defaults(func=_cmd_mc)
 
-    p = sub.add_parser("bounds", help="excess-risk certificate from a JSON instance")
+    p = sub.add_parser("bounds", help="excess-risk certificate from a JSON instance",
+                       allow_abbrev=False)
     p.add_argument("--input", required=True, help='JSON file with "joint", "map", "loss"')
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("portfolio", help="growth-gap report for a market JSON file")
+    p = sub.add_parser("portfolio", help="growth-gap report for a market JSON file",
+                       allow_abbrev=False)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_portfolio)
 
-    p = sub.add_parser("gen", help="write a synthetic sample CSV")
+    p = sub.add_parser("gen", help="write a synthetic sample CSV", allow_abbrev=False)
     p.add_argument("--scenario", choices=("h0", "h1"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -214,10 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output path stem for .csv and .json")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("select", help="greedy forward feature selection")
+    p = sub.add_parser("select", help="greedy forward feature selection", allow_abbrev=False)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
-    p.add_argument("--d", type=int, default=None)
     _add_test_flags(p)
     p.set_defaults(func=_cmd_select)
 

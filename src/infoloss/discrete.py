@@ -18,7 +18,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -45,7 +45,7 @@ PMF_ATOL = 1e-12
 _TINY = np.finfo(np.float64).tiny
 
 
-def check_pmf(p, ndim: int = 1, *, name: str, atol: float = PMF_ATOL) -> np.ndarray:
+def check_pmf(p, ndim: int = 1, *, name: str) -> np.ndarray:
     """Validate an ``ndim``-D array as a pmf and return it as float64."""
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim != ndim:
@@ -62,13 +62,32 @@ def check_pmf(p, ndim: int = 1, *, name: str, atol: float = PMF_ATOL) -> np.ndar
             raise ValueError(f"{name}: non-finite entries")
         if (arr < 0).any():
             raise ValueError(f"{name}: negative probabilities")
-    if abs(total - 1.0) > atol:
+    if abs(total - 1.0) > PMF_ATOL:
         raise ValueError(f"{name}: probabilities sum to {total!r}, not 1")
     return arr
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+class _Frozen:
+    """Copy and pickle hooks: a copy holds the dataclass fields only (no cached
+    values), its arrays marked read-only in place rather than copied again."""
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            if isinstance(value, np.ndarray):
+                _read_only(value)
+            object.__setattr__(self, name, value)
+
+
 @dataclass(frozen=True)
-class DiscreteJoint:
+class DiscreteJoint(_Frozen):
     """Joint pmf of (Y, X, Z) on finite alphabets, indexed ``probs[y, x, z]``."""
 
     probs: np.ndarray
@@ -105,13 +124,8 @@ class DiscreteJoint:
         return mutual_information(self.p_yx) - mutual_information(self.p_yz)
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
-class DeterministicMap:
+class DeterministicMap(_Frozen):
     """A map T from the X alphabet into the Z alphabet, ``table[x] = z``."""
 
     table: np.ndarray
@@ -135,7 +149,7 @@ class DeterministicMap:
 
 
 @dataclass(frozen=True)
-class LossMatrix:
+class LossMatrix(_Frozen):
     """Nonnegative loss ``cost[y_true, y_pred]`` on a finite label alphabet."""
 
     cost: np.ndarray

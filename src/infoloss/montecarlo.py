@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .partition import TestConfig, TestOutcome, run_test
-from .synth import H0Config, H1Config, gen_h0, gen_h1
+from .synth import H0Config, H1Config, _integer, gen_h0, gen_h1
 
 __all__ = ["ExperimentPlan", "MCResult", "MCRow", "run_plan"]
 
@@ -48,7 +48,7 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if self.scenario not in ("h0", "h1"):
             raise ValueError(f"scenario must be h0 or h1, got {self.scenario!r}")
-        grid = tuple(int(n) for n in self.n_grid)
+        grid = tuple(_integer(n, "n_grid entry") for n in self.n_grid)
         if not grid:
             raise ValueError("n_grid is empty")
         if any(n < 1 for n in grid):
@@ -56,6 +56,8 @@ class ExperimentPlan:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
         object.__setattr__(self, "n_grid", grid)
+        for name in ("reps", "base_seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         # Replicate r draws with seed base_seed + r; check the last one here

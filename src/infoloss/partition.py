@@ -29,6 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .discrete import _Frozen, _read_only
+
 __all__ = [
     "C1_MIN",
     "CubicPartition",
@@ -54,7 +56,7 @@ _CHUNK_ROWS = 1 << 16  # rows binned per pass, so its buffers stay cache-sized
 
 
 @dataclass(frozen=True)
-class Dataset:
+class Dataset(_Frozen):
     """Sample of n rows (x_i, y_i, z_i), x in R^d, y real, z in R^d'.
 
     The arrays are read-only float64 copies of the inputs.  x and z are
@@ -86,9 +88,7 @@ class Dataset:
         for name, arr in (("x", x), ("y", y), ("z", z)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name}: non-finite values")
-            arr = arr.copy(order="F")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(arr.copy(order="F")))
 
     @property
     def n(self) -> int:
@@ -114,9 +114,7 @@ class Dataset:
         can overflow, y, itself.  The arrays are made read-only in place.
         """
         data = object.__new__(cls)
-        for name, arr in (("x", x), ("y", y), ("z", z)):
-            arr.flags.writeable = False
-            object.__setattr__(data, name, arr)
+        data.__setstate__({"x": x, "y": y, "z": z})
         return data
 
 
@@ -228,9 +226,11 @@ def build_histogram(data: Dataset, part: CubicPartition, scaling: tuple) -> Join
     in [0, 1]; u = 1 falls into the last bin along its axis.  _CHUNK_ROWS
     rows at a time, each cell index floor(u / h) is added into one
     mixed-radix key over x..., y, z....  A grid with no more cells than the
-    sample has rows counts each chunk's keys, and its marginals are sums of
-    it; finer grids keep every row's key and count them by sorting.  Either
-    way the occupied triples come out in ascending key order.
+    sample has rows counts each chunk's keys; finer grids keep every row's
+    key and count them by sorting.  Either way the occupied triples come out
+    in ascending key order.  Each of the (A, C), (B, C) and C marginals is
+    one weighted count over them, by cell id when the marginal has at most n
+    cells and by the rank of its occupied ids otherwise.
     """
     if data.d != part.d or data.d_prime != part.d_prime:
         raise ValueError(
@@ -270,18 +270,16 @@ def build_histogram(data: Dataset, part: CubicPartition, scaling: tuple) -> Join
     if dense:
         ids = np.flatnonzero(grid)
         counts = grid[ids]
-        a_ids, b_ids, c_ids = np.unravel_index(ids, shape)
-        grid = grid.reshape(shape)
-        ac, bc = grid.sum(axis=1), grid.sum(axis=0)
-        marginals = [ac[a_ids, c_ids], bc[b_ids, c_ids], bc.sum(axis=0)[c_ids]]
     else:
         ids, counts = np.unique(key, return_counts=True)
-        a_ids, b_ids, c_ids = np.unravel_index(ids, shape)
-        n_c = part.m_dprime
-        marginals = []
-        for cell_key in (a_ids * n_c + c_ids, b_ids * n_c + c_ids, c_ids):
-            _, inverse = np.unique(cell_key, return_inverse=True)
-            marginals.append(np.bincount(inverse, weights=counts)[inverse].astype(np.int64))
+    a_ids, b_ids, c_ids = np.unravel_index(ids, shape)
+    n_c = part.m_dprime
+    marginals = []
+    for cell_key, n_cells in ((a_ids * n_c + c_ids, part.m * n_c),
+                              (b_ids * n_c + c_ids, bins * n_c), (c_ids, n_c)):
+        if n_cells > data.n:
+            _, cell_key = np.unique(cell_key, return_inverse=True)
+        marginals.append(np.bincount(cell_key, weights=counts)[cell_key].astype(np.int64))
     return JointHistogram(data.n, part, a_ids, b_ids, c_ids, counts, *marginals)
 
 

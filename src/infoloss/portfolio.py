@@ -29,6 +29,8 @@ from .discrete import (
     DeterministicMap,
     DiscreteJoint,
     _check_consistent,
+    _Frozen,
+    _read_only,
     check_pmf,
     mutual_information,
 )
@@ -69,7 +71,7 @@ def _check_returns(returns) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MarketModel:
+class MarketModel(_Frozen):
     """Finite market: return vectors plus a joint law over (R, X, Z).
 
     ``returns[k]`` is the gross-return vector of outcome k; ``joint`` is the
@@ -88,9 +90,7 @@ class MarketModel:
                 f"joint has {self.joint.shape[0]} outcomes"
             )
         _check_consistent(self.joint, self.tmap)
-        r = r.copy()
-        r.flags.writeable = False
-        object.__setattr__(self, "returns", r)
+        object.__setattr__(self, "returns", _read_only(r.copy()))
 
     @property
     def d_a(self) -> int:

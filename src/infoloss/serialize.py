@@ -273,13 +273,12 @@ def _probe_csv(path) -> tuple[str, bool] | None:
     return (head.decode("ascii") if header is None else header), has_body
 
 
-def read_dataset_csv(path, d: int | None = None, d_prime: int | None = None) -> Dataset:
+def read_dataset_csv(path) -> Dataset:
     r"""Parse a sample CSV with header x1..xd,y,z1..zd'.
 
-    Dimensions are inferred from the header and checked against ``d`` and
-    ``d_prime`` when given.  Lines are those of ``str.splitlines`` over the
-    decoded text; blank lines are skipped.  Parse failures report 1-based
-    line numbers.
+    The dimensions d and d' are those the header declares.  Lines are those
+    of ``str.splitlines`` over the decoded text; blank lines are skipped.
+    Parse failures report 1-based line numbers.
 
     One binary pass over the file, in 1 MiB chunks, reads the header and
     finds whether any body line is non-blank.  ``np.loadtxt`` then parses
@@ -311,12 +310,6 @@ def read_dataset_csv(path, d: int | None = None, d_prime: int | None = None) -> 
     if names != expected:
         raise SchemaError(
             f"{path}, line 1: header {names} does not match expected {expected}"
-        )
-    if d is not None and d != d_file:
-        raise SchemaError(f"{path}: header declares d={d_file}, flags declare d={d}")
-    if d_prime is not None and d_prime != dp_file:
-        raise SchemaError(
-            f"{path}: header declares d_prime={dp_file}, flags declare d_prime={d_prime}"
         )
     if d_file < 1:
         raise SchemaError(f"{path}, line 1: need at least one x column")

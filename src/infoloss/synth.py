@@ -20,6 +20,7 @@ x1 reproduces Z exactly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,17 @@ __all__ = [
 ]
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; floats and other non-integers raise ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def philox(seed: int) -> np.random.Generator:
     """The package-wide counter-based generator, keyed by a 64-bit seed."""
+    seed = _integer(seed, "seed")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))

@@ -49,7 +49,6 @@ from infoloss import (
     gen_random_joint,
     gen_random_loss,
     growth_gap_bound,
-    information_gap,
     l_statistic,
     log_optimal_portfolio,
     MarketModel,
@@ -193,7 +192,7 @@ def test_criterion_05_bounded_loss_certificate():
         joint, tmap = gen_random_joint((ny, nx, nz), seed + 10_000)
         loss = gen_random_loss(ny, 1.0, seed + 20_000)
         excess = excess_risk(joint, tmap, loss)
-        cap = math.sqrt(max(information_gap(joint), 0.0) / 2.0)
+        cap = math.sqrt(max(joint.information_gap, 0.0) / 2.0)
         if excess > cap + 1e-9:
             violations += 1
     assert violations == 0, f"{violations} certificate violations"
@@ -214,7 +213,7 @@ def test_criterion_06_delta_lossless_certificate():
     for seed in range(200):
         joint, tmap = gen_random_joint((3, 4, 2), seed + 30_000)
         for delta in (0.05, 0.1, 0.2):
-            if not delta_lossless_bounded(joint, tmap, delta, 1.0):
+            if not delta_lossless_bounded(joint, delta, 1.0):
                 continue
             certified += 1
             sweep = max(

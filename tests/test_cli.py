@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,9 @@ from infoloss import (
     save_json,
     zero_one_loss,
 )
-from infoloss.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, _WRITE_SLICE, _write_text, main
+from infoloss.cli import (
+    EXIT_ERROR, EXIT_OK, EXIT_REJECT, _WRITE_SLICE, _write_text, build_parser, main,
+)
 from infoloss.serialize import dataset_to_csv
 from infoloss.synth import H1Config, gen_h1
 
@@ -105,12 +109,6 @@ class TestTestCommand:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert "line 2" in err
-
-    def test_dim_flag_mismatch_exit_one(self, tmp_path, rng, capsys):
-        csv = tmp_path / "indep.csv"
-        write_sample(csv, rng)
-        code = main(["test", "--input", str(csv), "--d", "5"])
-        assert code == EXIT_ERROR
 
     def test_bad_c1_exit_one(self, tmp_path, rng, capsys):
         csv = tmp_path / "indep.csv"
@@ -480,6 +478,36 @@ class TestGoldenOutputs:
 
 
 class TestArgparseBehavior:
+    # Sample dimensions come from the CSV header, so no flag declares them;
+    # and no long flag may be abbreviated, so a removed flag cannot parse as
+    # the prefix of a live one (--d of --delta).
+    @pytest.mark.parametrize("command, flag, value", [
+        ("test", "--d", "2"),
+        ("test", "--dprime", "1"),
+        ("select", "--d", "2"),
+        ("test", "--del", "0.2"),
+        ("select", "--c", "1.5"),
+    ])
+    def test_removed_or_abbreviated_flag_exit_two(self, tmp_path, rng, capsys, command, flag,
+                                                  value):
+        csv = tmp_path / "sample.csv"
+        write_sample(csv, rng, n=100)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", str(csv), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_readme_commands_parse(self):
+        # Every command line in the README parses against the current flags.
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        commands = [line.strip() for line in readme.read_text().splitlines()
+                    if line.strip().startswith("infoloss ")]
+        seen = set()
+        for line in commands:
+            argv = shlex.split(line, comments=True)[1:]
+            seen.add(build_parser().parse_args(argv).command)
+        assert seen == {"test", "mc", "bounds", "portfolio", "gen", "select"}
+
     def test_no_command_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -1,6 +1,9 @@
 """Tests for the finite-alphabet information and risk primitives."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -11,11 +14,17 @@ from hypothesis import strategies as st
 from infoloss import (
     DeterministicMap,
     DiscreteJoint,
+    H1Config,
     LossMatrix,
+    SubgaussianProfile,
     apply_map,
     bayes_risk,
     conditional_mutual_information,
     excess_risk,
+    gen_h1,
+    gen_market,
+    gen_random_joint,
+    gen_random_loss,
     kl_divergence,
     mutual_information,
     squared_loss,
@@ -402,3 +411,53 @@ class TestCachedMarginals:
         assert not marginal.flags.writeable
         with pytest.raises(ValueError):
             marginal[0] = 1.0
+
+
+# One of each frozen record that holds arrays, and the values it caches.
+FROZEN_RECORDS = {
+    "joint": (lambda: gen_random_joint((3, 4, 2), 5)[0],
+              ("p_y", "p_z", "p_yx", "p_yz", "information_gap")),
+    "map": (lambda: gen_random_joint((3, 4, 2), 5)[1], ()),
+    "loss": (lambda: gen_random_loss(3, 1.0, 5), ("sup_norm",)),
+    "dataset": (lambda: gen_h1(H1Config(n=500, seed=5)), ()),
+    "profile": (lambda: SubgaussianProfile(np.array([0.25, 0.5])), ()),
+    "market": (lambda: gen_market(2, 3, 5), ("c_max",)),
+}
+
+
+def assert_frozen_copy(original, clone):
+    """Same fields, byte-equal read-only arrays, and no cached value carried over."""
+    assert type(clone) is type(original)
+    names = {f.name for f in dataclasses.fields(original)}
+    assert set(vars(clone)) == names
+    for name in names:
+        want, got = getattr(original, name), getattr(clone, name)
+        if isinstance(want, np.ndarray):
+            assert got is not want and not got.flags.writeable
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+        elif dataclasses.is_dataclass(want):
+            assert_frozen_copy(want, got)
+        else:
+            assert got == want
+
+
+@pytest.mark.parametrize("copier", [copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+                         ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("record", sorted(FROZEN_RECORDS))
+def test_copies_of_frozen_records_stay_frozen(record, copier):
+    # numpy's copy and unpickling give writeable arrays, and a copy of the
+    # instance dict would carry cached marginals that go stale once the
+    # copy's arrays are written.
+    make, cached = FROZEN_RECORDS[record]
+    original = make()
+    for name in cached:
+        getattr(original, name)
+    clone = copier(original)
+    assert_frozen_copy(original, clone)
+    if record == "dataset":
+        assert clone.x.flags.f_contiguous and clone.z.flags.f_contiguous
+    for name in cached:
+        want, got = getattr(original, name), getattr(clone, name)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

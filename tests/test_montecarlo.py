@@ -53,6 +53,22 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="empty"):
             small_plan(n_grid=())
 
+    # A float must not be truncated: n = 100.7 would run n = 100 and
+    # base_seed 0.5 seed 0, while the JSON echo kept the float.
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_grid", (100.7, 200), "n_grid entry must be an integer, got 100.7"),
+        ("reps", 8.0, "reps must be an integer, got 8.0"),
+        ("base_seed", 0.5, "base_seed must be an integer, got 0.5"),
+    ])
+    def test_integer_fields(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            small_plan(**{field: value})
+
+    def test_numpy_integers_kept_as_ints(self):
+        plan = small_plan(n_grid=(np.int64(200), 400), reps=np.int32(8), base_seed=np.uint64(3))
+        assert plan.n_grid == (200, 400) and plan.reps == 8 and plan.base_seed == 3
+        assert all(type(v) is int for v in (*plan.n_grid, plan.reps, plan.base_seed))
+
 
 class TestRunPlan:
     def test_thread_count_invariance(self):

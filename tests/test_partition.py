@@ -469,6 +469,10 @@ class TestConfigValidation:
         cfg = TestConfig(delta=0.2, h=0.125)
         assert cfg.bandwidth(10**6, 1, 1) == 0.125
 
+    def test_bandwidth_required(self):
+        with pytest.raises(ValueError, match="^either h or delta must be given$"):
+            TestConfig(delta=None, h=None)
+
 
 class TestRunTest:
     def test_single_point_accepts(self):

@@ -194,7 +194,7 @@ class TestLogOptimalPortfolio:
         p /= p.sum()
         returns = np.exp(rng.uniform(-1.0, 1.0, (4, 3)))
         b, w = log_optimal_portfolio(p, returns)
-        check_pmf(b, name="portfolio", atol=1e-9)
+        check_pmf(b, name="portfolio")
         assert np.isfinite(w)
 
     def test_subnormal_returns(self):

@@ -186,12 +186,6 @@ class TestDatasetCsv:
         data = read_dataset_csv(path)
         assert data.d == 2 and data.d_prime == 1
 
-    def test_dim_flags_checked(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("x1,y,z1\n0.1,0.2,0.3\n")
-        with pytest.raises(SchemaError, match="d=1"):
-            read_dataset_csv(path, d=2)
-
     def test_bad_cell_line_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x1,y,z1\n0.1,0.2,0.3\n0.4,oops,0.6\n")

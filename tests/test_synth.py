@@ -93,6 +93,15 @@ class TestDeterminism:
         with pytest.raises(ValueError, match=f"got {2**64}$"):
             gen_market(2, 2, 2**64 - 1)
 
+    def test_philox_seed_must_be_an_integer(self):
+        # A float seed must not be cast to the integer below it (1.7 would
+        # draw seed 1's stream); numpy integers are integers.
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.7$"):
+            philox(1.7)
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 2\.5$"):
+            gen_h0(H0Config(n=100, seed=2.5))
+        np.testing.assert_array_equal(philox(np.uint64(5)).random(3), philox(5).random(3))
+
     def test_markets_and_joints_deterministic(self):
         m1, m2 = gen_market(3, 4, 11), gen_market(3, 4, 11)
         assert m1.returns.tobytes() == m2.returns.tobytes()
