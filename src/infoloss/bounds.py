@@ -132,6 +132,22 @@ class BoundReport:
         return asdict(self)
 
 
+def _oracle_excess(joint: DiscreteJoint, tmap: DeterministicMap, loss: LossMatrix) -> float:
+    """``excess_risk``, remembered on the joint for its last (map, loss) pair.
+
+    The entry keys on the identity of ``tmap`` and ``loss`` and holds both,
+    so neither can be freed and its id reused while the entry stands.  It
+    lives in the instance dict beside the cached marginals, so copies and
+    pickles of the joint start without it.
+    """
+    memo = joint.__dict__.get("_excess")
+    if memo is not None and memo[0] is tmap and memo[1] is loss:
+        return memo[2]
+    excess = excess_risk(joint, tmap, loss)
+    joint.__dict__["_excess"] = (tmap, loss, excess)
+    return excess
+
+
 def _report(
     joint: DiscreteJoint,
     tmap: DeterministicMap,
@@ -144,7 +160,7 @@ def _report(
     if loss is None:
         excess, holds = math.nan, None
     else:
-        excess = excess_risk(joint, tmap, loss)
+        excess = _oracle_excess(joint, tmap, loss)
         holds = bool(excess <= bound + _HOLDS_TOL)
     return BoundReport(delta_I=gap, bound=bound, excess=excess, corollary=corollary, holds=holds)
 

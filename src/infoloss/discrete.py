@@ -121,7 +121,7 @@ class DiscreteJoint(_Frozen):
     @cached_property
     def information_gap(self) -> float:
         """I(Y; X) - I(Y; Z); >= 0 when Z = T(X)."""
-        return mutual_information(self.p_yx) - mutual_information(self.p_yz)
+        return _mi(self.p_yx) - _mi(self.p_yz)
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,11 @@ def mutual_information(joint2) -> float:
     marginal product underflows, every term is taken as
     log p - log p_a - log p_b instead of the log of the ratio.
     """
-    j = check_pmf(joint2, 2, name="joint2")
+    return _mi(check_pmf(joint2, 2, name="joint2"))
+
+
+def _mi(j: np.ndarray) -> float:
+    """``mutual_information`` of a float64 joint already known to be a pmf."""
     pa = j.sum(axis=1)
     pb = j.sum(axis=0)
     mask = j > 0
@@ -254,11 +258,15 @@ def posterior_cost(joint2, loss: LossMatrix, *, name: str) -> tuple[np.ndarray, 
     each prediction times the observation's probability.
     """
     j = check_pmf(joint2, 2, name=name)
-    if j.shape[0] != loss.n_labels:
-        raise ValueError(
-            f"alphabet mismatch: joint has {j.shape[0]} labels, loss has {loss.n_labels}"
-        )
+    _check_labels(j.shape[0], loss)
     return j, loss.cost.T @ j
+
+
+def _check_labels(n_labels: int, loss: LossMatrix) -> None:
+    if n_labels != loss.n_labels:
+        raise ValueError(
+            f"alphabet mismatch: joint has {n_labels} labels, loss has {loss.n_labels}"
+        )
 
 
 def bayes_risk(joint2, loss: LossMatrix) -> float:
@@ -268,8 +276,14 @@ def bayes_risk(joint2, loss: LossMatrix) -> float:
     picks, for each observation, the label minimizing the posterior expected
     loss.  Equals sum_obs min_y' sum_y joint2[y, obs] cost[y, y'].
     """
-    _, cost = posterior_cost(joint2, loss, name="joint2")
-    return float(cost.min(axis=0).sum())
+    j = check_pmf(joint2, 2, name="joint2")
+    _check_labels(j.shape[0], loss)
+    return _bayes_risk(j, loss)
+
+
+def _bayes_risk(j: np.ndarray, loss: LossMatrix) -> float:
+    """``bayes_risk`` of a float64 pmf whose label count matches the loss."""
+    return float((loss.cost.T @ j).min(axis=0).sum())
 
 
 def _check_consistent(joint: DiscreteJoint, tmap: DeterministicMap) -> None:
@@ -306,6 +320,5 @@ def excess_risk(joint: DiscreteJoint, tmap: DeterministicMap, loss: LossMatrix) 
     float roundoff: coarsening the observation can never help.
     """
     _check_consistent(joint, tmap)
-    risk_x = bayes_risk(joint.p_yx, loss)
-    risk_z = bayes_risk(joint.p_yz, loss)
-    return risk_z - risk_x
+    _check_labels(joint.shape[0], loss)
+    return _bayes_risk(joint.p_yz, loss) - _bayes_risk(joint.p_yx, loss)

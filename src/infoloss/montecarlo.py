@@ -75,7 +75,8 @@ class MCRow:
 
     ``vacuous`` marks a size whose threshold t_n is at least ``L_MAX``, so
     no replicate can reject there.  t_n depends only on n and the test
-    config, so every replicate shares the flag.
+    config, so every replicate shares the flag; the same holds for
+    ``type1_trivial``, a ``type1_bound`` >= 1.
     """
 
     n: int
@@ -84,6 +85,7 @@ class MCRow:
     median_L_n: float
     mean_t_n: float
     type1_bound: float
+    type1_trivial: bool
     wall_time: float
     vacuous: bool
 
@@ -147,6 +149,12 @@ def run_plan(plan: ExperimentPlan, threads: int | None = None) -> MCResult:
     chunked binning buffers.  The default is one worker per core this
     process may run on (its CPU affinity, else ``os.cpu_count()``), so pick
     ``threads`` for the largest n: w workers need about 34 w n bytes.
+
+    Below about 1e4 rows a replicate is interpreter-bound, so worker threads
+    queue on the GIL and a second one gains nothing.  On 2 vCPUs (Python
+    3.11.7, numpy 2.4.6; min and median of 7 plans of 200 replicates, h0
+    and h1) the 2-thread / 1-thread time ratio was 0.94-1.41 at n = 1e3,
+    0.93-1.11 at 1e4, 0.56-0.94 at 2e4 and 0.56-0.69 at 1e5 (40 replicates).
     """
     workers = threads if threads is not None else _usable_cores()
     if workers < 1:
@@ -168,6 +176,7 @@ def run_plan(plan: ExperimentPlan, threads: int | None = None) -> MCResult:
                     median_L_n=float(np.median(l_vals)),
                     mean_t_n=float(t_vals.mean()),
                     type1_bound=float(results[0].type1_bound),
+                    type1_trivial=results[0].type1_trivial,
                     wall_time=elapsed,
                     vacuous=results[0].vacuous,
                 )

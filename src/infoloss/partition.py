@@ -367,6 +367,7 @@ class TestOutcome:
 
     ``vacuous`` marks a threshold t_n >= L_MAX: the test accepts whatever
     the sample, so its acceptance is no evidence of independence.
+    ``type1_trivial`` marks a ``type1_bound`` >= 1, which bounds nothing.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -380,6 +381,7 @@ class TestOutcome:
     reject: bool
     vacuous: bool
     type1_bound: float
+    type1_trivial: bool
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -393,6 +395,7 @@ def run_test(data: Dataset, cfg: TestConfig = TestConfig()) -> TestOutcome:
     hist = build_histogram(data, part, scaling)
     l_n = l_statistic(hist)
     t_n = threshold(data.n, part.m, part.m_prime, part.m_dprime, h, cfg.c1)
+    bound = type1_bound(cfg.c1, part.m_dprime)
     return TestOutcome(
         L_n=l_n,
         t_n=t_n,
@@ -402,5 +405,6 @@ def run_test(data: Dataset, cfg: TestConfig = TestConfig()) -> TestOutcome:
         h=float(h),
         reject=bool(l_n >= t_n),
         vacuous=t_n >= L_MAX,
-        type1_bound=type1_bound(cfg.c1, part.m_dprime),
+        type1_bound=bound,
+        type1_trivial=bound >= 1.0,
     )

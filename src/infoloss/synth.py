@@ -73,6 +73,8 @@ class H0Config:
     noise_scale: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("n", "k"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.k < 1:

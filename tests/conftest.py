@@ -51,7 +51,8 @@ def write_dataset_csv(data: Dataset, path) -> None:
 def always_reject(data, cfg):
     """Stand-in for ``run_test`` that rejects every subset it is given."""
     return TestOutcome(L_n=1.0, t_n=0.5, m=1, m_prime=1, m_dprime=1, h=1.0,
-                       reject=True, vacuous=False, type1_bound=1.0)
+                       reject=True, vacuous=False, type1_bound=1.0,
+                       type1_trivial=True)
 
 
 def random_pmf(rng, size):

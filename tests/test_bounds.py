@@ -1,12 +1,15 @@
 """Tests for the excess-risk certificates tied to information gaps."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import infoloss.bounds
 from infoloss import (
     BoundReport,
     DeterministicMap,
@@ -19,6 +22,8 @@ from infoloss import (
     dv_gap_check,
     excess_risk,
     family_lossless_check,
+    gen_random_joint,
+    gen_random_loss,
     hoeffding_profile,
     hoeffding_sigma,
     mutual_information,
@@ -150,6 +155,60 @@ class TestSubgaussianBound:
         profile = hoeffding_profile(joint.p_yx, loss)
         rep = bound_subgaussian(joint, tmap, profile, loss)
         assert rep.holds
+
+
+class TestOracleExcessOnce:
+    """``_report`` evaluates the oracle excess once per (joint, map, loss)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def recording(joint, tmap, loss):
+            seen.append((joint, tmap, loss))
+            return excess_risk(joint, tmap, loss)
+
+        monkeypatch.setattr(infoloss.bounds, "excess_risk", recording)
+        return seen
+
+    def test_one_call_per_instance(self, calls):
+        instances = [gen_random_joint((3, 4, 2), seed) + (gen_random_loss(3, 1.0, seed),)
+                     for seed in range(4)]
+        for joint, tmap, loss in instances:
+            worst = bound_bounded_loss(joint, tmap, loss)
+            profile = hoeffding_profile(joint.p_yx, loss)
+            adaptive = bound_subgaussian(joint, tmap, profile, loss)
+            assert worst.excess == adaptive.excess == excess_risk(joint, tmap, loss)
+        assert calls == instances
+
+    def test_equal_but_distinct_loss_or_map_evaluates_again(self, calls):
+        joint, tmap = gen_random_joint((3, 4, 2), 0)
+        loss = gen_random_loss(3, 1.0, 0)
+        twin_loss = LossMatrix(loss.cost)
+        twin_map = DeterministicMap(tmap.table, n_z=tmap.n_z)
+        for args in ((tmap, loss), (tmap, loss), (tmap, twin_loss), (twin_map, twin_loss)):
+            bound_bounded_loss(joint, *args)
+        assert calls == [(joint, tmap, loss), (joint, tmap, twin_loss),
+                         (joint, twin_map, twin_loss)]
+
+    def test_failed_check_leaves_no_entry(self, calls):
+        joint, tmap = gen_random_joint((3, 4, 2), 0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="alphabet mismatch"):
+                bound_bounded_loss(joint, tmap, zero_one_loss(2))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_start_without_the_entry(self, calls, copier):
+        joint, tmap = gen_random_joint((3, 4, 2), 0)
+        loss = gen_random_loss(3, 1.0, 0)
+        bound_bounded_loss(joint, tmap, loss)
+        assert "_excess" in vars(joint)
+        clone = copier(joint)
+        assert set(vars(clone)) == {"probs"}
+        assert bound_bounded_loss(clone, tmap, loss) == bound_bounded_loss(joint, tmap, loss)
+        assert calls == [(joint, tmap, loss), (clone, tmap, loss)]
 
 
 class TestHoeffdingProfile:

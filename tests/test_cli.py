@@ -65,6 +65,7 @@ class TestTestCommand:
         assert out["reject"] is False
         assert set(out) == {
             "L_n", "t_n", "m", "m_prime", "m_dprime", "h", "reject", "vacuous", "type1_bound",
+            "type1_trivial",
         }
 
     def test_short_sample_is_vacuous(self, tmp_path, capsys):
@@ -78,6 +79,16 @@ class TestTestCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["t_n"] >= 2.0
         assert out["vacuous"] is True and out["reject"] is False
+
+    def test_type1_bound_above_one_is_trivial(self, h1_csv, capsys):
+        # At c1 = 1.5, 4 exp(-(c1^2/2 - log 2) m'') >= 1 for m'' <= 3; --h 0.5
+        # gives m'' = 2 and a bound of 1.69, which bounds no probability.
+        capsys.readouterr()
+        main(["test", "--input", str(h1_csv), "--h", "0.5"])
+        out = json.loads(capsys.readouterr().out)
+        assert out["m_dprime"] == 2
+        assert out["type1_bound"] == pytest.approx(1.6864, abs=1e-4)
+        assert out["type1_trivial"] is True
 
     def test_dependent_rejects_exit_three(self, tmp_path, rng, capsys):
         csv = tmp_path / "dep.csv"
@@ -422,9 +433,9 @@ class TestGoldenOutputs:
     """
 
     @pytest.mark.parametrize("flags, expected", [
-        ((), "f34b372a23d33ffa1c18eab8c68e29e0c6c01b41bb0dbee59b0a0d7d714f08e5"),
-        (("--h", "0.1"), "9a33054b19573bfffb28e2e8fa3127d46beddc75b83f9548984dbe237d9ceb4d"),
-    ])
+        ((), "f8602960f93bec946ae5adcb5eca6c770a7d1dc36a04e419e2ed73e40abb6fcc"),
+        (("--h", "0.1"), "499da88d01d1bc1382178dbf9f6d40f195ea390efd9cc292234e13b1be890b78"),
+    ], ids=["default", "h0.1"])
     def test_test_stdout(self, h1_csv, capsys, flags, expected):
         capsys.readouterr()
         main(["test", "--input", str(h1_csv), *flags])
@@ -473,7 +484,7 @@ class TestGoldenOutputs:
         lines = stem.with_suffix(".json").read_text().splitlines(keepends=True)
         kept = "".join(line for line in lines if '"wall_time":' not in line)
         assert sha256(kept) == (
-            "aeeef93002f08a38a9ed94e7e179618b8071ca2669b8e209c79d508c473ae79f"
+            "f3ca41e448dae01cf36e6dcedb1dadadfdf0da31bfabc84e5b9e6743dfeea0f3"
         )
 
 

@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infoloss import (
@@ -283,6 +283,63 @@ class TestExcessRisk:
         mapped = apply_map(joint.p_yx, tmap)
         loss = zero_one_loss(joint.probs.shape[0])
         assert excess_risk(mapped, tmap, loss) >= -1e-12
+
+
+@st.composite
+def mapped_joints(draw):
+    """(joint, map, loss) with Z = T(X); optionally an isolated 1e-200 cell
+    whose marginal product underflows, taking MI's log-sum branch."""
+    ny, nx = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    table = np.array(draw(st.lists(st.integers(0, 2), min_size=nx, max_size=nx)))
+    _, table = np.unique(table, return_inverse=True)
+    tmap = DeterministicMap(table, n_z=int(table.max()) + 1)
+    vals = draw(st.lists(st.floats(0.01, 1.0), min_size=ny * nx, max_size=ny * nx))
+    j = np.asarray(vals).reshape(ny, nx)
+    j /= j.sum()
+    if draw(st.booleans()):
+        j[0, :] = 0.0
+        j[:, 0] = 0.0
+        j /= j.sum()
+        j[0, 0] = 1e-200
+    costs = draw(st.lists(st.floats(0.0, 2.0), min_size=ny * ny, max_size=ny * ny))
+    return apply_map(j, tmap), tmap, LossMatrix(np.reshape(costs, (ny, ny)))
+
+
+class TestJointCoresMatchValidatedPath:
+    """The gap and the excess skip re-validating the joint's own marginals;
+    they must equal the public functions on those marginals bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(mapped_joints())
+    @example((  # p_a p_b = 1e-400 underflows in p_yx
+        apply_map(np.array([[1e-200, 0.0], [0.0, 1.0 - 1e-200]]),
+                  DeterministicMap(np.array([0, 0]), n_z=1)),
+        DeterministicMap(np.array([0, 0]), n_z=1),
+        zero_one_loss(2),
+    ))
+    def test_gap_and_excess_bit_equal(self, instance):
+        joint, tmap, loss = instance
+        gap = mutual_information(joint.p_yx) - mutual_information(joint.p_yz)
+        assert joint.information_gap == gap
+        excess = bayes_risk(joint.p_yz, loss) - bayes_risk(joint.p_yx, loss)
+        assert excess_risk(joint, tmap, loss) == excess
+
+    def test_error_messages_and_order(self):
+        j = np.array([[0.5, 0.0], [0.0, 0.5]])
+        joint = apply_map(j, DeterministicMap(np.array([0, 1]), n_z=2))
+        other = DeterministicMap(np.array([1, 0]), n_z=2)
+        with pytest.raises(ValueError, match=exact(
+            "joint has mass at (y=0, x=0, z=0) but map sends x=0 to z=1"
+        )):
+            excess_risk(joint, other, zero_one_loss(3))  # off the graph and 3 labels
+        with pytest.raises(ValueError, match=exact(
+            "map shape (2 -> 3) does not match joint axes (2, 2)"
+        )):
+            excess_risk(joint, DeterministicMap(np.array([0, 1]), n_z=3), zero_one_loss(2))
+        with pytest.raises(ValueError, match=exact(
+            "alphabet mismatch: joint has 2 labels, loss has 3"
+        )):
+            excess_risk(joint, DeterministicMap(np.array([0, 1]), n_z=2), zero_one_loss(3))
 
 
 class TestDataProcessing:

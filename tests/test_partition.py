@@ -496,7 +496,20 @@ class TestRunTest:
         d = out.to_dict()
         assert set(d) == {
             "L_n", "t_n", "m", "m_prime", "m_dprime", "h", "reject", "vacuous", "type1_bound",
+            "type1_trivial",
         }
+
+    @pytest.mark.parametrize("n, cfg, m_dprime, trivial", [
+        (2000, TestConfig(h=1.0), 1, True),  # bound 2.6
+        (2000, TestConfig(h=0.34), 3, True),  # bound 1.09
+        (2000, TestConfig(h=0.25), 4, False),  # bound 0.71
+        (100_000, TestConfig(), 10, False),  # the default schedule
+    ])
+    def test_type1_trivial_iff_bound_reaches_one(self, rng, n, cfg, m_dprime, trivial):
+        out = run_test(make_dataset(rng, n), cfg)
+        assert out.m_dprime == m_dprime
+        assert out.type1_trivial is trivial
+        assert out.type1_trivial == (out.type1_bound >= 1.0)
 
     def test_strong_dependence_rejects_at_moderate_n(self, rng):
         # y = x on a 10-bin grid: the diagonal concentration drives L_n to

@@ -100,7 +100,7 @@ class TestEachSubsetTestedOnce:
             hits = len(target & set(subset))
             return TestOutcome(L_n=1.0 - 0.25 * hits, t_n=0.5, m=1, m_prime=1, m_dprime=1,
                                h=1.0, reject=hits < len(target), vacuous=False,
-                               type1_bound=1.0)
+                               type1_bound=1.0, type1_trivial=True)
 
         monkeypatch.setattr(infoloss.selection, "run_test", recording_test)
         res = greedy_lossless_selection(data)

@@ -102,6 +102,23 @@ class TestDeterminism:
             gen_h0(H0Config(n=100, seed=2.5))
         np.testing.assert_array_equal(philox(np.uint64(5)).random(3), philox(5).random(3))
 
+    @pytest.mark.parametrize("field, value", [("k", 2.5), ("n", 50.0), ("k", 4.0)])
+    def test_sizes_must_be_integers(self, field, value):
+        # k = 2.5 used to draw atoms {0, 0.4}: integers(0, 2.5) gives {0, 1}
+        # while the atoms are arange(2.5) / 2.5.  A float n failed in numpy.
+        params = {"n": 50, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value}$"):
+            H0Config(**params)
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value}$"):
+            H1Config(**params)
+
+    def test_numpy_integer_sizes_stored_as_ints(self):
+        cfg = H1Config(n=np.int64(50), seed=1, k=np.uint8(3))
+        assert type(cfg.n) is int and type(cfg.k) is int
+        assert (cfg.n, cfg.k) == (50, 3)
+        want = gen_h1(H1Config(n=50, seed=1, k=3))
+        np.testing.assert_array_equal(gen_h1(cfg).x, want.x)
+
     def test_markets_and_joints_deterministic(self):
         m1, m2 = gen_market(3, 4, 11), gen_market(3, 4, 11)
         assert m1.returns.tobytes() == m2.returns.tobytes()
