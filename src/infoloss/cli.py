@@ -10,12 +10,15 @@ Subcommands:
 
 Exit codes: 0 success (test: independence accepted; select: always, with
 the outcome in its JSON), 3 test rejected, 1 any error, 2 bad arguments.
+A stdout closed by its reader (``infoloss select ... | head``) also exits 1,
+with no error message.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -230,7 +233,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: send what is still buffered to devnull, so
+        # the exit-time flush reports nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
     except (SchemaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

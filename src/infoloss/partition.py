@@ -218,52 +218,70 @@ class JointHistogram:
     c_counts: np.ndarray
 
 
-def build_histogram(data: Dataset, part: CubicPartition, scaling: tuple) -> JointHistogram:
+def build_histogram(
+    data: Dataset, part: CubicPartition, scaling: tuple | None = None
+) -> JointHistogram:
     """Bin a sample into the cubic partition through its min-max map.
 
-    ``scaling`` is ``scale_unit``'s ``(lo, span)``: coordinate j maps to
-    u = (c - lo[j]) / span[j], or to 0.5 when span[j] is 0, and u must lie
-    in [0, 1]; u = 1 falls into the last bin along its axis.  _CHUNK_ROWS
-    rows at a time, each cell index floor(u / h) is added into one
-    mixed-radix key over x..., y, z....  A grid with no more cells than the
-    sample has rows counts each chunk's keys; finer grids keep every row's
-    key and count them by sorting.  Either way the occupied triples come out
-    in ascending key order.  Each of the (A, C), (B, C) and C marginals is
-    one weighted count over them, by cell id when the marginal has at most n
-    cells and by the rank of its occupied ids otherwise.
+    Coordinate j maps to u = (c - lo[j]) / span[j], or to 0.5 when span[j]
+    is 0, and u = 1 falls into the last bin along its axis.  With no
+    ``scaling``, (lo, span) is ``scale_unit(data)``: lo is the column minimum
+    and span = fl(max - lo), so monotone rounding keeps every u in [0, 1]
+    and no check runs.  An explicit ``scaling`` is any ``(lo, span)`` pair;
+    each u is then checked to lie in [0, 1].
+
+    _CHUNK_ROWS rows at a time, each cell index floor(u / h) is added into
+    one mixed-radix key over x..., y, z....  For u <= 1, fl(u / h) <=
+    fl(1 / h), so an index reaches ``bins_per_axis`` only when 1 / h rounds
+    to that integer; only then, or under an explicit scaling, is it clamped
+    to the last bin.  A grid with no more cells than the sample has rows
+    counts each chunk's keys, in int32 while the grid has fewer than 2^31
+    cells; finer grids keep every row's int64 key and count them by sorting.
+    Either way the occupied triples come out in ascending key order.  Each
+    of the (A, C), (B, C) and C marginals is one weighted count over them,
+    by cell id when the marginal has at most n cells and by a stable sort of
+    its ids otherwise.
     """
     if data.d != part.d or data.d_prime != part.d_prime:
         raise ValueError(
             f"dimension mismatch: data is ({data.d}, 1, {data.d_prime}), "
             f"partition is ({part.d}, 1, {part.d_prime})"
         )
+    checked = scaling is not None
+    if not checked:
+        scaling = scale_unit(data)
     bins = part.bins_per_axis
+    clamp = checked or 1.0 / part.h >= bins
     shape = (part.m, bins, part.m_dprime)
     cells = math.prod(shape)
     dense = cells <= data.n
+    ints = np.int32 if dense and cells < 2**31 else np.int64
     step = min(_CHUNK_ROWS, data.n)
-    unit, index = np.empty(step), np.empty(step, dtype=np.int64)
-    key = np.empty(step if dense else data.n, dtype=np.int64)
+    unit, index = np.empty(step), np.empty(step, dtype=ints)
+    key = np.empty(step if dense else data.n, dtype=ints)
     grid = np.zeros(cells if dense else 0, dtype=np.int64)
     columns = [col for _, col in _coordinates(data)]
     for start in range(0, data.n, step):
         stop = min(start + step, data.n)
         k = key[: stop - start] if dense else key[start:stop]
         u, i = unit[: stop - start], index[: stop - start]
-        k.fill(0)
-        for col, c_lo, c_span in zip(columns, *scaling, strict=True):
+        for j, (col, c_lo, c_span) in enumerate(zip(columns, *scaling, strict=True)):
             if c_span == 0.0:
                 u.fill(0.5)
             else:
                 np.subtract(col[start:stop], c_lo, out=u)
                 np.divide(u, c_span, out=u)
-            if u.min() < 0.0 or u.max() > 1.0:
+            if checked and (u.min() < 0.0 or u.max() > 1.0):
                 raise ValueError("coordinate outside [0, 1] under the given scaling")
-            # u / h >= 0 here, so the cast's truncation toward zero is floor.
-            np.divide(u, part.h, out=i, casting="unsafe")
-            np.minimum(i, bins - 1, out=i)
-            k *= bins
-            k += i
+            # The first index goes straight into the key.  u / h >= 0 here,
+            # so the cast's truncation toward zero is floor.
+            out = i if j else k
+            np.divide(u, part.h, out=out, casting="unsafe")
+            if clamp:
+                np.minimum(out, bins - 1, out=out)
+            if j:
+                k *= bins
+                k += i
         if dense:
             np.add.at(grid, k, 1)
 
@@ -271,16 +289,32 @@ def build_histogram(data: Dataset, part: CubicPartition, scaling: tuple) -> Join
         ids = np.flatnonzero(grid)
         counts = grid[ids]
     else:
-        ids, counts = np.unique(key, return_counts=True)
+        key.sort()
+        starts = _run_starts(key)
+        ids, counts = key[starts], np.diff(starts, append=data.n)
     a_ids, b_ids, c_ids = np.unravel_index(ids, shape)
     n_c = part.m_dprime
     marginals = []
     for cell_key, n_cells in ((a_ids * n_c + c_ids, part.m * n_c),
                               (b_ids * n_c + c_ids, bins * n_c), (c_ids, n_c)):
-        if n_cells > data.n:
-            _, cell_key = np.unique(cell_key, return_inverse=True)
-        marginals.append(np.bincount(cell_key, weights=counts)[cell_key].astype(np.int64))
+        if n_cells <= data.n:
+            marginals.append(np.bincount(cell_key, weights=counts)[cell_key].astype(np.int64))
+        else:
+            order = np.argsort(cell_key, kind="stable")
+            starts = _run_starts(cell_key[order])
+            totals = np.add.reduceat(counts[order], starts)
+            marginal = np.empty_like(counts)
+            marginal[order] = np.repeat(totals, np.diff(starts, append=order.size))
+            marginals.append(marginal)
     return JointHistogram(data.n, part, a_ids, b_ids, c_ids, counts, *marginals)
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Position of the first entry of each run of equal values in a sorted array."""
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return np.flatnonzero(first)
 
 
 # Supremum of L_n: every occupied triple has q > 0, so L_n < L_MAX on any
@@ -389,10 +423,9 @@ class TestOutcome:
 
 def run_test(data: Dataset, cfg: TestConfig = TestConfig()) -> TestOutcome:
     """Scale, bin, and test a sample; rejects (dependence found) iff L_n >= t_n."""
-    scaling = scale_unit(data)
     h = cfg.bandwidth(data.n, data.d, data.d_prime)
     part = CubicPartition(h=h, d=data.d, d_prime=data.d_prime)
-    hist = build_histogram(data, part, scaling)
+    hist = build_histogram(data, part)
     l_n = l_statistic(hist)
     t_n = threshold(data.n, part.m, part.m_prime, part.m_dprime, h, cfg.c1)
     bound = type1_bound(cfg.c1, part.m_dprime)

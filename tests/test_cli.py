@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -538,3 +539,21 @@ class TestArgparseBehavior:
         )
         assert proc.returncode == 0
         assert "test" in proc.stdout and "portfolio" in proc.stdout
+
+    @pytest.mark.parametrize("command", ["test", "select"])
+    def test_closed_stdout_exits_one_quietly(self, h1_csv, command):
+        # The read end is closed before the child starts, so its write to
+        # stdout fails with EPIPE on every run, not only when a reader such
+        # as `head` happens to exit first.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "infoloss", command, "--input", str(h1_csv)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_ERROR
+        assert "error:" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr

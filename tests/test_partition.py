@@ -5,8 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from infoloss import (
     C1_MIN,
@@ -27,7 +28,7 @@ from infoloss import (
     type1_bound,
 )
 
-from infoloss.partition import L_MAX
+from infoloss.partition import _CHUNK_ROWS, L_MAX
 
 from conftest import columns, dense_l_statistic, unit_scaled
 
@@ -269,8 +270,8 @@ class TestHistogram:
 
     @pytest.mark.parametrize(
         "n, h, d, d_prime",
-        [(5000, 0.25, 2, 1), (200, 0.05, 2, 1)],
-        ids=["grid-within-n", "grid-beyond-n"],
+        [(5000, 0.25, 2, 1), (200, 0.05, 2, 1), (200, 0.004, 2, 1)],
+        ids=["grid-within-n", "grid-beyond-n", "grid-beyond-int32"],
     )
     def test_both_counting_paths_match_recount(self, rng, n, h, d, d_prime):
         data = make_dataset(rng, n, d=d, d_prime=d_prime)
@@ -336,6 +337,103 @@ class TestHistogram:
         part = CubicPartition(h=0.5, d=1, d_prime=1)
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
             build_histogram(data, part, identity_scaling(data))
+
+
+# Sides where 1 / h is an integer, so u = 1 lands one past the last cell
+# before the clamp, and two where it is not.
+INTEGRAL_H = [1.0, 0.5, 0.25, 0.125, 0.1, 1e5 ** -0.2]
+FRACTIONAL_H = [0.3, 1e6 ** -0.2]
+
+
+def edge_dataset(kind, n, seed=0):
+    """A sample whose every column has the named extreme range."""
+    rng = np.random.default_rng(seed)
+    u = rng.random((n, 3))
+    cols = {
+        "uniform": u,
+        "constant": np.column_stack([np.full(n, -7.5), u[:, 1], np.full(n, 1e300)]),
+        # spans of about 2e300 and values on both sides of zero
+        "huge": np.column_stack([1e300 * (2.0 * u[:, 0] - 1.0), -1e300 + 1e299 * u[:, 1],
+                                 8e307 * u[:, 2]]),
+        # spans of a few subnormal steps, and subnormal values on a subnormal span
+        "subnormal": np.column_stack([5e-324 * rng.integers(0, 7, n), 1e-310 * u[:, 1],
+                                      -2.5e-320 * u[:, 2]]),
+    }[kind]
+    return Dataset(x=cols[:, :1], y=cols[:, 1], z=cols[:, 2:])
+
+
+class TestImplicitScaling:
+    """With no scaling, ``build_histogram`` skips the range check, and the clamp
+    unless 1 / h is an integer; every array must match the checked path."""
+
+    @staticmethod
+    def assert_same_cells(data, part):
+        implicit = build_histogram(data, part)
+        checked = build_histogram(data, part, scale_unit(data))
+        for field in ("a_ids", "b_ids", "c_ids", "counts", "ac_counts", "bc_counts", "c_counts"):
+            got, want = getattr(implicit, field), getattr(checked, field)
+            assert got.dtype == want.dtype == np.int64, field
+            np.testing.assert_array_equal(got, want, err_msg=field)
+        assert implicit.n == checked.n and implicit.part == checked.part
+        return implicit
+
+    def test_h_values_cover_both_clamp_cases(self):
+        for h in INTEGRAL_H:
+            assert 1.0 / h == math.ceil(1.0 / h)
+        for h in FRACTIONAL_H:
+            assert 1.0 / h < math.ceil(1.0 / h)
+
+    @pytest.mark.parametrize("h", INTEGRAL_H + FRACTIONAL_H)
+    @pytest.mark.parametrize("kind", ["uniform", "constant", "huge", "subnormal"])
+    def test_edge_ranges_match_checked_path_and_oracle(self, kind, h):
+        data = edge_dataset(kind, 300)
+        part = CubicPartition(h=h, d=1, d_prime=1)
+        hist = self.assert_same_cells(data, part)
+        assert l_statistic(hist) == pytest.approx(
+            dense_l_statistic(unit_scaled(data), part), abs=1e-10
+        )
+
+    @pytest.mark.parametrize("n", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("h, dense", [(0.1, True), (0.003, False)], ids=["dense", "sort"])
+    def test_chunk_boundaries_on_both_paths(self, n, h, dense):
+        data = gen_h1(H1Config(n=n, seed=5))
+        data = Dataset(x=data.x[:, :1], y=data.y, z=np.empty((n, 0)))
+        part = CubicPartition(h=h, d=1, d_prime=0)
+        assert (part.m * part.m_prime * part.m_dprime <= n) == dense
+        hist = self.assert_same_cells(data, part)
+        assert l_statistic(hist) == pytest.approx(
+            dense_l_statistic(unit_scaled(data), part), abs=1e-10
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 120), st.sampled_from([2, 3])),
+            elements=st.floats(-1e300, 1e300),
+        ),
+        st.sampled_from(INTEGRAL_H + FRACTIONAL_H),
+    )
+    @example(np.array([[0.0, 5e-324], [5e-324, 0.0], [-0.0, 1e-323]]), 0.5)
+    @example(np.array([[-1e300, 1e300], [1e300, -1e300], [0.0, 3.0]]), 0.1)
+    def test_any_finite_sample_matches_checked_path_and_oracle(self, cols, h):
+        data = Dataset(x=cols[:, :1], y=cols[:, 1], z=cols[:, 2:])
+        part = CubicPartition(h=h, d=1, d_prime=data.d_prime)
+        hist = self.assert_same_cells(data, part)
+        assert l_statistic(hist) == pytest.approx(
+            dense_l_statistic(unit_scaled(data), part), abs=1e-10
+        )
+
+    @pytest.mark.parametrize("lo_shift, span_scale", [(0.0, 0.5), (0.25, 1.0)],
+                             ids=["above-one", "below-zero"])
+    def test_explicit_scaling_still_checked(self, rng, lo_shift, span_scale):
+        data = make_dataset(rng, 100)
+        lo, span = scale_unit(data)
+        with pytest.raises(
+            ValueError, match=r"^coordinate outside \[0, 1\] under the given scaling$"
+        ):
+            build_histogram(data, CubicPartition(h=0.3, d=1, d_prime=1),
+                            (lo + lo_shift * span, span * span_scale))
 
 
 class TestLStatistic:

@@ -1,6 +1,7 @@
 """Smoke tests: the example scripts run at a tiny size and print their summaries."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -101,3 +102,17 @@ def test_portfolio_demo_rejects_degenerate_markets(flag, value, message):
     assert "usage:" in proc.stderr
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_bench_stage_keys_are_benchmark_layer_names(tmp_path):
+    # The pipeline rows of a bench file share their keys with the trace.
+    out = tmp_path / "BENCH_t.json"
+    proc = run_script("bench.py", "--label", "t", "--out", str(out), "--workloads", "",
+                      "--sizes", "2000", "--csv-rows", "2000", "--k", "1")
+    assert proc.returncode == 0, proc.stderr
+    bench = json.loads(out.read_text())
+    per_layer = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    stages = bench["pipeline"]["2000"]["stages"]
+    assert len(stages) == 5 and set(stages) <= per_layer
+    assert all(seconds > 0 for seconds in stages.values())
+    assert bench["cli_test"]["rows"] == 2000 and bench["cli_test"]["min_s"] > 0
