@@ -35,7 +35,7 @@ import tempfile
 import time
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent.parent
+ROOT = Path(__file__).resolve().parent.parent
 
 # Stages of one test, in pipeline order; the partition.stat span covers
 # both l_statistic and threshold, and partition.run_test_s is run_test's
@@ -108,7 +108,7 @@ def cli_test_row(rows: int, k: int, seed: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
-    parser.add_argument("--root", type=Path, default=HERE, help="source checkout to measure")
+    parser.add_argument("--root", type=Path, default=ROOT, help="source checkout to measure")
     parser.add_argument("--out", type=Path, default=None,
                         help="output path (default: BENCH_<label>.json in this checkout)")
     parser.add_argument("--seconds", type=float, default=20.0, help="length of each perfbench run")
@@ -142,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         "cli_test": cli_test_row(args.csv_rows, args.k, args.seed),
         "pipeline": {str(n): pipeline_rows(n, args.k, args.seed) for n in sizes},
     }
-    out = args.out or HERE / f"BENCH_{args.label}.json"
+    out = args.out or ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(bench, indent=2) + "\n")
     print(f"wrote {out}")
     return 0

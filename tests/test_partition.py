@@ -41,6 +41,10 @@ def make_dataset(rng, n, d=1, d_prime=1):
     )
 
 
+# An explicit scaling is still checked; the implicit one cannot fail.
+OUTSIDE_UNIT = r"^coordinate outside \[0, 1\] under the given scaling$"
+
+
 def identity_scaling(data):
     """The map (lo, span) = (0, 1) on every coordinate, for data already in [0, 1]."""
     width = data.d + 1 + data.d_prime
@@ -239,7 +243,7 @@ class TestHistogram:
     def test_rejects_data_outside_unit_cube(self):
         data = Dataset(x=np.array([[1.5]]), y=np.array([0.5]), z=np.array([[0.5]]))
         part = CubicPartition(h=0.5, d=1, d_prime=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=OUTSIDE_UNIT):
             build_histogram(data, part, identity_scaling(data))
 
 
@@ -335,7 +339,7 @@ class TestHistogram:
     def test_rejects_negative_coordinate(self):
         data = Dataset(x=np.array([[0.5]]), y=np.array([-0.1]), z=np.array([[0.5]]))
         part = CubicPartition(h=0.5, d=1, d_prime=1)
-        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        with pytest.raises(ValueError, match=OUTSIDE_UNIT):
             build_histogram(data, part, identity_scaling(data))
 
 
@@ -367,7 +371,7 @@ class TestImplicitScaling:
     unless 1 / h is an integer; every array must match the checked path."""
 
     @staticmethod
-    def assert_same_cells(data, part):
+    def assert_matches_checked_path_and_oracle(data, part):
         implicit = build_histogram(data, part)
         checked = build_histogram(data, part, scale_unit(data))
         for field in ("a_ids", "b_ids", "c_ids", "counts", "ac_counts", "bc_counts", "c_counts"):
@@ -375,7 +379,9 @@ class TestImplicitScaling:
             assert got.dtype == want.dtype == np.int64, field
             np.testing.assert_array_equal(got, want, err_msg=field)
         assert implicit.n == checked.n and implicit.part == checked.part
-        return implicit
+        assert l_statistic(implicit) == pytest.approx(
+            dense_l_statistic(unit_scaled(data), part), abs=1e-10
+        )
 
     def test_h_values_cover_both_clamp_cases(self):
         for h in INTEGRAL_H:
@@ -388,10 +394,7 @@ class TestImplicitScaling:
     def test_edge_ranges_match_checked_path_and_oracle(self, kind, h):
         data = edge_dataset(kind, 300)
         part = CubicPartition(h=h, d=1, d_prime=1)
-        hist = self.assert_same_cells(data, part)
-        assert l_statistic(hist) == pytest.approx(
-            dense_l_statistic(unit_scaled(data), part), abs=1e-10
-        )
+        self.assert_matches_checked_path_and_oracle(data, part)
 
     @pytest.mark.parametrize("n", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
     @pytest.mark.parametrize("h, dense", [(0.1, True), (0.003, False)], ids=["dense", "sort"])
@@ -400,10 +403,7 @@ class TestImplicitScaling:
         data = Dataset(x=data.x[:, :1], y=data.y, z=np.empty((n, 0)))
         part = CubicPartition(h=h, d=1, d_prime=0)
         assert (part.m * part.m_prime * part.m_dprime <= n) == dense
-        hist = self.assert_same_cells(data, part)
-        assert l_statistic(hist) == pytest.approx(
-            dense_l_statistic(unit_scaled(data), part), abs=1e-10
-        )
+        self.assert_matches_checked_path_and_oracle(data, part)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -419,21 +419,7 @@ class TestImplicitScaling:
     def test_any_finite_sample_matches_checked_path_and_oracle(self, cols, h):
         data = Dataset(x=cols[:, :1], y=cols[:, 1], z=cols[:, 2:])
         part = CubicPartition(h=h, d=1, d_prime=data.d_prime)
-        hist = self.assert_same_cells(data, part)
-        assert l_statistic(hist) == pytest.approx(
-            dense_l_statistic(unit_scaled(data), part), abs=1e-10
-        )
-
-    @pytest.mark.parametrize("lo_shift, span_scale", [(0.0, 0.5), (0.25, 1.0)],
-                             ids=["above-one", "below-zero"])
-    def test_explicit_scaling_still_checked(self, rng, lo_shift, span_scale):
-        data = make_dataset(rng, 100)
-        lo, span = scale_unit(data)
-        with pytest.raises(
-            ValueError, match=r"^coordinate outside \[0, 1\] under the given scaling$"
-        ):
-            build_histogram(data, CubicPartition(h=0.3, d=1, d_prime=1),
-                            (lo + lo_shift * span, span * span_scale))
+        self.assert_matches_checked_path_and_oracle(data, part)
 
 
 class TestLStatistic:
