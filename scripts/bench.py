@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Write BENCH_<label>.json: the benchmark's workloads plus the pipeline rows it lacks.
 
-    python scripts/bench.py --label NAME [--root DIR] [--seconds 20] [--seed 1] [--k 5]
+    python scripts/bench.py --label NAME [--root DIR]
 
 Measures the source checkout at ``--root`` (default: this one), importing
 the package from its ``src/`` and the tracer from its ``perfbench/``, so an
@@ -10,11 +10,15 @@ older checkout can be measured with this script.  The file holds:
 - ``workloads``: each workload of the checkout's BENCHMARK.json run by its
   ``perfbench/run.py`` with ``--trace 0`` and ``--trace 1``, keeping the
   ``report:`` line's environment and every metric's median;
-- ``cli_test``: min-of-k wall time of CLI ``test`` on an h1 CSV written by
-  CLI ``gen`` (1e6 rows by default), in this process;
-- ``pipeline``: for each n, min-of-k per-stage times of ``run_test`` on an
-  h1 sample, keyed by BENCHMARK.json's per-layer names (generate, scale,
-  bin, statistic and threshold), and the whole ``run_test`` time.
+- ``cli_test``: min-of-K wall time of CLI ``test`` on a 1e6-row h1 CSV
+  written by CLI ``gen``, in this process;
+- ``pipeline``: for n = 1e5, 1e6 and 5e6, min-of-K per-stage times of
+  ``run_test`` on an h1 sample, keyed by BENCHMARK.json's per-layer names
+  (generate, scale, bin, statistic and threshold), and the whole
+  ``run_test`` time.
+
+Each perfbench run lasts SECONDS = 20, every sample is drawn with SEED = 1,
+and each min-of-K row takes K = 5 repeats.
 
 Every time is in seconds.  Stage times are self times from perfbench's
 tracer: when ``build_histogram`` takes the scaling itself, the scale pass
@@ -36,6 +40,11 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SECONDS = 20.0
+SEED = 1
+K = 5
+SIZES = (100_000, 1_000_000, 5_000_000)
+CSV_ROWS = 1_000_000
 
 # Stages of one test, in pipeline order; the partition.stat span covers
 # both l_statistic and threshold, and partition.run_test_s is run_test's
@@ -109,40 +118,26 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
     parser.add_argument("--root", type=Path, default=ROOT, help="source checkout to measure")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="output path (default: BENCH_<label>.json in this checkout)")
-    parser.add_argument("--seconds", type=float, default=20.0, help="length of each perfbench run")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--k", type=int, default=5, help="repeats behind each min-of-k row")
-    parser.add_argument("--sizes", default="100000,1000000,5000000",
-                        help="comma-separated n of the pipeline rows")
-    parser.add_argument("--csv-rows", type=int, default=1_000_000)
-    parser.add_argument("--workloads", default=None,
-                        help="comma-separated perfbench workloads (default: all; '' for none)")
     args = parser.parse_args(argv)
 
     root = args.root.resolve()
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    names = ([w["name"] for w in spec["workloads"]] if args.workloads is None
-             else [w for w in args.workloads.split(",") if w])
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from run import environment
 
     bench = {
         "label": args.label,
-        "env": environment(root, args.seed, 1),
-        "k": args.k,
+        "env": environment(root, SEED, 1),
+        "k": K,
         "workloads": {
-            name: {f"trace{t}": run_workload(root, name, args.seed, args.seconds, t)
-                   for t in (0, 1)}
-            for name in names
+            w["name"]: {f"trace{t}": run_workload(root, w["name"], SEED, SECONDS, t)
+                        for t in (0, 1)}
+            for w in spec["workloads"]
         },
-        "cli_test": cli_test_row(args.csv_rows, args.k, args.seed),
-        "pipeline": {str(n): pipeline_rows(n, args.k, args.seed) for n in sizes},
+        "cli_test": cli_test_row(CSV_ROWS, K, SEED),
+        "pipeline": {str(n): pipeline_rows(n, K, SEED) for n in SIZES},
     }
-    out = args.out or ROOT / f"BENCH_{args.label}.json"
+    out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(bench, indent=2) + "\n")
     print(f"wrote {out}")
     return 0

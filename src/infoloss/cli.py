@@ -60,12 +60,26 @@ def _test_config(args) -> TestConfig:
     return TestConfig(c1=args.c1, delta=args.delta, h=args.h)
 
 
+class _StdoutClosed(Exception):
+    """The reader of stdout went away (``infoloss select ... | head``)."""
+
+
+def _print(text: str) -> None:
+    """Print ``text`` to stdout and flush it, so a closed stdout raises here,
+    as _StdoutClosed, and not at interpreter exit.  A broken pipe on any other
+    file stays an OSError."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        raise _StdoutClosed from None
+
+
 def _emit_json(obj: dict, output: str | None) -> None:
     """Print ``obj`` as indented JSON, and also write it to ``output`` when given."""
     payload = json.dumps(obj, indent=2)
     if output:
         Path(output).write_text(payload + "\n")
-    print(payload)
+    _print(payload)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -101,7 +115,7 @@ def _cmd_mc(args) -> int:
     out = Path(args.output)
     out.with_suffix(".csv").write_text(result.to_csv())
     save_json(result.to_dict(), out.with_suffix(".json"))
-    print(f"wrote {out.with_suffix('.csv')} and {out.with_suffix('.json')}")
+    _print(f"wrote {out.with_suffix('.csv')} and {out.with_suffix('.json')}")
     return EXIT_OK
 
 
@@ -150,7 +164,7 @@ def _cmd_gen(args) -> int:
     out = Path(args.output)
     _write_text(out.with_suffix(".csv"), dataset_to_csv(data))
     save_json(echo, out.with_suffix(".json"))
-    print(f"wrote {out.with_suffix('.csv')} and {out.with_suffix('.json')}")
+    _print(f"wrote {out.with_suffix('.csv')} and {out.with_suffix('.json')}")
     return EXIT_OK
 
 
@@ -233,10 +247,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
-        return code
-    except BrokenPipeError:
+        return args.func(args)
+    except _StdoutClosed:
         # Python's SIGPIPE recipe: send what is still buffered to devnull, so
         # the exit-time flush reports nothing either.
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -239,8 +239,8 @@ def build_histogram(
     cells; finer grids keep every row's int64 key and count them by sorting.
     Either way the occupied triples come out in ascending key order.  Each
     of the (A, C), (B, C) and C marginals is one weighted count over them,
-    by cell id when the marginal has at most n cells and by a stable sort of
-    its ids otherwise.
+    by cell id when the marginal has at most n cells and by the rank of its
+    occupied ids otherwise.
     """
     if data.d != part.d or data.d_prime != part.d_prime:
         raise ValueError(
@@ -289,32 +289,16 @@ def build_histogram(
         ids = np.flatnonzero(grid)
         counts = grid[ids]
     else:
-        key.sort()
-        starts = _run_starts(key)
-        ids, counts = key[starts], np.diff(starts, append=data.n)
+        ids, counts = np.unique(key, return_counts=True)
     a_ids, b_ids, c_ids = np.unravel_index(ids, shape)
     n_c = part.m_dprime
     marginals = []
     for cell_key, n_cells in ((a_ids * n_c + c_ids, part.m * n_c),
                               (b_ids * n_c + c_ids, bins * n_c), (c_ids, n_c)):
-        if n_cells <= data.n:
-            marginals.append(np.bincount(cell_key, weights=counts)[cell_key].astype(np.int64))
-        else:
-            order = np.argsort(cell_key, kind="stable")
-            starts = _run_starts(cell_key[order])
-            totals = np.add.reduceat(counts[order], starts)
-            marginal = np.empty_like(counts)
-            marginal[order] = np.repeat(totals, np.diff(starts, append=order.size))
-            marginals.append(marginal)
+        if n_cells > data.n:
+            _, cell_key = np.unique(cell_key, return_inverse=True)
+        marginals.append(np.bincount(cell_key, weights=counts)[cell_key].astype(np.int64))
     return JointHistogram(data.n, part, a_ids, b_ids, c_ids, counts, *marginals)
-
-
-def _run_starts(ordered: np.ndarray) -> np.ndarray:
-    """Position of the first entry of each run of equal values in a sorted array."""
-    first = np.empty(ordered.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return np.flatnonzero(first)
 
 
 # Supremum of L_n: every occupied triple has q > 0, so L_n < L_MAX on any

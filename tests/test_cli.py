@@ -557,3 +557,15 @@ class TestArgparseBehavior:
         assert proc.returncode == EXIT_ERROR
         assert "error:" not in proc.stderr
         assert "Exception ignored" not in proc.stderr
+
+    def test_broken_pipe_on_output_file_is_an_error(self, h1_csv, tmp_path, monkeypatch,
+                                                    capsys):
+        # Only stdout's reader leaving is quiet: an --output FIFO whose reader
+        # exits is a file error like any other.
+        def broken_pipe(self, *args, **kwargs):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(Path, "write_text", broken_pipe)
+        code = main(["test", "--input", str(h1_csv), "--output", str(tmp_path / "o.json")])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"

@@ -1,6 +1,7 @@
 """Smoke tests: the example scripts run at a tiny size and print their summaries."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -104,15 +105,15 @@ def test_portfolio_demo_rejects_degenerate_markets(flag, value, message):
     assert "Traceback" not in proc.stderr
 
 
-def test_bench_stage_keys_are_benchmark_layer_names(tmp_path):
+def test_bench_stage_keys_are_benchmark_layer_names(monkeypatch):
     # The pipeline rows of a bench file share their keys with the trace.
-    out = tmp_path / "BENCH_t.json"
-    proc = run_script("bench.py", "--label", "t", "--out", str(out), "--workloads", "",
-                      "--sizes", "2000", "--csv-rows", "2000", "--k", "1")
-    assert proc.returncode == 0, proc.stderr
-    bench = json.loads(out.read_text())
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
     per_layer = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
-    stages = bench["pipeline"]["2000"]["stages"]
-    assert len(stages) == 5 and set(stages) <= per_layer
+    stages = bench.pipeline_rows(2000, 1, 1)["stages"]
+    assert set(stages) == set(bench.STAGE_KEYS) and set(stages) <= per_layer
     assert all(seconds > 0 for seconds in stages.values())
-    assert bench["cli_test"]["rows"] == 2000 and bench["cli_test"]["min_s"] > 0
+    row = bench.cli_test_row(2000, 1, 1)
+    assert row["rows"] == 2000 and row["min_s"] > 0
