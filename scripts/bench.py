@@ -21,7 +21,7 @@ Each perfbench run lasts SECONDS = 20, every sample is drawn with SEED = 1,
 and each min-of-K row takes K = 5 repeats.
 
 Every time is in seconds.  Stage times are self times from perfbench's
-tracer: when ``build_histogram`` takes the scaling itself, the scale pass
+tracer: ``build_histogram`` takes the scaling itself, so the scale pass
 runs inside the bin span and counts in ``partition.scale_s``, not in
 ``partition.bin_s``.
 """

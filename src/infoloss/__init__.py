@@ -24,10 +24,7 @@ from .bounds import (
     dv_gap_check,
     family_lossless_check,
     hoeffding_profile,
-    hoeffding_sigma,
-    optimal_loss_envelope,
     quantizer_sequence_bound,
-    regression_sigma,
 )
 from .discrete import (
     DeterministicMap,
@@ -37,7 +34,6 @@ from .discrete import (
     bayes_risk,
     conditional_mutual_information,
     excess_risk,
-    kl_divergence,
     mutual_information,
     squared_loss,
     zero_one_loss,
@@ -61,7 +57,6 @@ from .portfolio import (
     c_max_bound,
     growth_gap_bound,
     log_optimal_portfolio,
-    side_info_growth,
 )
 from .selection import greedy_lossless_selection
 from .serialize import (

@@ -51,20 +51,10 @@ __all__ = [
     "dv_gap_check",
     "family_lossless_check",
     "hoeffding_profile",
-    "hoeffding_sigma",
-    "optimal_loss_envelope",
     "quantizer_sequence_bound",
-    "regression_sigma",
 ]
 
 _HOLDS_TOL = 1e-9
-
-
-def hoeffding_sigma(range_width: float) -> float:
-    """Subgaussian parameter sigma^2 = width^2 / 4 of a bounded variable."""
-    if not range_width >= 0:
-        raise ValueError(f"range width must be >= 0, got {range_width}")
-    return range_width * range_width / 4.0
 
 
 @dataclass(frozen=True)
@@ -95,23 +85,13 @@ class SubgaussianProfile(_Frozen):
         return float(p_y @ self.sigma_sq)
 
 
-def _optimal_losses(joint_yx, loss: LossMatrix) -> np.ndarray:
-    """loss(y, f*(x)) for every label y and supported x, shape (y, supported x)."""
-    j, cost = posterior_cost(joint_yx, loss, name="joint_yx")
-    best = cost.argmin(axis=0)
-    return loss.cost[:, best[j.sum(axis=0) > 0]]
-
-
 def hoeffding_profile(joint_yx, loss: LossMatrix) -> SubgaussianProfile:
     """Certified profile from the ranges of loss(y, f*(.)) over supported x."""
-    vals = _optimal_losses(joint_yx, loss)
+    j, cost = posterior_cost(joint_yx, loss, name="joint_yx")
+    best = cost.argmin(axis=0)
+    vals = loss.cost[:, best[j.sum(axis=0) > 0]]
     widths = vals.max(axis=1) - vals.min(axis=1)
     return SubgaussianProfile(sigma_sq=widths * widths / 4.0)
-
-
-def optimal_loss_envelope(joint_yx, loss: LossMatrix) -> np.ndarray:
-    """Envelope g(y) = max over supported x of loss(y, f*(x))."""
-    return _optimal_losses(joint_yx, loss).max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -234,18 +214,6 @@ def family_lossless_check(joint: DiscreteJoint, delta: float, c: float, envelope
     if second_moment == 0.0:
         return True
     return bool(joint.information_gap <= 2.0 * delta * delta / second_moment)
-
-
-def regression_sigma(fourth_moment: float, bound_k: float) -> float:
-    """Subgaussian parameter 2 E[N^4] + 32 K^4 for squared-error regression.
-
-    Valid when Y = m(X) + N with |m| <= K and the regression function of any
-    competing observation also bounded by K; E[N^4] is the fourth noise
-    moment.
-    """
-    if not (fourth_moment >= 0 and bound_k >= 0):
-        raise ValueError("moments must be >= 0")
-    return 2.0 * fourth_moment + 32.0 * bound_k**4
 
 
 def dv_gap_check(joint_uv, table) -> tuple[float, float]:

@@ -33,7 +33,6 @@ __all__ = [
     "check_pmf",
     "conditional_mutual_information",
     "excess_risk",
-    "kl_divergence",
     "mutual_information",
     "posterior_cost",
     "squared_loss",
@@ -185,22 +184,6 @@ def squared_loss(values) -> LossMatrix:
     """Squared-difference loss on labels embedded at real ``values``."""
     v = np.asarray(values, dtype=np.float64)
     return LossMatrix((v[:, None] - v[None, :]) ** 2)
-
-
-def kl_divergence(p, q) -> float:
-    """Relative entropy D(p || q) in nats.
-
-    Terms with p_i = 0 contribute zero; any i with p_i > 0 and q_i = 0 makes
-    the divergence infinite.
-    """
-    p = check_pmf(p, name="p")
-    q = check_pmf(q, name="q")
-    if p.shape != q.shape:
-        raise ValueError(f"alphabet mismatch: p has {p.size} symbols, q has {q.size}")
-    mask = p > 0
-    if (q[mask] == 0).any():
-        return math.inf
-    return float((p[mask] * np.log(p[mask] / q[mask])).sum())
 
 
 def mutual_information(joint2) -> float:

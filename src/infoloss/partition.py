@@ -175,7 +175,10 @@ class CubicPartition:
             raise ValueError(f"h must be in (0, 1], got {self.h}")
         if self.d < 1 or self.d_prime < 0:
             raise ValueError(f"invalid dimensions d={self.d}, d_prime={self.d_prime}")
-        if self.bins_per_axis ** (self.d + 1 + self.d_prime) > _MAX_TOTAL_CELLS:
+        if (
+            not math.isfinite(1.0 / self.h)
+            or self.bins_per_axis ** (self.d + 1 + self.d_prime) > _MAX_TOTAL_CELLS
+        ):
             raise ValueError("partition too fine: flat cell ids would overflow int64")
 
     @cached_property
@@ -218,40 +221,33 @@ class JointHistogram:
     c_counts: np.ndarray
 
 
-def build_histogram(
-    data: Dataset, part: CubicPartition, scaling: tuple | None = None
-) -> JointHistogram:
+def build_histogram(data: Dataset, part: CubicPartition) -> JointHistogram:
     """Bin a sample into the cubic partition through its min-max map.
 
-    Coordinate j maps to u = (c - lo[j]) / span[j], or to 0.5 when span[j]
-    is 0, and u = 1 falls into the last bin along its axis.  With no
-    ``scaling``, (lo, span) is ``scale_unit(data)``: lo is the column minimum
-    and span = fl(max - lo), so monotone rounding keeps every u in [0, 1]
-    and no check runs.  An explicit ``scaling`` is any ``(lo, span)`` pair;
-    each u is then checked to lie in [0, 1].
+    With (lo, span) = ``scale_unit(data)``, coordinate j maps to
+    u = (c - lo[j]) / span[j], or to 0.5 when span[j] is 0, and u = 1 falls
+    into the last bin along its axis.  lo is the column minimum and
+    span = fl(max - lo), so monotone rounding keeps every u in [0, 1].
 
     _CHUNK_ROWS rows at a time, each cell index floor(u / h) is added into
     one mixed-radix key over x..., y, z....  For u <= 1, fl(u / h) <=
     fl(1 / h), so an index reaches ``bins_per_axis`` only when 1 / h rounds
-    to that integer; only then, or under an explicit scaling, is it clamped
-    to the last bin.  A grid with no more cells than the sample has rows
-    counts each chunk's keys, in int32 while the grid has fewer than 2^31
-    cells; finer grids keep every row's int64 key and count them by sorting.
-    Either way the occupied triples come out in ascending key order.  Each
-    of the (A, C), (B, C) and C marginals is one weighted count over them,
-    by cell id when the marginal has at most n cells and by the rank of its
-    occupied ids otherwise.
+    to that integer; only then is it clamped to the last bin.  A grid with
+    no more cells than the sample has rows counts each chunk's keys, in int32
+    while the grid has fewer than 2^31 cells; finer grids keep every row's
+    int64 key and count them by sorting.  Either way the occupied triples
+    come out in ascending key order.  Each of the (A, C), (B, C) and C
+    marginals is one weighted count over them, by cell id when the marginal
+    has at most n cells and by the rank of its occupied ids otherwise.
     """
     if data.d != part.d or data.d_prime != part.d_prime:
         raise ValueError(
             f"dimension mismatch: data is ({data.d}, 1, {data.d_prime}), "
             f"partition is ({part.d}, 1, {part.d_prime})"
         )
-    checked = scaling is not None
-    if not checked:
-        scaling = scale_unit(data)
+    lo, span = scale_unit(data)
     bins = part.bins_per_axis
-    clamp = checked or 1.0 / part.h >= bins
+    clamp = 1.0 / part.h >= bins
     shape = (part.m, bins, part.m_dprime)
     cells = math.prod(shape)
     dense = cells <= data.n
@@ -265,14 +261,12 @@ def build_histogram(
         stop = min(start + step, data.n)
         k = key[: stop - start] if dense else key[start:stop]
         u, i = unit[: stop - start], index[: stop - start]
-        for j, (col, c_lo, c_span) in enumerate(zip(columns, *scaling, strict=True)):
+        for j, (col, c_lo, c_span) in enumerate(zip(columns, lo, span, strict=True)):
             if c_span == 0.0:
                 u.fill(0.5)
             else:
                 np.subtract(col[start:stop], c_lo, out=u)
                 np.divide(u, c_span, out=u)
-            if checked and (u.min() < 0.0 or u.max() > 1.0):
-                raise ValueError("coordinate outside [0, 1] under the given scaling")
             # The first index goes straight into the key.  u / h >= 0 here,
             # so the cast's truncation toward zero is floor.
             out = i if j else k

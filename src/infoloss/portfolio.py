@@ -41,7 +41,6 @@ __all__ = [
     "c_max_bound",
     "growth_gap_bound",
     "log_optimal_portfolio",
-    "side_info_growth",
 ]
 
 # The solver starts on the face {i : g_i >= max g - _FACE_SLACK} of the
@@ -239,12 +238,10 @@ def _side_info_solves(market: MarketModel, condition_on: str | None) -> tuple[fl
     """
     if condition_on is None:
         conds = [(1.0, market.joint.p_y)]
-    elif condition_on in ("x", "z"):
+    else:
         joint_rv = market.joint.p_yx if condition_on == "x" else market.joint.p_yz
         p_v = joint_rv.sum(axis=0)
         conds = [(p_v[v], joint_rv[:, v] / p_v[v]) for v in np.flatnonzero(p_v > 0)]
-    else:
-        raise ValueError(f"condition_on must be None, 'x', or 'z', got {condition_on!r}")
     unit = _unit_rows(market.returns)
     total = err = 0.0
     for weight, cond in conds:
@@ -253,14 +250,6 @@ def _side_info_solves(market: MarketModel, condition_on: str | None) -> tuple[fl
         keep = cond > 0
         err += weight * _kuhn_tucker_bound(unit[keep].T @ (cond[keep] / (unit[keep] @ b)))
     return float(total), float(err)
-
-
-def side_info_growth(market: MarketModel, condition_on: str | None = None) -> float:
-    """Best growth rate with no, full, or coarsened side information.
-
-    ``condition_on`` is None for W*, "x" for W*(X), or "z" for W*(Z).
-    """
-    return _side_info_solves(market, condition_on)[0]
 
 
 # GrowthReport field -> key of its dict and JSON form, in output order.

@@ -55,7 +55,6 @@ from infoloss import (
     mutual_information,
     philox,
     quantizer_sequence_bound,
-    scale_unit,
     zero_one_loss,
 )
 from infoloss.cli import main as cli_main
@@ -294,7 +293,7 @@ def test_criterion_10_plugin_convergence():
     errors = []
     for rep in range(20):
         data = gen_atomic_dataset(joint, y_atoms, x_atoms, z_atoms, 100_000, rep)
-        l_n = l_statistic(build_histogram(data, part, scale_unit(data)))
+        l_n = l_statistic(build_histogram(data, part))
         errors.append(abs(l_n - population))
     assert max(errors) <= 0.02, (
         f"max |L_n - population| = {max(errors):.4f} (population {population:.4f})"

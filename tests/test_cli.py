@@ -1,8 +1,10 @@
 """End-to-end tests of the command line interface."""
 
+import ast
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -509,6 +511,17 @@ class TestArgparseBehavior:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["test", "select", "mc"])
+    def test_subnormal_bandwidth_exit_one(self, h1_csv, tmp_path, capsys, command):
+        # 1 / 5e-324 overflows to inf: one error line, not a traceback.
+        source = (["--n-grid", "100", "--reps", "2", "--output", str(tmp_path / "mc")]
+                  if command == "mc" else ["--input", str(h1_csv)])
+        capsys.readouterr()
+        assert main([command, *source, "--h", "5e-324"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: partition too fine: flat cell ids would overflow int64\n"
+
     def test_readme_commands_parse(self):
         # Every command line in the README parses against the current flags.
         readme = Path(__file__).resolve().parent.parent / "README.md"
@@ -519,6 +532,29 @@ class TestArgparseBehavior:
             argv = shlex.split(line, comments=True)[1:]
             seen.add(build_parser().parse_args(argv).command)
         assert seen == {"test", "mc", "bounds", "portfolio", "gen", "select"}
+
+    def test_every_export_is_reached_or_listed(self):
+        # Each name the package exports is used by the package outside
+        # __init__.py, a script or the benchmark, or README's "Python API"
+        # list names it; the list names only exports.
+        root = Path(__file__).resolve().parent.parent
+        init = root / "src" / "infoloss" / "__init__.py"
+        exported = {alias.name for node in ast.parse(init.read_text()).body
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        used = set()
+        for path in [*(root / "src").rglob("*.py"), *(root / "scripts").rglob("*.py"),
+                     *(root / "perfbench").rglob("*.py")]:
+            if path != init:
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Name):
+                        used.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        used.add(node.attr)
+        readme = (root / "README.md").read_text()
+        api = set(re.findall(r"^- `(\w+)", readme.split("\n## Python API\n")[1].split("\n## ")[0],
+                             flags=re.M))
+        assert api <= exported
+        assert sorted(exported - used - api) == []
 
     def test_no_command_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -25,7 +25,6 @@ from infoloss import (
     gen_market,
     gen_random_joint,
     gen_random_loss,
-    kl_divergence,
     mutual_information,
     squared_loss,
     zero_one_loss,
@@ -57,35 +56,6 @@ def joints(max_y=3, max_x=3, max_z=3):
     return _make()
 
 
-class TestKL:
-    def test_identical_is_zero(self):
-        p = np.array([0.3, 0.7])
-        assert kl_divergence(p, p) == 0.0
-
-    def test_fair_vs_biased(self):
-        p = np.array([0.5, 0.5])
-        q = np.array([0.25, 0.75])
-        expected = 0.5 * math.log(2.0) + 0.5 * math.log(0.5 / 0.75)
-        assert kl_divergence(p, q) == pytest.approx(expected, rel=1e-12)
-
-    def test_zero_p_cell_contributes_nothing(self):
-        p = np.array([0.0, 1.0])
-        q = np.array([0.5, 0.5])
-        assert kl_divergence(p, q) == pytest.approx(math.log(2.0))
-
-    def test_absolute_continuity_failure(self):
-        p = np.array([0.5, 0.5])
-        q = np.array([1.0, 0.0])
-        assert kl_divergence(p, q) == math.inf
-
-    def test_nonnegative_random(self, rng):
-        for _ in range(50):
-            p = rng.random(6) + 0.01
-            q = rng.random(6) + 0.01
-            p, q = p / p.sum(), q / q.sum()
-            assert kl_divergence(p, q) >= 0.0
-
-
 class TestMutualInformation:
     def test_frozen_correlated_pair(self):
         # Marginals are fair bits; off-diagonal mass 0.2 total.
@@ -115,14 +85,6 @@ class TestMutualInformation:
             mask = j > 0
             ratio = j[mask] / np.outer(j.sum(axis=1), j.sum(axis=0))[mask]
             assert mutual_information(j) == float(np.sum(j[mask] * np.log(ratio)))
-
-    def test_matches_kl_definition(self, rng):
-        j = random_joint2(rng, 3, 4)
-        prod = np.outer(j.sum(axis=1), j.sum(axis=0))
-        assert mutual_information(j) == pytest.approx(
-            kl_divergence(j.ravel(), prod.ravel()), rel=1e-12
-        )
-
 
 class TestConditionalMutualInformation:
     def test_chain_rule_decomposition(self, rng):

@@ -33,22 +33,15 @@ from infoloss.partition import _CHUNK_ROWS, L_MAX
 from conftest import columns, dense_l_statistic, unit_scaled
 
 
+TOO_FINE = r"^partition too fine: flat cell ids would overflow int64$"
+
+
 def make_dataset(rng, n, d=1, d_prime=1):
     return Dataset(
         x=rng.random((n, d)),
         y=rng.random(n),
         z=rng.random((n, d_prime)),
     )
-
-
-# An explicit scaling is still checked; the implicit one cannot fail.
-OUTSIDE_UNIT = r"^coordinate outside \[0, 1\] under the given scaling$"
-
-
-def identity_scaling(data):
-    """The map (lo, span) = (0, 1) on every coordinate, for data already in [0, 1]."""
-    width = data.d + 1 + data.d_prime
-    return np.zeros(width), np.ones(width)
 
 
 def with_constant_column(rng, n):
@@ -77,9 +70,9 @@ class TestScaling:
         # Each coordinate's minimum maps to 0 and its maximum to 1 exactly.
         np.testing.assert_array_equal((cols.min(axis=0) - lo) / span, 0.0)
         np.testing.assert_array_equal((cols.max(axis=0) - lo) / span, 1.0)
-        # Every other value maps inside [0, 1], or binning would raise.
-        hist = build_histogram(data, CubicPartition(h=0.25, d=2, d_prime=1), (lo, span))
-        assert hist.counts.sum() == 200
+        # Every other value maps inside [0, 1].
+        unit = (cols - lo) / span
+        assert unit.min() == 0.0 and unit.max() == 1.0
 
     def test_constant_coordinate_pins_to_half(self):
         data = Dataset(
@@ -91,7 +84,7 @@ class TestScaling:
         np.testing.assert_array_equal(lo, [3.0, 0.0, 1.0])
         np.testing.assert_array_equal(span, [0.0, 9.0, 0.0])
         # 0.5 lies in cell 2 of 4: every row shares its x and z cell.
-        hist = build_histogram(data, CubicPartition(h=0.25, d=1, d_prime=1), (lo, span))
+        hist = build_histogram(data, CubicPartition(h=0.25, d=1, d_prime=1))
         assert np.all(hist.a_ids == 2) and np.all(hist.c_ids == 2)
         np.testing.assert_array_equal(hist.b_ids, [0, 1, 2, 3])
 
@@ -210,27 +203,38 @@ class TestPartitionCounts:
         assert part.bins_per_axis == 1
         assert (part.m, part.m_prime, part.m_dprime) == (1, 1, 1)
 
+    # 1 / h is finite but too many cells at 1e-300, and overflows to inf
+    # below 1 / DBL_MAX, about 5.6e-309.
+    @pytest.mark.parametrize("h", [1e-300, 5e-309, 5e-324])
+    def test_too_fine_is_a_value_error(self, h):
+        with pytest.raises(ValueError, match=TOO_FINE):
+            CubicPartition(h=h, d=1, d_prime=0)
+
 
 class TestHistogram:
     def test_counts_sum_to_n(self, rng):
         data = make_dataset(rng, 300, d=2)
         part = CubicPartition(h=0.25, d=2, d_prime=1)
-        hist = build_histogram(data, part, scale_unit(data))
+        hist = build_histogram(data, part)
         assert hist.counts.sum() == 300
         assert hist.n == 300
 
     def test_boundary_point_in_last_cell(self):
-        # Value exactly 1.0 lands in the top bin, not one past it.
-        data = Dataset(x=np.array([[1.0]]), y=np.array([1.0]), z=np.array([[1.0]]))
+        # Each coordinate's maximum maps to exactly 1.0 and lands in the top
+        # bin, not one past it.
+        data = Dataset(x=np.array([[0.0], [1.0]]), y=np.array([0.0, 1.0]),
+                       z=np.array([[0.0], [1.0]]))
         part = CubicPartition(h=0.25, d=1, d_prime=1)
-        hist = build_histogram(data, part, identity_scaling(data))
-        assert hist.a_ids[0] == 3 and hist.b_ids[0] == 3 and hist.c_ids[0] == 3
+        hist = build_histogram(data, part)
+        np.testing.assert_array_equal(hist.a_ids, [0, 3])
+        np.testing.assert_array_equal(hist.b_ids, [0, 3])
+        np.testing.assert_array_equal(hist.c_ids, [0, 3])
 
     def test_marginal_alignment(self, rng):
         # The aligned per-triple marginal counts agree with a recount.
         data = make_dataset(rng, 500)
         part = CubicPartition(h=0.2, d=1, d_prime=1)
-        hist = build_histogram(data, part, scale_unit(data))
+        hist = build_histogram(data, part)
         for i in range(len(hist.counts)):
             a, b, c = hist.a_ids[i], hist.b_ids[i], hist.c_ids[i]
             ac = hist.counts[(hist.a_ids == a) & (hist.c_ids == c)].sum()
@@ -239,13 +243,6 @@ class TestHistogram:
             assert hist.ac_counts[i] == ac
             assert hist.bc_counts[i] == bc
             assert hist.c_counts[i] == cm
-
-    def test_rejects_data_outside_unit_cube(self):
-        data = Dataset(x=np.array([[1.5]]), y=np.array([0.5]), z=np.array([[0.5]]))
-        part = CubicPartition(h=0.5, d=1, d_prime=1)
-        with pytest.raises(ValueError, match=OUTSIDE_UNIT):
-            build_histogram(data, part, identity_scaling(data))
-
 
     @staticmethod
     def _recount(scaled, part):
@@ -286,7 +283,7 @@ class TestHistogram:
 
     @classmethod
     def assert_matches_recount(cls, data, part):
-        hist = build_histogram(data, part, scale_unit(data))
+        hist = build_histogram(data, part)
         triples, counts, ac, bc, cm = cls._recount(unit_scaled(data), part)
         assert hist.n == data.n and hist.part == part
         np.testing.assert_array_equal(hist.a_ids, triples[:, 0])
@@ -322,25 +319,22 @@ class TestHistogram:
     def test_cell_ids_match_floor_reference(self, rng, h):
         # Random values plus every cell edge k*h (capped at 1) and the float
         # just below it: u = 1 on an exact edge needs the clamp, while the
-        # scheduled h at n = 1e5 puts the top edge just below 1.
+        # scheduled h at n = 1e5 puts the top edge just below 1.  Every
+        # column holds 0 and 1, so its min-max map is the identity.
         bins = math.ceil(1.0 / h)
         edges = np.minimum(np.arange(bins + 1) * h, 1.0)
         special = np.concatenate([edges, np.nextafter(edges[1:], 0.0), [0.0, 1.0]])
         cols = [rng.permutation(np.concatenate([rng.random(500), special])) for _ in range(4)]
         data = Dataset(x=np.stack(cols[:2], axis=1), y=cols[2], z=cols[3])
         part = CubicPartition(h=h, d=2, d_prime=1)
-        hist = build_histogram(data, part, identity_scaling(data))
+        lo, span = scale_unit(data)
+        assert np.all(lo == 0.0) and np.all(span == 1.0)
+        hist = build_histogram(data, part)
         triples, counts, *_ = self._recount(data, part)
         np.testing.assert_array_equal(
             np.stack([hist.a_ids, hist.b_ids, hist.c_ids], axis=1), triples
         )
         np.testing.assert_array_equal(hist.counts, counts)
-
-    def test_rejects_negative_coordinate(self):
-        data = Dataset(x=np.array([[0.5]]), y=np.array([-0.1]), z=np.array([[0.5]]))
-        part = CubicPartition(h=0.5, d=1, d_prime=1)
-        with pytest.raises(ValueError, match=OUTSIDE_UNIT):
-            build_histogram(data, part, identity_scaling(data))
 
 
 # Sides where 1 / h is an integer, so u = 1 lands one past the last cell
@@ -367,19 +361,18 @@ def edge_dataset(kind, n, seed=0):
 
 
 class TestImplicitScaling:
-    """With no scaling, ``build_histogram`` skips the range check, and the clamp
-    unless 1 / h is an integer; every array must match the checked path."""
+    """``build_histogram`` takes its own min-max map, so it runs no range
+    check, and clamps only when 1 / h is an integer; every array must match
+    the floor-and-clamp recount of the reference scaling, and L_n the dense
+    oracle."""
 
     @staticmethod
-    def assert_matches_checked_path_and_oracle(data, part):
-        implicit = build_histogram(data, part)
-        checked = build_histogram(data, part, scale_unit(data))
+    def assert_matches_recount_and_oracle(data, part):
+        hist = build_histogram(data, part)
         for field in ("a_ids", "b_ids", "c_ids", "counts", "ac_counts", "bc_counts", "c_counts"):
-            got, want = getattr(implicit, field), getattr(checked, field)
-            assert got.dtype == want.dtype == np.int64, field
-            np.testing.assert_array_equal(got, want, err_msg=field)
-        assert implicit.n == checked.n and implicit.part == checked.part
-        assert l_statistic(implicit) == pytest.approx(
+            assert getattr(hist, field).dtype == np.int64, field
+        TestHistogram.assert_matches_recount(data, part)
+        assert l_statistic(hist) == pytest.approx(
             dense_l_statistic(unit_scaled(data), part), abs=1e-10
         )
 
@@ -391,10 +384,10 @@ class TestImplicitScaling:
 
     @pytest.mark.parametrize("h", INTEGRAL_H + FRACTIONAL_H)
     @pytest.mark.parametrize("kind", ["uniform", "constant", "huge", "subnormal"])
-    def test_edge_ranges_match_checked_path_and_oracle(self, kind, h):
+    def test_edge_ranges_match_recount_and_oracle(self, kind, h):
         data = edge_dataset(kind, 300)
         part = CubicPartition(h=h, d=1, d_prime=1)
-        self.assert_matches_checked_path_and_oracle(data, part)
+        self.assert_matches_recount_and_oracle(data, part)
 
     @pytest.mark.parametrize("n", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
     @pytest.mark.parametrize("h, dense", [(0.1, True), (0.003, False)], ids=["dense", "sort"])
@@ -403,7 +396,7 @@ class TestImplicitScaling:
         data = Dataset(x=data.x[:, :1], y=data.y, z=np.empty((n, 0)))
         part = CubicPartition(h=h, d=1, d_prime=0)
         assert (part.m * part.m_prime * part.m_dprime <= n) == dense
-        self.assert_matches_checked_path_and_oracle(data, part)
+        self.assert_matches_recount_and_oracle(data, part)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -416,22 +409,25 @@ class TestImplicitScaling:
     )
     @example(np.array([[0.0, 5e-324], [5e-324, 0.0], [-0.0, 1e-323]]), 0.5)
     @example(np.array([[-1e300, 1e300], [1e300, -1e300], [0.0, 3.0]]), 0.1)
-    def test_any_finite_sample_matches_checked_path_and_oracle(self, cols, h):
+    def test_any_finite_sample_matches_recount_and_oracle(self, cols, h):
         data = Dataset(x=cols[:, :1], y=cols[:, 1], z=cols[:, 2:])
         part = CubicPartition(h=h, d=1, d_prime=data.d_prime)
-        self.assert_matches_checked_path_and_oracle(data, part)
+        self.assert_matches_recount_and_oracle(data, part)
 
 
 class TestLStatistic:
     def test_perfect_dependence_worked_example(self):
         # y == x in {0.1, 0.9}, z constant, h = 0.5: two occupied triples,
         # each p = 0.5, q = 0.25, so L = 2 * 0.25 + (off-diagonal q) 0.5 = 1.
+        # Min-max scaling sends 0.1 and 0.9 to 0 and 1, still cells 0 and 1.
         x = np.array([[0.1], [0.9], [0.1], [0.9]])
         y = np.array([0.1, 0.9, 0.1, 0.9])
         z = np.full((4, 1), 0.5)
         part = CubicPartition(h=0.5, d=1, d_prime=1)
         data = Dataset(x=x, y=y, z=z)
-        hist = build_histogram(data, part, identity_scaling(data))
+        hist = build_histogram(data, part)
+        np.testing.assert_array_equal(hist.a_ids, [0, 1])
+        np.testing.assert_array_equal(hist.b_ids, [0, 1])
         assert l_statistic(hist) == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_independence_is_zero(self):
@@ -441,13 +437,14 @@ class TestLStatistic:
         z = np.full((4, 1), 0.5)
         part = CubicPartition(h=0.5, d=1, d_prime=1)
         data = Dataset(x=x, y=y, z=z)
-        hist = build_histogram(data, part, identity_scaling(data))
+        hist = build_histogram(data, part)
         assert l_statistic(hist) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_point_is_zero(self):
+        # Every coordinate is constant, so each maps to 0.5.
         data = Dataset(x=np.array([[0.3]]), y=np.array([0.7]), z=np.array([[0.2]]))
         part = CubicPartition(h=0.5, d=1, d_prime=1)
-        hist = build_histogram(data, part, identity_scaling(data))
+        hist = build_histogram(data, part)
         assert l_statistic(hist) == pytest.approx(0.0)
 
     def test_matches_dense_oracle(self, rng):
@@ -455,7 +452,7 @@ class TestLStatistic:
         for n, h in [(50, 0.5), (120, 0.25), (200, 0.34)]:
             data = make_dataset(rng, n)
             part = CubicPartition(h=h, d=1, d_prime=1)
-            hist = build_histogram(data, part, scale_unit(data))
+            hist = build_histogram(data, part)
             assert l_statistic(hist) == pytest.approx(
                 dense_l_statistic(unit_scaled(data), part), abs=1e-10
             )
@@ -463,7 +460,7 @@ class TestLStatistic:
     def test_matches_dense_oracle_2d(self, rng):
         data = make_dataset(rng, 150, d=2, d_prime=1)
         part = CubicPartition(h=0.34, d=2, d_prime=1)
-        hist = build_histogram(data, part, scale_unit(data))
+        hist = build_histogram(data, part)
         assert l_statistic(hist) == pytest.approx(
             dense_l_statistic(unit_scaled(data), part), abs=1e-10
         )
@@ -474,7 +471,7 @@ class TestLStatistic:
         rng = np.random.default_rng(seed)
         data = make_dataset(rng, n)
         part = CubicPartition(h=h, d=1, d_prime=1)
-        val = l_statistic(build_histogram(data, part, scale_unit(data)))
+        val = l_statistic(build_histogram(data, part))
         assert -1e-12 <= val <= 2.0 + 1e-12
 
 

@@ -17,7 +17,6 @@ from infoloss import (
     gen_random_joint,
     growth_gap_bound,
     log_optimal_portfolio,
-    side_info_growth,
 )
 import infoloss.portfolio
 from infoloss.discrete import check_pmf
@@ -354,32 +353,14 @@ class TestCertifiedError:
             growth_gap_bound(gen_market(2, 3, 0))
 
 
-class TestSideInfoGrowth:
-    def test_ordering_no_less_coarse_full(self, rng):
-        for seed in range(5):
-            market = gen_market(2, 3, seed)
-            w = side_info_growth(market, None)
-            wz = side_info_growth(market, "z")
-            wx = side_info_growth(market, "x")
-            assert w <= wz + 1e-9
-            assert wz <= wx + 1e-9
-
-    def test_horse_race_values(self):
-        market = horse_race_market()
-        wx = side_info_growth(market, "x")
-        wz = side_info_growth(market, "z")
-        # Revealed winner: bet all on it, growth log 2 (up to eps bets).
-        assert wx == pytest.approx(math.log(2.0), abs=1e-8)
-        # No information: even split earns log((2 + eps)/2).
-        assert wz == pytest.approx(math.log((2.0 + EPS) / 2.0), abs=1e-8)
-
-    def test_condition_on_validation(self):
-        market = horse_race_market()
-        with pytest.raises(ValueError, match="condition_on"):
-            side_info_growth(market, "y")
-
-
 class TestGrowthGapBound:
+    def test_horse_race_rates(self):
+        report = growth_gap_bound(horse_race_market())
+        # Revealed winner: bet all on it, growth log 2 (up to eps bets).
+        assert report.w_star_x == pytest.approx(math.log(2.0), abs=1e-8)
+        # No information: even split earns log((2 + eps)/2).
+        assert report.w_star_z == pytest.approx(math.log((2.0 + EPS) / 2.0), abs=1e-8)
+
     def test_horse_race_saturates_bound(self):
         # X reveals the winner exactly: gap = log 2 - O(eps) while the
         # information gap is exactly log 2 — the inequality is tight.
