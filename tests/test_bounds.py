@@ -211,6 +211,22 @@ class TestHoeffdingProfile:
         profile = hoeffding_profile(j, zero_one_loss(2))
         np.testing.assert_allclose(profile.sigma_sq, [0.0, 0.0])
 
+    def test_width_squared_over_four(self):
+        # x = y with the optimal prediction f*(x) = x: label 0 loses 0 or 2,
+        # label 1 loses 1 or 0, so the widths 2 and 1 give 1 and 1/4.
+        j = np.array([[0.5, 0.0], [0.0, 0.5]])
+        loss = LossMatrix(np.array([[0.0, 2.0], [1.0, 0.0]]))
+        profile = hoeffding_profile(j, loss)
+        np.testing.assert_array_equal(profile.sigma_sq, [1.0, 0.25])
+
+    def test_unsupported_x_adds_no_width(self):
+        # f* predicts 1 on x0 and 2 on x1; x2 has no mass, and its argmin
+        # (prediction 0, loss up to 5) must not widen any row.
+        j = np.array([[0.1, 0.0, 0.0], [0.4, 0.0, 0.0], [0.0, 0.5, 0.0]])
+        loss = LossMatrix(np.array([[0.0, 1.0, 1.0], [5.0, 0.0, 1.0], [5.0, 1.0, 0.0]]))
+        profile = hoeffding_profile(j, loss)
+        np.testing.assert_array_equal(profile.sigma_sq, [0.0, 0.25, 0.25])
+
     def test_label_mismatch_message(self):
         j = np.full((2, 2), 0.25)
         msg = "alphabet mismatch: joint has 2 labels, loss has 3"
@@ -257,6 +273,11 @@ class TestFamilyLossless:
         joint, _ = fair_bit_merge()
         with pytest.raises(ValueError, match="second moment"):
             family_lossless_check(joint, 0.1, 1.0, np.array([2.0, 2.0]))
+
+    def test_envelope_label_mismatch(self):
+        joint, _ = fair_bit_merge()
+        with pytest.raises(ValueError, match="alphabet mismatch: envelope has 3 labels, joint has 2"):
+            family_lossless_check(joint, 0.1, 1.0, [0.0, 0.0, 0.0])
 
     def test_envelope_consistency_with_optimum(self):
         # On the fair-bit pair the 0-1 loss of the optimal predictor is 0 or
@@ -389,6 +410,8 @@ NAN = float("nan")
                      "c must be > 0, got nan", id="family-c"),
         pytest.param(lambda j: family_lossless_check(j, 0.1, 1.0, [NAN, 0.0]),
                      "envelope must be nonnegative", id="family-envelope"),
+        pytest.param(lambda j: dv_gap_check(np.full((2, 2), 0.25), [[NAN, 0.0], [0.0, 0.0]]),
+                     "table: non-finite entries", id="dv-table"),
         pytest.param(lambda j: quantizer_sequence_bound(
                          np.full((2, 2), 0.25), [0.0, 1.0], [1.0, NAN], zero_one_loss(2)),
                      "widths must be > 0", id="quantizer-width"),

@@ -68,6 +68,25 @@ class TestMutualInformation:
         j = np.outer([0.3, 0.7], [0.2, 0.5, 0.3])
         assert mutual_information(j) == pytest.approx(0.0, abs=1e-12)
 
+    def test_unequal_marginals_frozen_value(self):
+        # p_y = (1/2, 1/2) and p_x = (1/4, 3/4); the zero cell adds nothing.
+        j = np.array([[0.25, 0.25], [0.0, 0.5]])
+        expected = (0.25 * math.log(2.0) + 0.25 * math.log(2.0 / 3.0)
+                    + 0.5 * math.log(4.0 / 3.0))
+        assert mutual_information(j) == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_row_and_column_change_nothing(self, rng):
+        for _ in range(10):
+            j = random_joint2(rng, 3, 4)
+            padded = np.zeros((4, 5))
+            padded[:3, 1:] = j
+            assert mutual_information(padded) == pytest.approx(mutual_information(j), rel=1e-14)
+
+    def test_symmetric_in_its_two_variables(self, rng):
+        for _ in range(10):
+            j = random_joint2(rng, 3, 4)
+            assert mutual_information(j.T) == pytest.approx(mutual_information(j), rel=1e-12)
+
     def test_deterministic_equals_entropy(self):
         # X = Y with fair marginal: I(Y;X) = H(Y) = log 2.
         j = np.array([[0.5, 0.0], [0.0, 0.5]])

@@ -106,6 +106,17 @@ class TestScaling:
         assert out_a.m == out_b.m
 
 
+    @pytest.mark.parametrize("factor", [8.0, 2.0 ** -10])
+    def test_power_of_two_rescaling_keeps_every_array(self, rng, factor):
+        # Scaling every value by a power of two scales min and span alike,
+        # so each scaled coordinate, and hence each cell, is bit-identical.
+        data = make_dataset(rng, 300, d=2)
+        scaled = Dataset(x=factor * data.x, y=factor * data.y, z=factor * data.z)
+        part = CubicPartition(h=0.2, d=2, d_prime=1)
+        want, got = build_histogram(data, part), build_histogram(scaled, part)
+        for field in ("a_ids", "b_ids", "c_ids", "counts", "ac_counts", "bc_counts", "c_counts"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+
     def test_x_span_overflow_names_coordinate(self):
         data = Dataset(
             x=np.array([[0.0, -1e308], [1.0, 1e308], [2.0, 0.0]]),
@@ -229,6 +240,26 @@ class TestHistogram:
         np.testing.assert_array_equal(hist.a_ids, [0, 3])
         np.testing.assert_array_equal(hist.b_ids, [0, 3])
         np.testing.assert_array_equal(hist.c_ids, [0, 3])
+
+    def test_coordinate_above_one_is_scaled(self):
+        # x spans [-2, 6], so -2, 0, 2 and 6 map to 0, 1/4, 1/2 and 1.
+        data = Dataset(x=np.array([[6.0], [2.0], [0.0], [-2.0]]), y=np.full(4, 0.5),
+                       z=np.zeros((4, 1)))
+        part = CubicPartition(h=0.25, d=1, d_prime=1)
+        hist = build_histogram(data, part)
+        np.testing.assert_array_equal(hist.a_ids, [0, 1, 2, 3])
+        np.testing.assert_array_equal(hist.counts, [1, 1, 1, 1])
+        self.assert_matches_recount(data, part)
+
+    def test_negative_coordinate_is_scaled(self):
+        # y spans [-2, -0.25]: -0.25 maps to 1, -0.75 and -1 to 5/7 and 4/7.
+        data = Dataset(x=np.zeros((4, 1)), y=np.array([-0.25, -0.75, -1.0, -2.0]),
+                       z=np.zeros((4, 1)))
+        part = CubicPartition(h=0.25, d=1, d_prime=1)
+        hist = build_histogram(data, part)
+        np.testing.assert_array_equal(hist.b_ids, [0, 2, 3])
+        np.testing.assert_array_equal(hist.counts, [1, 2, 1])
+        self.assert_matches_recount(data, part)
 
     def test_marginal_alignment(self, rng):
         # The aligned per-triple marginal counts agree with a recount.

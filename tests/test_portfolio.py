@@ -361,6 +361,17 @@ class TestGrowthGapBound:
         # No information: even split earns log((2 + eps)/2).
         assert report.w_star_z == pytest.approx(math.log((2.0 + EPS) / 2.0), abs=1e-8)
 
+    def test_constant_z_earns_the_no_information_rate(self):
+        # A map onto one Z value leaves only the outcome marginal to bet on.
+        for seed in range(5):
+            market = gen_market(2, 3, seed)
+            tmap = DeterministicMap(np.zeros(market.joint.p_yx.shape[1], dtype=np.int64), n_z=1)
+            blind = MarketModel(returns=market.returns,
+                                joint=apply_map(market.joint.p_yx, tmap), tmap=tmap)
+            report = growth_gap_bound(blind)
+            assert report.w_star_z == pytest.approx(report.w_star, abs=1e-12)
+            assert report.i_rz == pytest.approx(0.0, abs=1e-15)
+
     def test_horse_race_saturates_bound(self):
         # X reveals the winner exactly: gap = log 2 - O(eps) while the
         # information gap is exactly log 2 — the inequality is tight.
