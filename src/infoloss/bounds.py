@@ -55,6 +55,18 @@ __all__ = [
 ]
 
 _HOLDS_TOL = 1e-9
+# Widest range whose Hoeffding parameter width^2 / 4 is finite in float64.
+_MAX_WIDTH = math.sqrt(np.finfo(np.float64).max)
+
+
+def _hoeffding_sigma_sq(rows: np.ndarray, name: str) -> np.ndarray:
+    """Hoeffding width^2 / 4 of each row's range; raises, naming ``name``, on overflow."""
+    with np.errstate(over="ignore"):
+        widths = rows.max(axis=1) - rows.min(axis=1)
+    widest = float(widths.max())
+    if not widest <= _MAX_WIDTH:
+        raise ValueError(f"{name}: a row range of {widest!r} overflows width^2 / 4 in float64")
+    return widths * widths / 4.0
 
 
 @dataclass(frozen=True)
@@ -89,9 +101,8 @@ def hoeffding_profile(joint_yx, loss: LossMatrix) -> SubgaussianProfile:
     """Certified profile from the ranges of loss(y, f*(.)) over supported x."""
     j, cost = posterior_cost(joint_yx, loss, name="joint_yx")
     best = cost.argmin(axis=0)
-    vals = loss.cost[:, best[j.sum(axis=0) > 0]]
-    widths = vals.max(axis=1) - vals.min(axis=1)
-    return SubgaussianProfile(sigma_sq=widths * widths / 4.0)
+    supported = best[j.sum(axis=0) > 0]
+    return SubgaussianProfile(_hoeffding_sigma_sq(loss.cost[:, supported], "loss"))
 
 
 @dataclass(frozen=True)
@@ -232,12 +243,9 @@ def dv_gap_check(joint_uv, table) -> tuple[float, float]:
         raise ValueError("table: non-finite entries")
     p_u = j.sum(axis=1)
     p_v = j.sum(axis=0)
+    expected_sigma = float(p_u @ _hoeffding_sigma_sq(h[:, p_v > 0], "table"))
     lhs = abs(float(np.sum(j * h)) - float(p_u @ h @ p_v))
-    support_v = p_v > 0
-    rows = h[:, support_v]
-    widths = rows.max(axis=1) - rows.min(axis=1)
-    expected_sigma = float(p_u @ (widths * widths / 4.0))
-    rhs = math.sqrt(2.0 * expected_sigma * max(mutual_information(j), 0.0))
+    rhs = math.sqrt(2.0 * expected_sigma * mutual_information(j))
     if lhs > rhs + _HOLDS_TOL:
         raise ValueError(f"variational gap bound violated: lhs={lhs}, rhs={rhs}")
     return lhs, rhs

@@ -51,9 +51,11 @@ _WRITE_SLICE = 1 << 20
 
 
 def _add_test_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c1", type=float, default=1.5, help="threshold multiplier")
-    p.add_argument("--delta", type=float, default=0.2, help="bandwidth exponent, h = n^-delta")
-    p.add_argument("--h", type=float, default=None, help="explicit bandwidth (overrides --delta)")
+    p.add_argument("--c1", type=float, default=TestConfig.c1, help="threshold multiplier")
+    p.add_argument("--delta", type=float, default=TestConfig.delta,
+                   help="bandwidth exponent, h = n^-delta")
+    p.add_argument("--h", type=float, default=TestConfig.h,
+                   help="explicit bandwidth (overrides --delta)")
 
 
 def _test_config(args) -> TestConfig:
@@ -202,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", choices=("h0", "h1"), default="h0")
     p.add_argument("--n-grid", default="1000,10000,100000", help="comma-separated sample sizes")
     p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--theta", type=float, default=0.5)
+    p.add_argument("--seed", type=int, default=ExperimentPlan.base_seed)
+    p.add_argument("--theta", type=float, default=ExperimentPlan.theta)
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads (default: the cores this process may run on); "
                         "each holds about 34 bytes per row of the sample size being run")
@@ -227,10 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", choices=("h0", "h1"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--width", type=float, default=0.2)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--theta", type=float, default=0.5)
+    p.add_argument("--k", type=int, default=H0Config.k)
+    p.add_argument("--width", type=float, default=H0Config.interval_width)
+    p.add_argument("--noise", type=float, default=H0Config.noise_scale)
+    p.add_argument("--theta", type=float, default=H1Config.theta)
     p.add_argument("--output", required=True, help="output path stem for .csv and .json")
     p.set_defaults(func=_cmd_gen)
 

@@ -198,16 +198,18 @@ def mutual_information(joint2) -> float:
 
 
 def _mi(j: np.ndarray) -> float:
-    """``mutual_information`` of a float64 joint already known to be a pmf."""
+    """``mutual_information`` of a float64 pmf; a sum rounding below 0 reads 0."""
     pa = j.sum(axis=1)
     pb = j.sum(axis=0)
     mask = j > 0
     jm = j[mask]
     prod = np.outer(pa, pb)[mask]
     if prod.min() >= _TINY:
-        return float((jm * np.log(jm / prod)).sum())
-    a, b = np.nonzero(mask)
-    return float((jm * (np.log(jm) - np.log(pa[a]) - np.log(pb[b]))).sum())
+        terms = jm * np.log(jm / prod)
+    else:
+        a, b = np.nonzero(mask)
+        terms = jm * (np.log(jm) - np.log(pa[a]) - np.log(pb[b]))
+    return max(0.0, float(terms.sum()))
 
 
 def conditional_mutual_information(joint: DiscreteJoint | np.ndarray) -> float:
@@ -259,9 +261,8 @@ def bayes_risk(joint2, loss: LossMatrix) -> float:
     picks, for each observation, the label minimizing the posterior expected
     loss.  Equals sum_obs min_y' sum_y joint2[y, obs] cost[y, y'].
     """
-    j = check_pmf(joint2, 2, name="joint2")
-    _check_labels(j.shape[0], loss)
-    return _bayes_risk(j, loss)
+    _, cost = posterior_cost(joint2, loss, name="joint2")
+    return float(cost.min(axis=0).sum())
 
 
 def _bayes_risk(j: np.ndarray, loss: LossMatrix) -> float:

@@ -43,7 +43,7 @@ class ExperimentPlan:
     reps: int
     cfg: TestConfig
     base_seed: int = 0
-    theta: float = 0.5
+    theta: float = H1Config.theta
 
     def __post_init__(self) -> None:
         if self.scenario not in ("h0", "h1"):

@@ -61,7 +61,8 @@ class Dataset(_Frozen):
 
     The arrays are read-only float64 copies of the inputs.  x and z are
     stored column-major, so each coordinate is one contiguous column: the
-    layout that the generators write and ``build_histogram`` reads.
+    layout that the generators write and ``build_histogram`` reads.  A 1-D
+    x or z is one coordinate; a 2-D one has a row per sample.
     """
 
     x: np.ndarray
@@ -69,11 +70,11 @@ class Dataset(_Frozen):
     z: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
-        y = np.asarray(self.y, dtype=np.float64)
-        z = np.asarray(self.z, dtype=np.float64)
-        if z.ndim == 1:
-            z = z[:, None]
+        x, y, z = (np.asarray(a, dtype=np.float64) for a in (self.x, self.y, self.z))
+        for name, arr in (("x", x), ("z", z)):
+            if arr.ndim not in (1, 2):
+                raise ValueError(f"{name}: expected a 1-D or 2-D array, got shape {arr.shape}")
+        x, z = (a[:, None] if a.ndim == 1 else a for a in (x, z))
         if y.ndim != 1:
             raise ValueError(f"y: expected a 1-D array, got shape {y.shape}")
         n = y.shape[0]

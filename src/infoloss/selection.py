@@ -18,7 +18,7 @@ the same order and the same per-step schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,12 +71,10 @@ def _step_config(cfg: TestConfig, d: int, d_prime: int) -> TestConfig:
     With an explicit h nothing changes; with an exponent delta that would
     hit or exceed 1/(d + 1 + d'), the step uses 99% of that limit instead.
     """
-    if cfg.h is not None or cfg.delta is None:
-        return cfg
     limit = 1.0 / (d + 1 + d_prime)
-    if cfg.delta < limit:
+    if cfg.h is not None or cfg.delta < limit:
         return cfg
-    return TestConfig(c1=cfg.c1, delta=0.99 * limit, h=None)
+    return replace(cfg, delta=0.99 * limit)
 
 
 def _run_subset(data: Dataset, subset: list[int], cfg: TestConfig) -> TestOutcome:
@@ -96,26 +94,14 @@ def greedy_lossless_selection(data: Dataset, cfg: TestConfig = TestConfig()) -> 
     steps: list[SelectionStep] = []
     outcome = _run_subset(data, selected, cfg)
     while True:
-        remaining = [j for j in range(data.d) if j not in selected]
-        if not outcome.reject or not remaining:
-            steps.append(
-                SelectionStep(
-                    subset=tuple(selected), outcome=outcome, candidate_scores={}, added=None
-                )
-            )
+        remaining = [j for j in range(data.d) if j not in selected] if outcome.reject else []
+        outcomes = {j: _run_subset(data, selected + [j], cfg) for j in remaining}
+        scores = {j: o.L_n for j, o in outcomes.items()}
+        best = min(scores, key=lambda j: (scores[j], j)) if scores else None
+        steps.append(SelectionStep(tuple(selected), outcome, scores, best))
+        if best is None:
             return SelectionResult(
                 selected=tuple(selected), accepted=not outcome.reject, steps=tuple(steps)
             )
-        outcomes = {j: _run_subset(data, selected + [j], cfg) for j in remaining}
-        scores = {j: o.L_n for j, o in outcomes.items()}
-        best = min(scores, key=lambda j: (scores[j], j))
-        steps.append(
-            SelectionStep(
-                subset=tuple(selected),
-                outcome=outcome,
-                candidate_scores=scores,
-                added=best,
-            )
-        )
         selected.append(best)
         outcome = outcomes[best]

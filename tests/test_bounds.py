@@ -3,6 +3,8 @@
 import copy
 import math
 import pickle
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +312,54 @@ class TestDvGapCheck:
         assert lhs == pytest.approx(0.3)
         assert rhs == pytest.approx(math.sqrt(0.5 * mutual_information(j)))
         assert lhs < rhs
+
+
+class TestHoeffdingOverflow:
+    """A range whose width^2 / 4 overflows float64 is an error naming its input.
+
+    Warnings are errors here, so an overflow warning or a NaN that reaches
+    the result fails the test as well.
+    """
+
+    WIDEST = math.sqrt(np.finfo(np.float64).max)  # widest range with a finite square
+
+    @staticmethod
+    def message(name, width):
+        width = re.escape(repr(width))
+        return rf"^{name}: a row range of {width} overflows width\^2 / 4 in float64$"
+
+    def test_profile_names_the_loss(self):
+        j = np.array([[0.5, 0.0], [0.0, 0.5]])
+        loss = LossMatrix(np.array([[0.0, 1e200], [1e200, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=self.message("loss", 1e200)):
+                hoeffding_profile(j, loss)
+
+    def test_dv_gap_names_the_table(self):
+        # Independent (U, V): I = 0, so an infinite sigma^2 would give NaN.
+        j = np.outer([0.5, 0.5], [0.5, 0.5])
+        table = np.array([[0.0, 1e200], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=self.message("table", 1e200)):
+                dv_gap_check(j, table)
+
+    def test_dv_gap_range_beyond_float64(self):
+        j = np.outer([0.5, 0.5], [0.5, 0.5])
+        table = np.array([[-1e308, 1e308], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=self.message("table", math.inf)):
+                dv_gap_check(j, table)
+
+    def test_widest_finite_square_is_kept(self):
+        j = np.array([[0.5, 0.0], [0.0, 0.5]])
+        loss = LossMatrix(np.array([[0.0, self.WIDEST], [self.WIDEST, 0.0]]))
+        assert hoeffding_profile(j, loss).sigma_sq[0] == self.WIDEST * self.WIDEST / 4.0
+        wider = math.nextafter(self.WIDEST, math.inf)
+        with pytest.raises(ValueError, match=self.message("loss", wider)):
+            hoeffding_profile(j, LossMatrix(np.array([[0.0, wider], [wider, 0.0]])))
 
 
 class TestQuantizerSequence:

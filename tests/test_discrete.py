@@ -105,6 +105,18 @@ class TestMutualInformation:
             ratio = j[mask] / np.outer(j.sum(axis=1), j.sum(axis=0))[mask]
             assert mutual_information(j) == float(np.sum(j[mask] * np.log(ratio)))
 
+    def test_sum_rounding_above_one_reads_zero(self):
+        # A one-column joint has I = 0.  These entries sum to 1 + 2^-52, and
+        # the divergence form rounds to -log of that sum, -2.2e-16.
+        col = np.array([[0.33], [0.56], [0.11]])
+        assert mutual_information(col) == 0.0
+        assert mutual_information(col.T) == 0.0
+
+    def test_one_column_joints_never_negative(self, rng):
+        for _ in range(1000):
+            col = rng.random((int(rng.integers(2, 6)), 1))
+            assert mutual_information(col / col.sum()) >= 0.0
+
 class TestConditionalMutualInformation:
     def test_chain_rule_decomposition(self, rng):
         # I(Y; X | T(X)) = I(Y; X) - I(Y; T(X)) for a function of X.

@@ -173,6 +173,39 @@ class TestLayout:
             np.testing.assert_array_equal(arr, old)
 
 
+class TestDatasetShape:
+    """x and z share one rule: 1-D is one coordinate, 2-D is kept, else ValueError."""
+
+    def test_scalar_z_rejected(self):
+        with pytest.raises(ValueError, match=r"^z: expected a 1-D or 2-D array, got shape \(\)$"):
+            Dataset(x=np.zeros((3, 1)), y=np.zeros(3), z=5.0)
+
+    def test_three_dimensional_x_rejected(self, rng):
+        msg = r"^x: expected a 1-D or 2-D array, got shape \(50, 2, 2\)$"
+        with pytest.raises(ValueError, match=msg):
+            Dataset(x=rng.random((50, 2, 2)), y=rng.random(50), z=rng.random((50, 1)))
+
+    def test_one_dimensional_x_is_one_column(self, rng):
+        x, y, z = rng.random(200), rng.random(200), rng.random(200)
+        flat = Dataset(x=x, y=y, z=z)
+        column = Dataset(x=x[:, None], y=y, z=z[:, None])
+        assert flat.x.shape == (200, 1) and flat.d == 1
+        np.testing.assert_array_equal(flat.x, column.x)
+        assert run_test(flat, TestConfig(h=0.25)) == run_test(column, TestConfig(h=0.25))
+
+    @pytest.mark.parametrize("shapes, message", [
+        (((4,), (5,), (5,)), r"row mismatch: x has 4, y has 5, z has 5"),
+        (((5, 2), (5,), (3, 1)), r"row mismatch: x has 5, y has 5, z has 3"),
+        (((3, 1), (3, 1), (3, 1)), r"y: expected a 1-D array, got shape \(3, 1\)"),
+        (((0, 1), (0,), (0, 1)), r"dataset is empty"),
+        (((3, 0), (3,), (3, 1)), r"x must have at least one coordinate"),
+    ], ids=["flat-x-rows", "row-mismatch", "y-not-1d", "empty", "x-no-coordinate"])
+    def test_message(self, shapes, message):
+        x, y, z = (np.zeros(shape) for shape in shapes)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Dataset(x=x, y=y, z=z)
+
+
 class TestBandwidthSchedule:
     def test_power_law_value(self):
         # n = 1024, delta = 0.2: 1024^(-0.2) = 2^(-2) = 0.25.

@@ -56,6 +56,14 @@ def revealed_outcome_market(seed, d_a):
     return MarketModel(returns=returns, joint=apply_map(np.diag(p), tmap), tmap=tmap)
 
 
+def one_cell_z_market(seed):
+    """``gen_market(2, 3, seed)`` with its side information mapped onto one Z cell."""
+    market = gen_market(2, 3, seed)
+    tmap = DeterministicMap(np.zeros(market.joint.p_yx.shape[1], dtype=np.int64), n_z=1)
+    return MarketModel(returns=market.returns, joint=apply_map(market.joint.p_yx, tmap),
+                       tmap=tmap)
+
+
 def duplicate_asset_market():
     """Two identical assets: their split is free, the face's KKT system singular."""
     returns = np.array([[1.3, 1.3, 0.8], [0.8, 0.8, 1.3]])
@@ -364,13 +372,20 @@ class TestGrowthGapBound:
     def test_constant_z_earns_the_no_information_rate(self):
         # A map onto one Z value leaves only the outcome marginal to bet on.
         for seed in range(5):
-            market = gen_market(2, 3, seed)
-            tmap = DeterministicMap(np.zeros(market.joint.p_yx.shape[1], dtype=np.int64), n_z=1)
-            blind = MarketModel(returns=market.returns,
-                                joint=apply_map(market.joint.p_yx, tmap), tmap=tmap)
-            report = growth_gap_bound(blind)
+            report = growth_gap_bound(one_cell_z_market(seed))
             assert report.w_star_z == pytest.approx(report.w_star, abs=1e-12)
             assert report.i_rz == pytest.approx(0.0, abs=1e-15)
+
+    def test_constant_z_information_never_negative(self):
+        # I(R; Z) = 0 for a one-cell Z; its rounded sum must not go below 0.
+        for seed in range(50):
+            assert growth_gap_bound(one_cell_z_market(seed)).i_rz >= 0.0
+
+    def test_constant_z_rounding_below_zero_reads_zero(self):
+        # Seed 1's divergence sum rounds to -2.2e-16.
+        report = growth_gap_bound(one_cell_z_market(1))
+        assert report.i_rz == 0.0
+        assert report.to_dict()["I_RZ"] == 0.0
 
     def test_horse_race_saturates_bound(self):
         # X reveals the winner exactly: gap = log 2 - O(eps) while the
