@@ -215,6 +215,8 @@ def family_lossless_check(joint: DiscreteJoint, delta: float, c: float, envelope
         raise ValueError(
             f"alphabet mismatch: envelope has {g.size} labels, joint has {p_y.size}"
         )
+    if not np.isfinite(g).all():
+        raise ValueError("envelope: non-finite entries")
     if not (g >= 0).all():
         raise ValueError("envelope must be nonnegative")
     second_moment = float(p_y @ (g * g))

@@ -198,9 +198,15 @@ def mutual_information(joint2) -> float:
 
 
 def _mi(j: np.ndarray) -> float:
-    """``mutual_information`` of a float64 pmf; a sum rounding below 0 reads 0."""
+    """``mutual_information`` of a float64 pmf; a sum rounding below 0 reads 0.
+
+    A marginal with one supported symbol gives exactly 0, where the sum
+    would be the log of the joint's rounded total.
+    """
     pa = j.sum(axis=1)
     pb = j.sum(axis=0)
+    if np.count_nonzero(pa) == 1 or np.count_nonzero(pb) == 1:
+        return 0.0
     mask = j > 0
     jm = j[mask]
     prod = np.outer(pa, pb)[mask]

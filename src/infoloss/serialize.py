@@ -1,10 +1,10 @@
 """File formats: JSON schemas for discrete objects, CSV for samples.
 
 All error messages carry the path of the offending field (JSON) or the line
-and column of the offending cell (CSV) so callers can locate problems in
-hand-written inputs.  Floats are rendered with ``repr``, i.e. the shortest
-round-tripping decimal form, which keeps identical inputs byte-identical
-across runs.
+of the offending CSV row, and for a bad cell its column, so callers can
+locate problems in hand-written inputs.  Floats are rendered with
+``repr``, i.e. the shortest round-tripping decimal form, which keeps
+identical inputs byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -207,17 +207,18 @@ def dataset_to_csv(data: Dataset) -> str:
     return "\n".join(blocks)
 
 
-def _scan_rows(path, lines: list[str], width: int) -> list[list[float]]:
-    """Parse the body lines one cell at a time with Python's ``float``.
+def _scan_rows(path, lines, width: int) -> list[list[float]]:
+    """Parse the body lines one cell at a time: ``str.strip``, then ``float``.
 
-    Blank lines are skipped.  The first malformed line raises a SchemaError
-    naming its 1-based line number and, for a bad cell, its column.
+    ``lines`` is the open file, past its header.  Blank lines are skipped.
+    The first malformed line raises a SchemaError naming its 1-based line
+    number and, for a bad cell, its column.
     """
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
-        cells = line.split(",")
+        cells = [c.strip() for c in line.split(",")]
         if len(cells) != width:
             raise SchemaError(
                 f"{path}, line {lineno}: expected {width} fields, got {len(cells)}"
@@ -230,104 +231,66 @@ def _scan_rows(path, lines: list[str], width: int) -> list[list[float]]:
                     float(cell)
                 except ValueError:
                     raise SchemaError(
-                        f"{path}, line {lineno}, column {col}: could not parse {cell.strip()!r}"
+                        f"{path}, line {lineno}, column {col}: could not parse {cell!r}"
                     ) from None
             raise
     return rows
 
 
-# Bytes at which numpy's file reader would split lines otherwise than
-# str.splitlines: \x0b, \x0c and \x1c-\x1e end a line for splitlines only.
-# Non-ASCII bytes are set aside as well (\x85, U+2028 and U+2029 end a line).
-_LINE_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
-# What str.strip removes from an ASCII line free of _LINE_BREAKS; \x1f is
-# whitespace to str.strip but not to bytes.strip.
-_BLANK = b" \t\r\n\x1f"
 # Suffixes by which numpy's path opener decompresses a file.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-_READ_CHUNK = 1 << 20
-
-
-def _probe_csv(path) -> tuple[str, bool] | None:
-    r"""The header line and whether any later line is non-blank, in one pass.
-
-    Returns None when numpy's file reader could split the file into other
-    lines than ``str.splitlines`` does, or would decompress it.  Otherwise
-    the file is ASCII and both break its lines at ``\r``, ``\n`` and
-    ``\r\n`` only.
-    """
-    if str(path).endswith(_COMPRESSED):
-        return None
-    head, header, has_body = b"", None, False
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_READ_CHUNK):
-            if not chunk.isascii() or any(b in chunk for b in _LINE_BREAKS):
-                return None
-            if header is None:
-                head += chunk
-                end = min((i for i in (head.find(b"\n"), head.find(b"\r")) if i >= 0), default=-1)
-                if end < 0:
-                    continue
-                header, chunk = head[:end].decode("ascii"), head[end:]
-            has_body = has_body or bool(chunk.strip(_BLANK))
-    return (head.decode("ascii") if header is None else header), has_body
 
 
 def read_dataset_csv(path) -> Dataset:
     r"""Parse a sample CSV with header x1..xd,y,z1..zd'.
 
-    The dimensions d and d' are those the header declares.  Lines are those
-    of ``str.splitlines`` over the decoded text; blank lines are skipped.
-    Parse failures report 1-based line numbers.
+    The dimensions d and d' are those the header declares.  The file is
+    decoded as text in the locale's encoding, and lines end at ``\n``,
+    ``\r`` or ``\r\n``; blank lines are skipped.  Each cell is read as
+    ``float`` reads it after ``str.strip``.  Parse failures report 1-based
+    line numbers.
 
-    One binary pass over the file, in 1 MiB chunks, reads the header and
-    finds whether any body line is non-blank.  ``np.loadtxt`` then parses
-    the body from the path, reading the file in chunks itself, so no copy of
-    the text is held.  The exact path, the line scanner over
-    ``read_text().splitlines()``, takes the files numpy would read
-    otherwise: non-ASCII ones and those holding ``\x0b``, ``\x0c`` or
-    ``\x1c``-``\x1e``, where only ``splitlines`` breaks a line, and names
-    ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma``, which numpy would
-    decompress.  It also runs when ``np.loadtxt`` fails or finds the wrong
-    width, and either locates the error or accepts what only ``float``
-    reads (whitespace-only lines, ``1_0``).  Both paths read numbers with
-    the parser ``float`` uses, so their values are identical.
+    ``np.loadtxt`` parses the body from the path, reading the file in
+    chunks itself, so no copy of the text is held; it splits lines and
+    strips cells by the same rules, and reads numbers with the parser
+    ``float`` uses.  The line scanner streams the open file instead when
+    numpy fails or finds the wrong width, and either locates the error or
+    accepts what only ``float`` reads (whitespace-only lines, ``1_0``).  It
+    also takes names ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma``,
+    which numpy would decompress.
     """
-    probe = _probe_csv(path)
-    lines = None
-    if probe is None:
-        lines = Path(path).read_text().splitlines()
-        probe = (lines[0] if lines else ""), any(line.strip() for line in lines[1:])
-    header, has_body = probe
-    if not header.strip():
-        raise SchemaError(f"{path}: empty file")
-    names = [t.strip() for t in header.split(",")]
-    if "y" not in names:
-        raise SchemaError(f"{path}, line 1: header must contain a 'y' column")
-    d_file = names.index("y")
-    dp_file = len(names) - d_file - 1
-    expected = _header(d_file, dp_file)
-    if names != expected:
-        raise SchemaError(
-            f"{path}, line 1: header {names} does not match expected {expected}"
-        )
-    if d_file < 1:
-        raise SchemaError(f"{path}, line 1: need at least one x column")
-    width = len(names)
-    if not has_body:
-        raise SchemaError(f"{path}: empty dataset (header only)")
-    arr = None
-    if lines is None:
-        try:
-            # An absolute path, so numpy's opener cannot take it for a URL.
-            arr = np.loadtxt(
-                Path(path).absolute(), delimiter=",", comments=None, dtype=np.float64,
-                ndmin=2, skiprows=1,
+    with open(path) as fh:
+        header = fh.readline()
+        if not header.strip():
+            raise SchemaError(f"{path}: empty file")
+        names = [t.strip() for t in header.split(",")]
+        if "y" not in names:
+            raise SchemaError(f"{path}, line 1: header must contain a 'y' column")
+        d_file = names.index("y")
+        dp_file = len(names) - d_file - 1
+        expected = _header(d_file, dp_file)
+        if names != expected:
+            raise SchemaError(
+                f"{path}, line 1: header {names} does not match expected {expected}"
             )
-        except ValueError:
-            pass
-    if arr is None or arr.shape[1] != width:
-        if lines is None:
-            lines = Path(path).read_text().splitlines()
-        arr = np.asarray(_scan_rows(path, lines, width), dtype=np.float64)
+        if d_file < 1:
+            raise SchemaError(f"{path}, line 1: need at least one x column")
+        width = len(names)
+        # Stops at the first non-blank line, so numpy never sees an empty body.
+        if not any(line.strip() for line in fh):
+            raise SchemaError(f"{path}: empty dataset (header only)")
+        arr = None
+        if not str(path).endswith(_COMPRESSED):
+            try:
+                # An absolute path, so numpy's opener cannot take it for a URL.
+                arr = np.loadtxt(
+                    Path(path).absolute(), delimiter=",", comments=None, dtype=np.float64,
+                    ndmin=2, skiprows=1,
+                )
+            except ValueError:
+                pass
+        if arr is None or arr.shape[1] != width:
+            fh.seek(0)
+            fh.readline()
+            arr = np.asarray(_scan_rows(path, fh, width), dtype=np.float64)
     return _build(path, Dataset, x=arr[:, :d_file], y=arr[:, d_file], z=arr[:, d_file + 1 :])

@@ -281,6 +281,15 @@ class TestFamilyLossless:
         with pytest.raises(ValueError, match="alphabet mismatch: envelope has 3 labels, joint has 2"):
             family_lossless_check(joint, 0.1, 1.0, [0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("envelope", [[float("nan"), 1.0, 1.0], [math.inf, 0.0, 0.0]],
+                             ids=["nan", "inf"])
+    def test_non_finite_envelope(self, envelope):
+        # Named before the sign and second-moment checks, which would
+        # misreport NaN as negative and inf as exceeding c^2.
+        joint, _ = gen_random_joint((3, 2, 2), 0)
+        with pytest.raises(ValueError, match="^envelope: non-finite entries$"):
+            family_lossless_check(joint, 0.1, 1.0, envelope)
+
     def test_envelope_consistency_with_optimum(self):
         # On the fair-bit pair the 0-1 loss of the optimal predictor is 0 or
         # 1 for each label, so its envelope g = (1, 1) feeds the family check.
@@ -459,7 +468,7 @@ NAN = float("nan")
         pytest.param(lambda j: family_lossless_check(j, 0.1, NAN, [0.0, 0.0]),
                      "c must be > 0, got nan", id="family-c"),
         pytest.param(lambda j: family_lossless_check(j, 0.1, 1.0, [NAN, 0.0]),
-                     "envelope must be nonnegative", id="family-envelope"),
+                     "envelope: non-finite entries", id="family-envelope"),
         pytest.param(lambda j: dv_gap_check(np.full((2, 2), 0.25), [[NAN, 0.0], [0.0, 0.0]]),
                      "table: non-finite entries", id="dv-table"),
         pytest.param(lambda j: quantizer_sequence_bound(

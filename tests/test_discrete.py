@@ -112,6 +112,16 @@ class TestMutualInformation:
         assert mutual_information(col) == 0.0
         assert mutual_information(col.T) == 0.0
 
+    @pytest.mark.parametrize("joint", [
+        [[0.7], [0.2], [0.1]],
+        [[0.7, 0.2, 0.1]],
+        [[0.7, 0.0], [0.2, 0.0], [0.1, 0.0]],
+    ], ids=["one-column", "one-row", "one-supported-column"])
+    def test_one_supported_symbol_reads_exact_zero(self, joint):
+        # These entries sum to 1 - 2^-53, and the divergence form rounds
+        # to -log of that sum, +2.2e-16.
+        assert mutual_information(joint) == 0.0
+
     def test_one_column_joints_never_negative(self, rng):
         for _ in range(1000):
             col = rng.random((int(rng.integers(2, 6)), 1))

@@ -256,24 +256,44 @@ def finite_samples(draw):
     return Dataset(x=cols[:, :d], y=cols[:, d], z=cols[:, d + 1 :])
 
 
+# Bodies after the header "x1,y,z1\n", and the rows each reads as.
+ACCEPTED = {
+    "crlf": ("0.1,0.2,0.3\r\n0.4,0.5,0.6\r\n", [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
+    "no-final-newline": ("0.1,0.2,0.3\n0.4,0.5,0.6", [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
+    "padding": (" 0.1 ,\t0.2,0.3\t\n0.4,  0.5 ,0.6\n", [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
+    "empty-line": ("0.1,0.2,0.3\n\n0.4,0.5,0.6\n", [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
+    "whitespace-line": ("0.1,0.2,0.3\n \t \n0.4,0.5,0.6\n", [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
+    "underscore": ("1_0,0.2,0.3\n0.4,0.5,0.6\n", [[10.0, 0.2, 0.3], [0.4, 0.5, 0.6]]),
+    "unicode-digit": ("\u0661,0.2,0.3\n0.4,0.5,0.6\n", [[1.0, 0.2, 0.3], [0.4, 0.5, 0.6]]),
+    # Padding that float alone rejects (\x1f) in a file that is not ASCII.
+    "padding-1f-nbsp": ("0.1\x1f,0.2,0.3\n0.4,0.5,\u00a00.6\n", [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
+}
+
+# (text, the message after the path that it raises).
+ERRORS = {
+    "header-only": ("x1,y,z1\n  \n\t\n", ": empty dataset (header only)"),
+    "narrow-rows": ("x1,x2,y,z1\n1,2,3\n4,5,6\n", ", line 2: expected 4 fields, got 3"),
+    "trailing-comma": ("x1,y,z1\n0.1,0.2,0.3\n0.4,0.5,\n", ", line 3, column 3: could not parse ''"),
+    "empty-cell": ("x1,y,z1\n0.1,0.2,0.3\n0.4,,0.6\n", ", line 3, column 2: could not parse ''"),
+    "nan": ("x1,y,z1\n0.1,nan,0.3\n", ": y: non-finite values"),
+}
+
+
+def disable_loadtxt(monkeypatch):
+    """Make ``np.loadtxt`` fail, so every read goes through the line scanner."""
+
+    def no_loadtxt(*args, **kwargs):
+        raise ValueError("vectorised pass disabled")
+
+    monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+
+
 class TestCsvParserParity:
     """Inputs at the edges of the CSV grammar read exactly as documented."""
 
-    @pytest.mark.parametrize(
-        "body, rows",
-        [
-            ("0.1,0.2,0.3\r\n0.4,0.5,0.6\r\n", [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
-            ("0.1,0.2,0.3\n0.4,0.5,0.6", [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
-            (" 0.1 ,\t0.2,0.3\t\n0.4,  0.5 ,0.6\n", [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
-            ("0.1,0.2,0.3\n\n0.4,0.5,0.6\n", [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
-            ("0.1,0.2,0.3\n \t \n0.4,0.5,0.6\n", [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
-            ("1_0,0.2,0.3\n0.4,0.5,0.6\n", [[10.0, 0.2, 0.3], [0.4, 0.5, 0.6]]),
-            ("\u0661,0.2,0.3\n0.4,0.5,0.6\n", [[1.0, 0.2, 0.3], [0.4, 0.5, 0.6]]),
-        ],
-        ids=["crlf", "no-final-newline", "padding", "empty-line", "whitespace-line",
-             "underscore", "unicode-digit"],
-    )
-    def test_accepted_values(self, tmp_path, body, rows):
+    @pytest.mark.parametrize("case", list(ACCEPTED))
+    def test_accepted_values(self, tmp_path, case):
+        body, rows = ACCEPTED[case]
         data = read_strict(tmp_path / "in.csv", "x1,y,z1\n" + body)
         expected = np.array(rows)
         np.testing.assert_array_equal(data.x, expected[:, :1])
@@ -286,54 +306,43 @@ class TestCsvParserParity:
         data = Dataset(x=cols[:, :2], y=cols[:, 2], z=cols[:, 3:])
         text = dataset_to_csv(data).replace(",", sep)
         fast = read_strict(tmp_path / "in.csv", text)
-
-        def no_loadtxt(*args, **kwargs):
-            raise ValueError("vectorised pass disabled")
-
-        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+        disable_loadtxt(monkeypatch)
         scanned = read_strict(tmp_path / "in.csv", text)
         for got, want in ((fast, scanned), (scanned, data)):
             assert got.x.tobytes() == want.x.tobytes()
             assert got.y.tobytes() == want.y.tobytes()
             assert got.z.tobytes() == want.z.tobytes()
 
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("x1,y,z1\n  \n\t\n", ": empty dataset (header only)"),
-            ("x1,x2,y,z1\n1,2,3\n4,5,6\n", ", line 2: expected 4 fields, got 3"),
-            ("x1,y,z1\n0.1,0.2,0.3\n0.4,0.5,\n", ", line 3, column 3: could not parse ''"),
-            ("x1,y,z1\n0.1,0.2,0.3\n0.4,,0.6\n", ", line 3, column 2: could not parse ''"),
-            ("x1,y,z1\n0.1,nan,0.3\n", ": y: non-finite values"),
-        ],
-        ids=["header-only", "narrow-rows", "trailing-comma", "empty-cell", "nan"],
-    )
-    def test_errors_located(self, tmp_path, text, message):
+    @pytest.mark.parametrize("case", list(ERRORS))
+    def test_errors_located(self, tmp_path, case):
+        text, message = ERRORS[case]
         path = tmp_path / "in.csv"
         with pytest.raises(SchemaError, match=re.escape(f"{path}{message}") + "$"):
             read_strict(path, text)
 
 
-# Line breaks of ``str.splitlines`` that numpy's file reader does not split at.
+# Line breaks of ``str.splitlines`` that end no line of a CSV: each is
+# whitespace to ``str.strip``, so it pads a cell or blanks a line.
 LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 TWO_ROWS = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]
 
-# (text, rows it reads as, or the message after the path that it raises),
-# recorded with the reader that split ``read_text()`` with ``str.splitlines``.
+# (text, rows it reads as, or the message after the path that it raises).
 LINE_STRUCTURE = {
     **{
         f"{kind}-{ord(sep):x}": (text, want)
         for sep in LINE_BREAKS
         for kind, text, want in [
-            ("in-cell", f"x1,y,z1\n0.1{sep},0.2,0.3\n", ", line 2: expected 3 fields, got 1"),
-            ("before-cell", f"x1,y,z1\n0.1,0.2,{sep}0.3\n",
-             ", line 2, column 3: could not parse ''"),
-            ("between-rows", f"x1,y,z1\n0.1,0.2,0.3{sep}0.4,0.5,0.6\n", TWO_ROWS),
-            ("after-header", f"x1,y,z1{sep}0.1,0.2,0.3\n", TWO_ROWS[:1]),
+            ("in-cell", f"x1,y,z1\n0.1{sep},0.2,0.3\n", TWO_ROWS[:1]),
+            ("before-cell", f"x1,y,z1\n0.1,0.2,{sep}0.3\n", TWO_ROWS[:1]),
+            ("between-rows", f"x1,y,z1\n0.1,0.2,0.3{sep}0.4,0.5,0.6\n",
+             ", line 2: expected 3 fields, got 5"),
+            ("after-header", f"x1,y,z1{sep}0.1,0.2,0.3\n",
+             f", line 1: header {['x1', 'y', f'z1{sep}0.1', '0.2', '0.3']} "
+             f"does not match expected {['x1', 'y', 'z1', 'z2', 'z3']}"),
             ("blank-body", f"x1,y,z1\n{sep}\n \t{sep}\n", ": empty dataset (header only)"),
         ]
     },
-    # \x1f is whitespace to str.strip and float, but no line break.
+    # \x1f is whitespace to str.strip (float alone rejects it), but no line break.
     "in-cell-1f": ("x1,y,z1\n0.1\x1f,0.2,0.3\n", TWO_ROWS[:1]),
     "before-cell-1f": ("x1,y,z1\n0.1,0.2,\x1f0.3\n", TWO_ROWS[:1]),
     "between-rows-1f": ("x1,y,z1\n0.1,0.2,0.3\x1f0.4,0.5,0.6\n",
@@ -351,6 +360,13 @@ LINE_STRUCTURE = {
     "empty": ("", ": empty file"),
 }
 
+# Every edge-case file above, whole.
+EDGE_TEXTS = {
+    **{case: text for case, (text, _) in LINE_STRUCTURE.items()},
+    **{f"accepted-{case}": "x1,y,z1\n" + body for case, (body, _) in ACCEPTED.items()},
+    **{f"error-{case}": text for case, (text, _) in ERRORS.items()},
+}
+
 
 def check_read(path, text, want):
     """Read ``text`` from ``path``: the rows ``want``, or the SchemaError ``path + want``."""
@@ -366,7 +382,7 @@ def check_read(path, text, want):
 
 
 class TestCsvLineStructure:
-    """Lines and blank lines are those of ``str.splitlines`` and ``str.strip``."""
+    r"""Lines end at ``\n``, ``\r`` or ``\r\n``; ``str.strip`` finds blank lines and padding."""
 
     @pytest.mark.parametrize("case", sorted(LINE_STRUCTURE))
     def test_read_as_recorded(self, tmp_path, case):
@@ -376,12 +392,20 @@ class TestCsvLineStructure:
     def test_plain_text_with_compressed_suffix(self, tmp_path, suffix):
         check_read(tmp_path / f"in.csv{suffix}", "x1,y,z1\n0.1,0.2,0.3\n0.4,0.5,0.6\n", TWO_ROWS)
 
-    @pytest.mark.parametrize("chunk", [1, 2, 7])
-    def test_any_read_chunk(self, tmp_path, monkeypatch, chunk):
-        # Header ends, CRLF pairs and blank bodies split across chunks.
-        monkeypatch.setattr(serialize, "_READ_CHUNK", chunk)
-        for case, (text, want) in LINE_STRUCTURE.items():
-            check_read(tmp_path / f"{case}.csv", text, want)
+    @pytest.mark.parametrize("case", sorted(EDGE_TEXTS))
+    def test_scanner_reads_as_numpy(self, tmp_path, monkeypatch, case):
+        path, text = tmp_path / "in.csv", EDGE_TEXTS[case]
+
+        def outcome():
+            try:
+                rows = columns(read_strict(path, text))
+                return rows.shape, rows.tobytes()
+            except SchemaError as exc:
+                return str(exc)
+
+        with_numpy = outcome()
+        disable_loadtxt(monkeypatch)
+        assert outcome() == with_numpy
 
     def test_path_that_parses_as_url_read_locally(self, tmp_path, monkeypatch):
         def no_network(*args, **kwargs):
@@ -398,6 +422,53 @@ class TestCsvLineStructure:
         from numpy.lib import _datasource
 
         assert set(_datasource._file_openers.keys()) - {None} <= set(serialize._COMPRESSED)
+
+
+class TestCsvScannerAtScale:
+    """Line ends and cell errors far past the first read buffer of numpy and the scanner."""
+
+    N = 30_000
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        data = gen_h1(H1Config(n=self.N, seed=11))
+        return data, dataset_to_csv(data)
+
+    @staticmethod
+    def assert_bit_equal(got, want):
+        assert columns(got).tobytes() == columns(want).tobytes()
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r", "\n"], ids=["crlf", "cr", "lf"])
+    def test_line_ends_read_bit_equal(self, tmp_path, monkeypatch, sample, newline):
+        data, text = sample
+        text = text.replace("\n", newline)
+        self.assert_bit_equal(read_strict(tmp_path / "in.csv", text), data)
+        disable_loadtxt(monkeypatch)
+        self.assert_bit_equal(read_strict(tmp_path / "in.csv", text), data)
+
+    @staticmethod
+    def crlf_with_last_row_cell(text, col, cell):
+        lines = text.split("\n")
+        cells = lines[-2].split(",")
+        cells[col - 1] = cell
+        lines[-2] = ",".join(cells)
+        return "\r\n".join(lines)
+
+    def test_underscore_in_last_row(self, tmp_path, sample):
+        data, text = sample
+        back = read_strict(tmp_path / "in.csv", self.crlf_with_last_row_cell(text, 1, "1_0"))
+        assert back.x[-1, 0] == 10.0
+        want = columns(data)
+        want[-1, 0] = 10.0
+        assert columns(back).tobytes() == want.tobytes()
+
+    def test_bad_cell_in_last_row_located(self, tmp_path, sample):
+        data, text = sample
+        path = tmp_path / "in.csv"
+        col = data.d + 1
+        message = f"{path}, line {self.N + 1}, column {col}: could not parse 'oops'"
+        with pytest.raises(SchemaError, match=re.escape(message) + "$"):
+            read_strict(path, self.crlf_with_last_row_cell(text, col, "oops"))
 
 
 class TestCsvWriter:
