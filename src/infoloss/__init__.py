@@ -13,6 +13,9 @@ The package has three legs that share one discrete core:
 is validated against, and ``synth`` the seeded generators used by the Monte
 Carlo harness in ``montecarlo``, the CLI and the scripts.  Oracles and
 generators that only the tests use live in ``tests/conftest.py``.
+
+The imports below are the package's one list of public names; the modules
+keep no ``__all__`` of their own.
 """
 
 from .bounds import (

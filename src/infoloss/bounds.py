@@ -36,23 +36,12 @@ from .discrete import (
     _Frozen,
     _read_only,
     apply_map,
+    check_nonnegative,
     check_pmf,
     excess_risk,
     mutual_information,
     posterior_cost,
 )
-
-__all__ = [
-    "BoundReport",
-    "SubgaussianProfile",
-    "bound_bounded_loss",
-    "bound_subgaussian",
-    "delta_lossless_bounded",
-    "dv_gap_check",
-    "family_lossless_check",
-    "hoeffding_profile",
-    "quantizer_sequence_bound",
-]
 
 _HOLDS_TOL = 1e-9
 # Widest range whose Hoeffding parameter width^2 / 4 is finite in float64.
@@ -80,12 +69,7 @@ class SubgaussianProfile(_Frozen):
     sigma_sq: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.sigma_sq, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("sigma_sq must be a nonempty 1-D array")
-        # A NaN or -inf fails the min test and a +inf the max test.
-        if not (arr.min() >= 0 and arr.max() < math.inf):
-            raise ValueError("sigma_sq entries must be finite and >= 0")
+        arr = check_nonnegative(self.sigma_sq, 1, name="sigma_sq")
         object.__setattr__(self, "sigma_sq", _read_only(arr.copy()))
 
     def expected(self, p_y: np.ndarray) -> float:
@@ -209,16 +193,12 @@ def family_lossless_check(joint: DiscreteJoint, delta: float, c: float, envelope
     vanishes at the optimum, so nothing can be lost).
     """
     _check_delta_c(delta, c)
-    g = np.asarray(envelope, dtype=np.float64)
+    g = check_nonnegative(envelope, 1, name="envelope")
     p_y = joint.p_y
     if g.shape != p_y.shape:
         raise ValueError(
             f"alphabet mismatch: envelope has {g.size} labels, joint has {p_y.size}"
         )
-    if not np.isfinite(g).all():
-        raise ValueError("envelope: non-finite entries")
-    if not (g >= 0).all():
-        raise ValueError("envelope must be nonnegative")
     second_moment = float(p_y @ (g * g))
     if second_moment > c * c + _HOLDS_TOL:
         raise ValueError(

@@ -18,49 +18,46 @@ Conventions
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
-
-__all__ = [
-    "PMF_ATOL",
-    "DiscreteJoint",
-    "DeterministicMap",
-    "LossMatrix",
-    "apply_map",
-    "bayes_risk",
-    "check_pmf",
-    "conditional_mutual_information",
-    "excess_risk",
-    "mutual_information",
-    "posterior_cost",
-    "squared_loss",
-    "zero_one_loss",
-]
 
 PMF_ATOL = 1e-12
 # Below this a product of probabilities may have lost its bits to underflow.
 _TINY = np.finfo(np.float64).tiny
 
 
-def check_pmf(p, ndim: int = 1, *, name: str) -> np.ndarray:
-    """Validate an ``ndim``-D array as a pmf and return it as float64."""
-    arr = np.asarray(p, dtype=np.float64)
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; floats and other non-integers raise ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_nonnegative(values, ndim: int, *, name: str) -> np.ndarray:
+    """``values`` as a nonempty float64 ``ndim``-D array of finite entries >= 0."""
+    arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != ndim:
         raise ValueError(f"{name}: expected a {ndim}-D array, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name}: empty alphabet")
-    # A NaN or a negative entry fails the min test, and nonnegative entries
-    # with a finite sum are all finite.  The sum is skipped when the min
-    # fails, so a -inf cannot meet a +inf in it; finite entries whose sum
-    # overflows pass both slow checks and fail the sum check.
-    total = float(arr.sum()) if arr.min() >= 0 else math.nan
-    if not math.isfinite(total):
+    # A NaN or -inf fails the min test and a +inf the max test.
+    if not (arr.min() >= 0 and arr.max() < math.inf):
         if not np.isfinite(arr).all():
             raise ValueError(f"{name}: non-finite entries")
-        if (arr < 0).any():
-            raise ValueError(f"{name}: negative probabilities")
+        raise ValueError(f"{name}: negative entries")
+    return arr
+
+
+def check_pmf(p, ndim: int = 1, *, name: str) -> np.ndarray:
+    """Validate an ``ndim``-D array as a pmf and return it as float64."""
+    arr = check_nonnegative(p, ndim, name=name)
+    # Finite entries may sum past the float64 range; the sum is then inf.
+    with np.errstate(over="ignore"):
+        total = float(arr.sum())
     if abs(total - 1.0) > PMF_ATOL:
         raise ValueError(f"{name}: probabilities sum to {total!r}, not 1")
     return arr
@@ -131,6 +128,7 @@ class DeterministicMap(_Frozen):
     n_z: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_z", _integer(self.n_z, "map.n_z"))
         arr = np.asarray(self.table)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError(f"map.table: expected a nonempty 1-D array, got shape {arr.shape}")
@@ -154,16 +152,9 @@ class LossMatrix(_Frozen):
     cost: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.cost, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        arr = check_nonnegative(self.cost, 2, name="loss.cost")
+        if arr.shape[0] != arr.shape[1]:
             raise ValueError(f"loss.cost: expected a square matrix, got shape {arr.shape}")
-        if arr.size == 0:
-            raise ValueError("loss.cost: empty alphabet")
-        # A NaN or -inf fails the min test and a +inf the max test.
-        if not (arr.min() >= 0 and arr.max() < math.inf):
-            if not np.isfinite(arr).all():
-                raise ValueError("loss.cost: non-finite entries")
-            raise ValueError("loss.cost: negative entries")
         object.__setattr__(self, "cost", _read_only(arr.copy()))
 
     @cached_property

@@ -15,10 +15,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .discrete import _integer
 from .partition import TestConfig, TestOutcome, run_test
-from .synth import H0Config, H1Config, _integer, gen_h0, gen_h1
-
-__all__ = ["ExperimentPlan", "MCResult", "MCRow", "run_plan"]
+from .synth import H0Config, H1Config, gen_h0, gen_h1
 
 # MCRow field -> column of the plot-ready CSV, in output order.
 CSV_COLUMNS = {
@@ -156,7 +155,7 @@ def run_plan(plan: ExperimentPlan, threads: int | None = None) -> MCResult:
     and h1) the 2-thread / 1-thread time ratio was 0.94-1.41 at n = 1e3,
     0.93-1.11 at 1e4, 0.56-0.94 at 2e4 and 0.56-0.69 at 1e5 (40 replicates).
     """
-    workers = threads if threads is not None else _usable_cores()
+    workers = _integer(threads, "threads") if threads is not None else _usable_cores()
     if workers < 1:
         raise ValueError(f"threads must be >= 1, got {workers}")
     rows = []

@@ -29,24 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .discrete import _Frozen, _read_only
-
-__all__ = [
-    "C1_MIN",
-    "CubicPartition",
-    "Dataset",
-    "JointHistogram",
-    "L_MAX",
-    "TestConfig",
-    "TestOutcome",
-    "build_histogram",
-    "h_schedule",
-    "l_statistic",
-    "run_test",
-    "scale_unit",
-    "threshold",
-    "type1_bound",
-]
+from .discrete import _Frozen, _integer, _read_only
 
 # Smallest admissible multiplier for the sampling terms of the threshold.
 C1_MIN = math.sqrt(2.0 * math.log(2.0))
@@ -172,6 +155,8 @@ class CubicPartition:
     d_prime: int
 
     def __post_init__(self) -> None:
+        for name in ("d", "d_prime"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not 0.0 < self.h <= 1.0:
             raise ValueError(f"h must be in (0, 1], got {self.h}")
         if self.d < 1 or self.d_prime < 0:

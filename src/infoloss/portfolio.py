@@ -31,17 +31,10 @@ from .discrete import (
     _check_consistent,
     _Frozen,
     _read_only,
+    check_nonnegative,
     check_pmf,
     mutual_information,
 )
-
-__all__ = [
-    "GrowthReport",
-    "MarketModel",
-    "c_max_bound",
-    "growth_gap_bound",
-    "log_optimal_portfolio",
-]
 
 # The solver starts on the face {i : g_i >= max g - _FACE_SLACK} of the
 # uniform portfolio and takes at most _MAX_STEPS Newton steps; it stops once
@@ -60,12 +53,9 @@ _ROUNDING_ULPS = 64
 
 
 def _check_returns(returns) -> np.ndarray:
-    r = np.asarray(returns, dtype=np.float64)
-    if r.ndim != 2:
-        raise ValueError(f"returns: expected a 2-D array, got shape {r.shape}")
-    # A NaN or an entry <= 0 fails the min test and a +inf the max test.
-    if not (r.min(initial=math.inf) > 0 and r.max(initial=0.0) < math.inf):
-        raise ValueError("returns must be finite and strictly positive")
+    r = check_nonnegative(returns, 2, name="returns")
+    if np.count_nonzero(r) < r.size:
+        raise ValueError("returns: zero entries")
     return r
 
 

@@ -24,8 +24,6 @@ import numpy as np
 
 from .partition import Dataset, TestConfig, TestOutcome, run_test
 
-__all__ = ["SelectionResult", "SelectionStep", "greedy_lossless_selection"]
-
 
 @dataclass(frozen=True)
 class SelectionStep:

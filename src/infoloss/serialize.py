@@ -18,22 +18,6 @@ from .discrete import DeterministicMap, DiscreteJoint, LossMatrix
 from .partition import Dataset
 from .portfolio import MarketModel
 
-__all__ = [
-    "SchemaError",
-    "dataset_to_csv",
-    "joint_from_dict",
-    "joint_to_dict",
-    "load_json",
-    "loss_from_dict",
-    "loss_to_dict",
-    "map_from_dict",
-    "map_to_dict",
-    "market_from_dict",
-    "market_to_dict",
-    "read_dataset_csv",
-    "save_json",
-]
-
 
 class SchemaError(ValueError):
     """Input does not match the expected schema; message includes the path."""
@@ -85,6 +69,22 @@ def _number_list(values, path: str) -> list[float]:
     return out
 
 
+def _number_rows(values, path: str, width: int | None = None) -> np.ndarray:
+    """A nonempty list of rows of ``width`` numbers each, as a 2-D array.
+
+    ``width`` None asks for a square matrix: as many numbers per row as rows.
+    """
+    _expect(isinstance(values, list) and values, path, "expected a nonempty list of rows")
+    width = len(values) if width is None else width
+    rows = []
+    for i, row in enumerate(values):
+        rows.append(_number_list(row, f"{path}[{i}]"))
+        _expect(
+            len(rows[-1]) == width, f"{path}[{i}]", f"expected {width} entries, got {len(rows[-1])}"
+        )
+    return np.asarray(rows)
+
+
 def joint_to_dict(joint: DiscreteJoint) -> dict:
     return {
         "shape": list(joint.shape),
@@ -112,17 +112,7 @@ def loss_to_dict(loss: LossMatrix) -> dict:
 
 
 def loss_from_dict(obj, path: str = "loss") -> LossMatrix:
-    cost = _require(obj, "cost", path)
-    _expect(isinstance(cost, list) and cost, f"{path}.cost", "expected a nonempty list of rows")
-    rows = []
-    for i, row in enumerate(cost):
-        rows.append(_number_list(row, f"{path}.cost[{i}]"))
-        _expect(
-            len(rows[-1]) == len(rows[0]),
-            f"{path}.cost[{i}]",
-            f"row length {len(rows[-1])} != {len(rows[0])}",
-        )
-    return _build(path, LossMatrix, np.asarray(rows))
+    return _build(path, LossMatrix, _number_rows(_require(obj, "cost", path), f"{path}.cost"))
 
 
 def map_to_dict(tmap: DeterministicMap) -> dict:
@@ -155,19 +145,10 @@ def market_to_dict(market: MarketModel) -> dict:
 
 def market_from_dict(obj, path: str = "market") -> MarketModel:
     d_a = _positive_int(_require(obj, "d_a", path), f"{path}.d_a")
-    raw = _require(obj, "returns", path)
-    _expect(isinstance(raw, list) and raw, f"{path}.returns", "expected a nonempty list of rows")
-    rows = []
-    for i, row in enumerate(raw):
-        rows.append(_number_list(row, f"{path}.returns[{i}]"))
-        _expect(
-            len(rows[-1]) == d_a,
-            f"{path}.returns[{i}]",
-            f"expected {d_a} assets, got {len(rows[-1])}",
-        )
+    returns = _number_rows(_require(obj, "returns", path), f"{path}.returns", d_a)
     joint = joint_from_dict(_require(obj, "joint", path), f"{path}.joint")
     tmap = map_from_dict(_require(obj, "map", path), f"{path}.map")
-    return _build(path, MarketModel, returns=np.asarray(rows), joint=joint, tmap=tmap)
+    return _build(path, MarketModel, returns=returns, joint=joint, tmap=tmap)
 
 
 def load_json(path) -> dict:

@@ -20,33 +20,13 @@ x1 reproduces Z exactly.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import DeterministicMap, DiscreteJoint, LossMatrix, apply_map
+from .discrete import DeterministicMap, DiscreteJoint, LossMatrix, _integer, apply_map
 from .partition import _CHUNK_ROWS, Dataset
 from .portfolio import MarketModel
-
-__all__ = [
-    "H0Config",
-    "H1Config",
-    "gen_h0",
-    "gen_h1",
-    "gen_market",
-    "gen_random_joint",
-    "gen_random_loss",
-    "philox",
-]
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as a Python int; floats and other non-integers raise ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def philox(seed: int) -> np.random.Generator:

@@ -442,9 +442,14 @@ class TestProfileValidation:
         with pytest.raises(ValueError):
             SubgaussianProfile(np.array([-0.1, 0.2]))
 
-    @pytest.mark.parametrize("value", [-0.1, float("nan"), math.inf, -math.inf])
-    def test_sigma_message(self, value):
-        with pytest.raises(ValueError, match="^sigma_sq entries must be finite and >= 0$"):
+    @pytest.mark.parametrize("value, message", [
+        pytest.param(-0.1, "sigma_sq: negative entries", id="-0.1"),
+        pytest.param(float("nan"), "sigma_sq: non-finite entries", id="nan"),
+        pytest.param(math.inf, "sigma_sq: non-finite entries", id="inf"),
+        pytest.param(-math.inf, "sigma_sq: non-finite entries", id="-inf"),
+    ])
+    def test_sigma_message(self, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             SubgaussianProfile(np.array([value, 0.2]))
 
     def test_expected_shape_mismatch(self):

@@ -365,6 +365,31 @@ class TestBoundsCommand:
         assert captured.err == f"error: {path}.{missing[0]}: missing field\n"
 
 
+class TestOverflowingJoint:
+    """A joint whose finite entries sum past float64 is one error line, no warning."""
+
+    JOINT = {"shape": [1, 2, 1], "probs": [1e308, 1e308]}
+
+    @pytest.mark.parametrize("command, instance, where", [
+        ("bounds", {"joint": JOINT, "map": {"table": [0, 0]}, "loss": {"cost": [[0.0]]}},
+         "joint"),
+        ("portfolio", {"d_a": 1, "returns": [[1.0]], "joint": JOINT, "map": {"table": [0, 0]}},
+         "market.joint"),
+    ])
+    def test_one_error_line(self, tmp_path, command, instance, where):
+        path = tmp_path / "instance.json"
+        save_json(instance, path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "infoloss", command, "--input", str(path)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_ERROR
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: {where}: joint.probs: probabilities sum to inf, not 1\n"
+        )
+
+
 class TestPortfolioCommand:
     def test_reports_growth_gap(self, tmp_path, capsys):
         market = gen_market(2, 3, 1)
@@ -555,6 +580,12 @@ class TestArgparseBehavior:
                              flags=re.M))
         assert api <= exported
         assert sorted(exported - used - api) == []
+        # These imports are the one list of public names: no module keeps an
+        # __all__ beside them.
+        for path in (root / "src" / "infoloss").rglob("*.py"):
+            assigned = {node.id for node in ast.walk(ast.parse(path.read_text()))
+                        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+            assert "__all__" not in assigned, path
 
     def test_no_command_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -21,10 +21,12 @@ from infoloss import (
     bayes_risk,
     conditional_mutual_information,
     excess_risk,
+    family_lossless_check,
     gen_h1,
     gen_market,
     gen_random_joint,
     gen_random_loss,
+    log_optimal_portfolio,
     mutual_information,
     squared_loss,
     zero_one_loss,
@@ -379,6 +381,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="lie in"):
             DeterministicMap(np.array([0, 3]), n_z=2)
 
+    def test_map_n_z_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=exact("map.n_z must be an integer, got 2.5")):
+            DeterministicMap(np.array([0, 1]), n_z=2.5)
+
     def test_loss_rejects_negative(self):
         with pytest.raises(ValueError, match="negative"):
             LossMatrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
@@ -398,8 +404,45 @@ def exact(message):
     return f"^{re.escape(message)}$"
 
 
+def _two_label_joint():
+    tmap = DeterministicMap(np.array([0, 0]), n_z=1)
+    return apply_map(np.diag([0.5, 0.5]), tmap)
+
+
+# Every input held to the nonnegative-array rule: a valid value and the call
+# that checks it.  A case overwrites the first entry, or empties the array.
+NONNEGATIVE_SITES = {
+    "p": (np.array([0.5, 0.5]), lambda a: check_pmf(a, name="p")),
+    "loss.cost": (np.ones((2, 2)), LossMatrix),
+    "sigma_sq": (np.array([0.25, 0.25]), SubgaussianProfile),
+    "envelope": (np.ones(2), lambda a: family_lossless_check(_two_label_joint(), 0.1, 1.0, a)),
+    "returns": (np.ones((2, 2)), lambda a: log_optimal_portfolio([0.5, 0.5], a)),
+}
+NONNEGATIVE_CASES = {
+    "nan": (NAN, "non-finite entries"),
+    "inf": (INF, "non-finite entries"),
+    "-inf": (-INF, "non-finite entries"),
+    "negative": (-1.0, "negative entries"),
+    "empty": (None, "empty alphabet"),
+}
+
+
 class TestFastPathRejections:
-    """The cheap min/sum checks keep every rejection and its message."""
+    """The cheap min/max checks keep every rejection and its message."""
+
+    @pytest.mark.parametrize("case", list(NONNEGATIVE_CASES))
+    @pytest.mark.parametrize("site", list(NONNEGATIVE_SITES))
+    def test_nonnegative_rule_messages(self, site, case):
+        valid, check = NONNEGATIVE_SITES[site]
+        value, reason = NONNEGATIVE_CASES[case]
+        check(valid)
+        if value is None:
+            bad = np.empty((0,) * valid.ndim)
+        else:
+            bad = valid.copy()
+            bad.flat[0] = value
+        with pytest.raises(ValueError, match=exact(f"{site}: {reason}")):
+            check(bad)
 
     @pytest.mark.parametrize("values, message", [
         ([NAN, 1.0], "p: non-finite entries"),
@@ -407,7 +450,7 @@ class TestFastPathRejections:
         ([-INF, 0.5], "p: non-finite entries"),
         ([INF, -INF], "p: non-finite entries"),
         ([NAN, -1.0], "p: non-finite entries"),
-        ([-0.1, 1.1], "p: negative probabilities"),
+        ([-0.1, 1.1], "p: negative entries"),
         ([0.4, 0.4], "p: probabilities sum to 0.8, not 1"),
     ])
     def test_check_pmf_messages(self, values, message):
@@ -415,11 +458,10 @@ class TestFastPathRejections:
             check_pmf(values, name="p")
 
     def test_check_pmf_overflowing_sum(self):
-        # Finite entries pass both entry checks; their sum overflows (numpy
-        # warns about that, as it always did) and fails the sum check.
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match=exact("p: probabilities sum to inf, not 1")):
-                check_pmf([1e308, 1e308], name="p")
+        # Finite entries pass the entry checks; their sum overflows, without
+        # a warning, and fails the sum check.
+        with pytest.raises(ValueError, match=exact("p: probabilities sum to inf, not 1")):
+            check_pmf([1e308, 1e308], name="p")
 
     def test_check_pmf_accepts_negative_zero(self):
         arr = check_pmf([-0.0, 1.0], name="p")

@@ -143,6 +143,10 @@ class TestRunPlan:
         with pytest.raises(ValueError, match=rf"^threads must be >= 1, got {threads}$"):
             run_plan(small_plan(), threads=threads)
 
+    def test_non_integer_threads_rejected(self):
+        with pytest.raises(ValueError, match=r"^threads must be an integer, got 1\.5$"):
+            run_plan(small_plan(), threads=1.5)
+
     @pytest.mark.parametrize("affinity", [True, False])
     def test_default_workers_follow_cpu_affinity(self, monkeypatch, affinity):
         # The default is the cores this process may run on, not the host's;

@@ -113,20 +113,35 @@ class TestPortfolioValidation:
         with pytest.raises(ValueError, match="sum"):
             check_pmf([0.4, 0.4], name="portfolio")
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
-    def test_rejects_bad_returns(self, value):
+    @pytest.mark.parametrize("value, message", [
+        pytest.param(math.nan, "returns: non-finite entries", id="nan"),
+        pytest.param(math.inf, "returns: non-finite entries", id="inf"),
+        pytest.param(-math.inf, "returns: non-finite entries", id="-inf"),
+        pytest.param(0.0, "returns: zero entries", id="0.0"),
+        pytest.param(-0.0, "returns: zero entries", id="-0.0"),
+        pytest.param(-1.0, "returns: negative entries", id="-1.0"),
+    ])
+    def test_rejects_bad_returns(self, value, message):
         returns = np.array([[1.1, 0.9], [0.8, 1.2]])
         returns[1, 0] = value
         joint, tmap = gen_random_joint((2, 3, 2), 0)
-        message = "^returns must be finite and strictly positive$"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             MarketModel(returns=returns, joint=joint, tmap=tmap)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             log_optimal_portfolio([0.5, 0.5], returns)
 
     def test_empty_returns_reach_the_shape_check(self):
-        with pytest.raises(ValueError, match="^outcome mismatch: pmf has 1 outcomes, returns has 0$"):
+        # Zero outcomes fail the array rule's emptiness check, before the
+        # outcome counts are compared.
+        with pytest.raises(ValueError, match="^returns: empty alphabet$"):
             log_optimal_portfolio([1.0], np.empty((0, 2)))
+
+    def test_zero_assets_rejected_by_name(self):
+        joint, tmap = gen_random_joint((2, 3, 2), 0)
+        with pytest.raises(ValueError, match="^returns: empty alphabet$"):
+            MarketModel(returns=np.empty((2, 0)), joint=joint, tmap=tmap)
+        with pytest.raises(ValueError, match="^returns: empty alphabet$"):
+            log_optimal_portfolio([1.0], np.empty((1, 0)))
 
 
 class TestLogOptimalPortfolio:
@@ -449,7 +464,7 @@ class TestMarketModel:
     def test_rejects_nonpositive_returns(self):
         j = np.array([[0.5, 0.0], [0.0, 0.5]])
         tmap = DeterministicMap(np.array([0, 0]), n_z=1)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="^returns: zero entries$"):
             MarketModel(
                 returns=np.array([[1.0, 0.0], [1.0, 1.0]]),
                 joint=apply_map(j, tmap),

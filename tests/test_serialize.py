@@ -79,8 +79,13 @@ class TestLossAndMapRoundTrip:
         np.testing.assert_array_equal(back.cost, loss.cost)
 
     def test_loss_ragged_rows(self):
-        with pytest.raises(SchemaError, match=r"cost\[1\]"):
+        with pytest.raises(SchemaError, match=r"^loss\.cost\[1\]: expected 2 entries, got 1$"):
             loss_from_dict({"cost": [[0.0, 1.0], [1.0]]})
+
+    def test_loss_rows_as_long_as_the_row_count(self):
+        # A loss is square, so two rows of three costs fail at the first row.
+        with pytest.raises(SchemaError, match=r"^loss\.cost\[0\]: expected 2 entries, got 3$"):
+            loss_from_dict({"cost": [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]})
 
     def test_map_round_trip(self):
         tmap = DeterministicMap(np.array([0, 2, 1, 0]), n_z=3)
@@ -113,7 +118,8 @@ class TestMarketRoundTrip:
         market = gen_market(2, 3, 0)
         d = market_to_dict(market)
         d["returns"][1] = [1.0]
-        with pytest.raises(SchemaError, match=r"returns\[1\]"):
+        with pytest.raises(SchemaError,
+                           match=r"^market\.returns\[1\]: expected 2 entries, got 1$"):
             market_from_dict(d)
 
     def test_nested_joint_path(self):
