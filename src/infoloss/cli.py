@@ -28,7 +28,6 @@ from .partition import L_MAX, TestConfig, run_test
 from .portfolio import growth_gap_bound
 from .selection import greedy_lossless_selection
 from .serialize import (
-    SchemaError,
     _require,
     dataset_to_csv,
     joint_from_dict,
@@ -78,10 +77,9 @@ def _print(text: str) -> None:
 
 def _emit_json(obj: dict, output: str | None) -> None:
     """Print ``obj`` as indented JSON, and also write it to ``output`` when given."""
-    payload = json.dumps(obj, indent=2)
     if output:
-        Path(output).write_text(payload + "\n")
-    _print(payload)
+        save_json(obj, output)
+    _print(json.dumps(obj, indent=2))
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -257,10 +255,6 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_ERROR
-    except (SchemaError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

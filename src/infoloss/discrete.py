@@ -29,12 +29,17 @@ PMF_ATOL = 1e-12
 _TINY = np.finfo(np.float64).tiny
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as a Python int; floats and other non-integers raise ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+def _count(value, name: str, minimum: int | None = 1) -> int:
+    """``value`` as a Python int of at least ``minimum`` (None: any integer).
+
+    Bools, floats and other non-integers raise ValueError; numpy integers pass.
+    """
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    n = operator.index(value)
+    if minimum is not None and n < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {n}")
+    return n
 
 
 def check_nonnegative(values, ndim: int, *, name: str) -> np.ndarray:
@@ -128,14 +133,12 @@ class DeterministicMap(_Frozen):
     n_z: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_z", _integer(self.n_z, "map.n_z"))
+        object.__setattr__(self, "n_z", _count(self.n_z, "map.n_z"))
         arr = np.asarray(self.table)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError(f"map.table: expected a nonempty 1-D array, got shape {arr.shape}")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError("map.table: entries must be integers")
-        if self.n_z < 1:
-            raise ValueError(f"map.n_z: must be >= 1, got {self.n_z}")
         if arr.min() < 0 or arr.max() >= self.n_z:
             raise ValueError(f"map.table: entries must lie in [0, {self.n_z})")
         object.__setattr__(self, "table", _read_only(arr.astype(np.int64)))

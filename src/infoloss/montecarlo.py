@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .discrete import _integer
+from .discrete import _count
 from .partition import TestConfig, TestOutcome, run_test
 from .synth import H0Config, H1Config, gen_h0, gen_h1
 
@@ -47,18 +47,14 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if self.scenario not in ("h0", "h1"):
             raise ValueError(f"scenario must be h0 or h1, got {self.scenario!r}")
-        grid = tuple(_integer(n, "n_grid entry") for n in self.n_grid)
+        grid = tuple(_count(n, "n_grid entry") for n in self.n_grid)
         if not grid:
             raise ValueError("n_grid is empty")
-        if any(n < 1 for n in grid):
-            raise ValueError("sample sizes must be >= 1")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
         object.__setattr__(self, "n_grid", grid)
-        for name in ("reps", "base_seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
+        object.__setattr__(self, "reps", _count(self.reps, "reps"))
+        object.__setattr__(self, "base_seed", _count(self.base_seed, "base_seed", minimum=None))
         # Replicate r draws with seed base_seed + r; check the last one here
         # rather than when its replicate comes to draw.
         if not 0 <= self.base_seed <= 2**64 - self.reps:
@@ -155,9 +151,7 @@ def run_plan(plan: ExperimentPlan, threads: int | None = None) -> MCResult:
     and h1) the 2-thread / 1-thread time ratio was 0.94-1.41 at n = 1e3,
     0.93-1.11 at 1e4, 0.56-0.94 at 2e4 and 0.56-0.69 at 1e5 (40 replicates).
     """
-    workers = _integer(threads, "threads") if threads is not None else _usable_cores()
-    if workers < 1:
-        raise ValueError(f"threads must be >= 1, got {workers}")
+    workers = _count(threads, "threads") if threads is not None else _usable_cores()
     rows = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for n in plan.n_grid:

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .discrete import _Frozen, _integer, _read_only
+from .discrete import _count, _Frozen, _read_only
 
 # Smallest admissible multiplier for the sampling terms of the threshold.
 C1_MIN = math.sqrt(2.0 * math.log(2.0))
@@ -135,8 +135,7 @@ def h_schedule(n: int, d: int, d_prime: int, delta: float) -> float:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if d < 1 or d_prime < 0:
-        raise ValueError(f"invalid dimensions d={d}, d_prime={d_prime}")
+    d, d_prime = _count(d, "d"), _count(d_prime, "d_prime", minimum=0)
     limit = 1.0 / (d + 1 + d_prime)
     if not 0.0 < delta < limit:
         raise ValueError(
@@ -155,12 +154,10 @@ class CubicPartition:
     d_prime: int
 
     def __post_init__(self) -> None:
-        for name in ("d", "d_prime"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        object.__setattr__(self, "d", _count(self.d, "d"))
+        object.__setattr__(self, "d_prime", _count(self.d_prime, "d_prime", minimum=0))
         if not 0.0 < self.h <= 1.0:
             raise ValueError(f"h must be in (0, 1], got {self.h}")
-        if self.d < 1 or self.d_prime < 0:
-            raise ValueError(f"invalid dimensions d={self.d}, d_prime={self.d_prime}")
         if (
             not math.isfinite(1.0 / self.h)
             or self.bins_per_axis ** (self.d + 1 + self.d_prime) > _MAX_TOTAL_CELLS

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discrete import DeterministicMap, DiscreteJoint, LossMatrix
+from .discrete import DeterministicMap, DiscreteJoint, LossMatrix, _count
 from .partition import Dataset
 from .portfolio import MarketModel
 
@@ -48,12 +48,10 @@ def _build(path, cls, *args, **kwargs):
 
 
 def _positive_int(value, path: str) -> int:
-    _expect(
-        isinstance(value, int) and not isinstance(value, bool) and value >= 1,
-        path,
-        f"expected a positive integer, got {value!r}",
-    )
-    return value
+    try:
+        return _count(value, path)
+    except ValueError:
+        raise SchemaError(f"{path}: expected a positive integer, got {value!r}") from None
 
 
 def _number_list(values, path: str) -> list[float]:
@@ -130,7 +128,8 @@ def map_from_dict(obj, path: str = "map") -> DeterministicMap:
             f"expected an integer, got {v!r}",
         )
         entries.append(v)
-    n_z = _positive_int(obj.get("n_z", max(entries) + 1), f"{path}.n_z")
+    # At least 1, so a negative entry is blamed on the table, not on n_z.
+    n_z = _positive_int(obj.get("n_z", max(max(entries) + 1, 1)), f"{path}.n_z")
     return _build(path, DeterministicMap, table=np.asarray(entries, dtype=np.int64), n_z=n_z)
 
 

@@ -24,14 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import DeterministicMap, DiscreteJoint, LossMatrix, _integer, apply_map
+from .discrete import DeterministicMap, DiscreteJoint, LossMatrix, _count, apply_map
 from .partition import _CHUNK_ROWS, Dataset
 from .portfolio import MarketModel
 
 
 def philox(seed: int) -> np.random.Generator:
     """The package-wide counter-based generator, keyed by a 64-bit seed."""
-    seed = _integer(seed, "seed")
+    seed = _count(seed, "seed", minimum=None)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
@@ -54,11 +54,7 @@ class H0Config:
 
     def __post_init__(self) -> None:
         for name in ("n", "k"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if not 0.0 < self.interval_width < 1.0 / self.k:
             raise ValueError(
                 f"interval_width must be in (0, 1/k) = (0, {1.0 / self.k}), "
@@ -175,8 +171,7 @@ def gen_market(d_a: int, outcomes: int, seed: int) -> MarketModel:
     construction; the (R, X) joint is random over 4 side-information symbols
     and Z = T(X) for a random surjective map onto 2.
     """
-    if d_a < 1 or outcomes < 1:
-        raise ValueError(f"need d_a >= 1 and outcomes >= 1, got ({d_a}, {outcomes})")
+    d_a, outcomes = _count(d_a, "d_a"), _count(outcomes, "outcomes")
     rng = philox(seed)
     returns = np.exp(rng.uniform(-0.3, 0.3, size=(outcomes, d_a)))
     joint, tmap = gen_random_joint((outcomes, 4, 2), seed + 1)

@@ -55,11 +55,6 @@ def always_reject(data, cfg):
                        type1_trivial=True)
 
 
-def random_pmf(rng, size):
-    p = rng.random(size) + 0.01
-    return p / p.sum()
-
-
 def random_joint2(rng, ny, nx):
     j = rng.random((ny, nx)) + 0.01
     return j / j.sum()

@@ -20,8 +20,10 @@ from infoloss import (
     Dataset,
     gen_market,
     gen_random_joint,
+    SchemaError,
     joint_to_dict,
     loss_to_dict,
+    map_from_dict,
     map_to_dict,
     market_to_dict,
     save_json,
@@ -363,6 +365,24 @@ class TestBoundsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}.{missing[0]}: missing field\n"
+
+
+    def test_negative_map_entry_blamed_on_the_table(self, tmp_path, capsys):
+        # A map without n_z defaults it to max(table) + 1, at least 1, so the
+        # table check reports a negative entry rather than n_z.
+        message = "map: map.table: entries must lie in [0, 1)"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            map_from_dict({"table": [-1]})
+        joint, _ = gen_random_joint((3, 1, 1), 0)
+        instance = {"joint": joint_to_dict(joint), "map": {"table": [-1]},
+                    "loss": loss_to_dict(zero_one_loss(3))}
+        path = tmp_path / "instance.json"
+        save_json(instance, path)
+        code = main(["bounds", "--input", str(path)])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestOverflowingJoint:

@@ -12,11 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infoloss import (
+    CubicPartition,
     DeterministicMap,
     DiscreteJoint,
+    ExperimentPlan,
+    H0Config,
     H1Config,
     LossMatrix,
     SubgaussianProfile,
+    TestConfig,
     apply_map,
     bayes_risk,
     conditional_mutual_information,
@@ -26,8 +30,12 @@ from infoloss import (
     gen_market,
     gen_random_joint,
     gen_random_loss,
+    h_schedule,
     log_optimal_portfolio,
+    map_from_dict,
     mutual_information,
+    philox,
+    run_plan,
     squared_loss,
     zero_one_loss,
 )
@@ -381,10 +389,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="lie in"):
             DeterministicMap(np.array([0, 3]), n_z=2)
 
-    def test_map_n_z_must_be_an_integer(self):
-        with pytest.raises(ValueError, match=exact("map.n_z must be an integer, got 2.5")):
-            DeterministicMap(np.array([0, 1]), n_z=2.5)
-
     def test_loss_rejects_negative(self):
         with pytest.raises(ValueError, match="negative"):
             LossMatrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
@@ -493,6 +497,78 @@ class TestFastPathRejections:
     def test_map_messages(self, table):
         with pytest.raises(ValueError, match=exact("map.table: entries must lie in [0, 2)")):
             DeterministicMap(np.array(table), n_z=2)
+
+
+def _tiny_plan(**kw):
+    return ExperimentPlan(**{"scenario": "h0", "n_grid": (50,), "reps": 1,
+                             "cfg": TestConfig(h=0.5), **kw})
+
+
+# Every count held to the count rule: the call that checks it, its message
+# for a non-integer value, and a value below its minimum with its message.
+# A seed has no minimum of its own; -1 gets its [0, 2**64) range message.
+COUNT_SITES = {
+    "DeterministicMap.n_z": (lambda v: DeterministicMap(np.array([0]), n_z=v),
+                             "map.n_z must be an integer, got {!r}",
+                             0, "map.n_z must be >= 1, got 0"),
+    "CubicPartition.d": (lambda v: CubicPartition(h=0.5, d=v, d_prime=0),
+                         "d must be an integer, got {!r}", 0, "d must be >= 1, got 0"),
+    "CubicPartition.d_prime": (lambda v: CubicPartition(h=0.5, d=1, d_prime=v),
+                               "d_prime must be an integer, got {!r}",
+                               -1, "d_prime must be >= 0, got -1"),
+    "h_schedule.d": (lambda v: h_schedule(100, v, 1, 0.2),
+                     "d must be an integer, got {!r}", 0, "d must be >= 1, got 0"),
+    "h_schedule.d_prime": (lambda v: h_schedule(100, 1, v, 0.2),
+                           "d_prime must be an integer, got {!r}",
+                           -1, "d_prime must be >= 0, got -1"),
+    "H0Config.n": (lambda v: H0Config(n=v, seed=0),
+                   "n must be an integer, got {!r}", 0, "n must be >= 1, got 0"),
+    "H0Config.k": (lambda v: H0Config(n=10, seed=0, k=v),
+                   "k must be an integer, got {!r}", 0, "k must be >= 1, got 0"),
+    "philox.seed": (philox, "seed must be an integer, got {!r}",
+                    -1, "seed must be in [0, 2**64), got -1"),
+    "gen_market.d_a": (lambda v: gen_market(v, 3, 1),
+                       "d_a must be an integer, got {!r}", 0, "d_a must be >= 1, got 0"),
+    "gen_market.outcomes": (lambda v: gen_market(2, v, 1),
+                            "outcomes must be an integer, got {!r}",
+                            0, "outcomes must be >= 1, got 0"),
+    "ExperimentPlan.n_grid": (lambda v: _tiny_plan(n_grid=(v,)),
+                              "n_grid entry must be an integer, got {!r}",
+                              0, "n_grid entry must be >= 1, got 0"),
+    "ExperimentPlan.reps": (lambda v: _tiny_plan(reps=v),
+                            "reps must be an integer, got {!r}", 0, "reps must be >= 1, got 0"),
+    "ExperimentPlan.base_seed": (
+        lambda v: _tiny_plan(base_seed=v), "base_seed must be an integer, got {!r}",
+        -1, "seed -1 and reps 1 give replicate seeds -1 .. -1, outside [0, 2**64)"),
+    "run_plan.threads": (lambda v: run_plan(_tiny_plan(), threads=v),
+                         "threads must be an integer, got {!r}",
+                         0, "threads must be >= 1, got 0"),
+    # The JSON reader keeps its own message but decides by the same rule.
+    "map_from_dict.n_z": (lambda v: map_from_dict({"table": [0], "n_z": v}),
+                          "map.n_z: expected a positive integer, got {!r}",
+                          0, "map.n_z: expected a positive integer, got 0"),
+}
+COUNT_CASES = {"True": True, "2.0": 2.0, "2.5": 2.5, "'3'": "3", "below": None}
+
+
+class TestCountRule:
+    """Every count is an int: bools, floats and strings are refused by name."""
+
+    @pytest.mark.parametrize("case", list(COUNT_CASES))
+    @pytest.mark.parametrize("site", list(COUNT_SITES))
+    def test_rejected(self, site, case):
+        check, not_integer, below, below_message = COUNT_SITES[site]
+        value = COUNT_CASES[case]
+        if value is None:
+            value, message = below, below_message
+        else:
+            message = not_integer.format(value)
+        with pytest.raises(ValueError, match=exact(message)):
+            check(value)
+
+    @pytest.mark.parametrize("site", list(COUNT_SITES))
+    def test_numpy_integer_accepted(self, site):
+        COUNT_SITES[site][0](np.int64(2))
 
 
 class TestCachedMarginals:

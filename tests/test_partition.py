@@ -247,14 +247,6 @@ class TestPartitionCounts:
         assert part.bins_per_axis == 1
         assert (part.m, part.m_prime, part.m_dprime) == (1, 1, 1)
 
-    @pytest.mark.parametrize("d, d_prime, message", [
-        (1.5, 0, "d must be an integer, got 1.5"),
-        (1, 0.5, "d_prime must be an integer, got 0.5"),
-    ])
-    def test_dimensions_must_be_integers(self, d, d_prime, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            CubicPartition(h=0.5, d=d, d_prime=d_prime)
-
     # 1 / h is finite but too many cells at 1e-300, and overflows to inf
     # below 1 / DBL_MAX, about 5.6e-309.
     @pytest.mark.parametrize("h", [1e-300, 5e-309, 5e-324])

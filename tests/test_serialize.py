@@ -140,7 +140,7 @@ class TestPositiveIntegerFields:
          "joint.shape[1]: expected a positive integer, got True"),
         (map_from_dict, {"table": [0], "n_z": 0},
          "map.n_z: expected a positive integer, got 0"),
-        (map_from_dict, {"table": [-3, -2]},
+        (map_from_dict, {"table": [0], "n_z": -1},
          "map.n_z: expected a positive integer, got -1"),
         (market_from_dict, {"d_a": True},
          "market.d_a: expected a positive integer, got True"),
