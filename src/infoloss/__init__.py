@@ -76,6 +76,7 @@ from .serialize import (
     market_to_dict,
     read_dataset_csv,
     save_json,
+    write_dataset_csv,
 )
 from .synth import (
     H0Config,

@@ -29,6 +29,7 @@ from .portfolio import growth_gap_bound
 from .selection import greedy_lossless_selection
 from .serialize import (
     _require,
+    # Not called here: perfbench/tracing.py wraps this module's dataset_to_csv.
     dataset_to_csv,
     joint_from_dict,
     load_json,
@@ -37,16 +38,13 @@ from .serialize import (
     market_from_dict,
     read_dataset_csv,
     save_json,
+    write_dataset_csv,
 )
 from .synth import H0Config, H1Config, gen_h0, gen_h1
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_REJECT = 3
-
-# Characters handed to the file at a time when writing a text, so the encoded
-# copy is one slice rather than the whole text.
-_WRITE_SLICE = 1 << 20
 
 
 def _add_test_flags(p: argparse.ArgumentParser) -> None:
@@ -80,13 +78,6 @@ def _emit_json(obj: dict, output: str | None) -> None:
     if output:
         save_json(obj, output)
     _print(json.dumps(obj, indent=2))
-
-
-def _write_text(path: Path, text: str) -> None:
-    """``path.write_text(text)`` in slices of _WRITE_SLICE characters: same bytes."""
-    with path.open("w") as fh:
-        for start in range(0, len(text), _WRITE_SLICE):
-            fh.write(text[start:start + _WRITE_SLICE])
 
 
 def _cmd_test(args) -> int:
@@ -162,7 +153,7 @@ def _cmd_gen(args) -> int:
         }
     )
     out = Path(args.output)
-    _write_text(out.with_suffix(".csv"), dataset_to_csv(data))
+    write_dataset_csv(data, out.with_suffix(".csv"))
     save_json(echo, out.with_suffix(".json"))
     _print(f"wrote {out.with_suffix('.csv')} and {out.with_suffix('.json')}")
     return EXIT_OK

@@ -302,11 +302,10 @@ def l_statistic(hist: JointHistogram) -> float:
 
 def threshold(n: int, m: int, m_prime: int, m_dprime: int, h: float, c1: float) -> float:
     """Deterministic rejection threshold t_n for the partition statistic."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if min(m, m_prime, m_dprime) < 1:
-        raise ValueError("cell counts must be >= 1")
-    if h <= 0.0:
+    n, m, m_prime, m_dprime = (
+        _count(n, "n"), _count(m, "m"), _count(m_prime, "m_prime"), _count(m_dprime, "m_dprime")
+    )
+    if not h > 0.0:
         raise ValueError(f"h must be > 0, got {h}")
     sampling = (
         math.sqrt(m * m_prime * m_dprime / n)
@@ -346,6 +345,8 @@ class TestConfig:
             )
         if self.h is None and self.delta is None:
             raise ValueError("either h or delta must be given")
+        if self.delta is not None and not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
         if self.h is not None and not 0.0 < self.h <= 1.0:
             raise ValueError(f"h must be in (0, 1], got {self.h}")
 

@@ -10,6 +10,7 @@ identical inputs byte-identical across runs.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -168,23 +169,39 @@ def _header(d: int, d_prime: int) -> list[str]:
 
 
 # Rows formatted at a time.  Each block is one %-format over a flat tuple of
-# its Python floats (``%r`` of a float is its ``repr``), so the writer holds
-# the finished blocks, one block of floats and its format string (a float and
-# its tuple slot take 32 bytes against numpy's 8), and at the end the joined
-# text: about twice the CSV.
+# its Python floats (``%r`` of a float is its ``repr``), so a writer holds one
+# block of floats (a float and its tuple slot take 32 bytes against numpy's 8)
+# and that block's text, whatever the length of the sample.
 _WRITE_BLOCK = 1024
 
 
-def dataset_to_csv(data: Dataset) -> str:
+def _csv_blocks(data: Dataset) -> Iterator[str]:
+    """The sample CSV in pieces: the header line, then each block of rows.
+
+    Every piece ends with its newline, so the pieces concatenate to the file.
+    """
     header = _header(data.d, data.d_prime)
-    line = ",".join(["%r"] * len(header))
-    blocks = [",".join(header)]
+    line = ",".join(["%r"] * len(header)) + "\n"
+    yield ",".join(header) + "\n"
     for start in range(0, data.n, _WRITE_BLOCK):
         stop = start + _WRITE_BLOCK
         rows = np.column_stack((data.x[start:stop], data.y[start:stop], data.z[start:stop]))
-        blocks.append("\n".join([line] * len(rows)) % tuple(rows.ravel().tolist()))
-    blocks.append("")
-    return "\n".join(blocks)
+        yield (line * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def dataset_to_csv(data: Dataset) -> str:
+    """The sample CSV text, header x1..xd,y,z1..zd', as ``write_dataset_csv`` writes it."""
+    return "".join(_csv_blocks(data))
+
+
+def write_dataset_csv(data: Dataset, path) -> None:
+    """Write ``data`` to ``path`` as a sample CSV, one block of rows at a time.
+
+    The bytes are those of ``Path(path).write_text(dataset_to_csv(data))``,
+    but the whole text is never held.
+    """
+    with open(path, "w") as fh:
+        fh.writelines(_csv_blocks(data))
 
 
 def _scan_rows(path, lines, width: int) -> list[list[float]]:

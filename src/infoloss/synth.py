@@ -149,6 +149,7 @@ def gen_random_joint(
 ) -> tuple[DiscreteJoint, DeterministicMap]:
     """Random (Y, X) joint lifted through a random surjective map Z = T(X)."""
     ny, nx, nz = shape
+    ny, nx, nz = _count(ny, "ny"), _count(nx, "nx"), _count(nz, "nz")
     rng = philox(seed)
     tmap = _surjective_map(rng, nx, nz)
     joint2 = rng.random((ny, nx))
@@ -160,6 +161,7 @@ def gen_random_loss(size: int, sup: float, seed: int) -> LossMatrix:
     """Random nonnegative loss matrix with sup norm at most ``sup``."""
     if not (math.isfinite(sup) and sup >= 0):
         raise ValueError(f"sup must be finite and >= 0, got {sup}")
+    size = _count(size, "size")
     rng = philox(seed)
     return LossMatrix(sup * rng.random((size, size)))
 

@@ -1,7 +1,5 @@
 """Fixtures, and the oracles and generators that only the tests use."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from infoloss import (
     DeterministicMap,
     DiscreteJoint,
     LossMatrix,
-    dataset_to_csv,
     philox,
 )
 from infoloss.partition import TestOutcome
@@ -41,11 +38,6 @@ def unit_scaled(data: Dataset) -> Dataset:
     scaled[:, live] = (cols[:, live] - lo[live]) / span[live]
     d = data.d
     return Dataset(x=scaled[:, :d], y=scaled[:, d], z=scaled[:, d + 1 :])
-
-
-def write_dataset_csv(data: Dataset, path) -> None:
-    """Write ``data`` to ``path`` in the CLI's sample CSV format."""
-    Path(path).write_text(dataset_to_csv(data))
 
 
 def always_reject(data, cfg):

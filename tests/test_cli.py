@@ -27,15 +27,14 @@ from infoloss import (
     map_to_dict,
     market_to_dict,
     save_json,
+    write_dataset_csv,
     zero_one_loss,
 )
-from infoloss.cli import (
-    EXIT_ERROR, EXIT_OK, EXIT_REJECT, _WRITE_SLICE, _write_text, build_parser, main,
-)
+from infoloss.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, build_parser, main
 from infoloss.serialize import dataset_to_csv
 from infoloss.synth import H1Config, gen_h1
 
-from conftest import always_reject, write_dataset_csv
+from conftest import always_reject
 
 
 def write_sample(path, rng, n=5000, dependent=False):
@@ -146,6 +145,24 @@ class TestTestCommand:
         assert captured.err.startswith(message)
 
 
+class TestSharedTestFlags:
+    """The --c1, --delta and --h flags of test, mc and select."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["test", "mc", "select"])
+    def test_non_finite_delta_exit_one(self, h1_csv, tmp_path, capsys, command, value):
+        # select clamps a finite exponent that is too large for a step; a NaN
+        # or infinite one is refused by all three commands with one error line.
+        capsys.readouterr()
+        io = ["--output", str(tmp_path / "mc")] if command == "mc" else ["--input", str(h1_csv)]
+        code = main([command, *io, f"--delta={value}"])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: delta must be finite, got {float(value)}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestGenCommand:
     def test_writes_csv_and_echo(self, tmp_path, capsys):
         stem = tmp_path / "sample"
@@ -191,22 +208,37 @@ class TestGenCommand:
         assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
         assert not (tmp_path / "s.csv").exists()
 
-    def test_csv_written_in_slices(self, tmp_path):
-        # The write step holds one encoded slice, not a second copy of the
-        # whole text, and writes the bytes Path.write_text would.
-        text = dataset_to_csv(gen_h1(H1Config(n=100_000, seed=3)))
-        assert len(text) > 4 * _WRITE_SLICE
+    def test_peak_is_the_sample_plus_a_block(self, tmp_path, capsys):
+        # gen writes the CSV a block of rows at a time, so its traced peak is
+        # the sample's 32 bytes per row (h1: x1, x2, y, z1) plus a fixed
+        # allowance: about 0.25 MB for one block's floats and text and about
+        # 0.6 MB for the generator's draw buffers.  Holding the CSV text, about
+        # 62 bytes per row, would not fit.
+        n, allowance = 100_000, 1 << 20
+        main(["gen", "--scenario", "h1", "--n", "1000", "--output", str(tmp_path / "warm")])
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            _write_text(tmp_path / "sliced.csv", text)
+            code = main(["gen", "--scenario", "h1", "--n", str(n), "--seed", "3",
+                         "--output", str(tmp_path / "s")])
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * _WRITE_SLICE, f"peak {peak / len(text):.2f}x the CSV text"
+        assert code == EXIT_OK
+        assert (tmp_path / "s.csv").stat().st_size > 4 * allowance
+        assert peak <= 32 * n + allowance, f"peak {peak / n:.1f} bytes per row"
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
+    def test_bytes_across_blocks(self, tmp_path, capsys, n):
+        # The writer's 1024-row blocks join into exactly the one-string text.
+        main(["gen", "--scenario", "h1", "--n", str(n), "--seed", "4",
+              "--output", str(tmp_path / "s")])
+        text = dataset_to_csv(gen_h1(H1Config(n=n, seed=4)))
+        assert len(text.splitlines()) == n + 1
         (tmp_path / "whole.csv").write_text(text)
-        assert (tmp_path / "sliced.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        got = (tmp_path / "s.csv").read_bytes()
+        assert got == text.encode() == (tmp_path / "whole.csv").read_bytes()
 
     def test_byte_identical_across_runs(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -37,6 +37,7 @@ from infoloss import (
     philox,
     run_plan,
     squared_loss,
+    threshold,
     zero_one_loss,
 )
 
@@ -543,6 +544,24 @@ COUNT_SITES = {
     "run_plan.threads": (lambda v: run_plan(_tiny_plan(), threads=v),
                          "threads must be an integer, got {!r}",
                          0, "threads must be >= 1, got 0"),
+    "gen_random_joint.ny": (lambda v: gen_random_joint((v, 2, 2), 0),
+                            "ny must be an integer, got {!r}", 0, "ny must be >= 1, got 0"),
+    "gen_random_joint.nx": (lambda v: gen_random_joint((2, v, 2), 0),
+                            "nx must be an integer, got {!r}", 0, "nx must be >= 1, got 0"),
+    "gen_random_joint.nz": (lambda v: gen_random_joint((2, 2, v), 0),
+                            "nz must be an integer, got {!r}", 0, "nz must be >= 1, got 0"),
+    "gen_random_loss.size": (lambda v: gen_random_loss(v, 1.0, 0),
+                             "size must be an integer, got {!r}", 0, "size must be >= 1, got 0"),
+    "threshold.n": (lambda v: threshold(v, 2, 2, 2, 0.5, 1.5),
+                    "n must be an integer, got {!r}", 0, "n must be >= 1, got 0"),
+    "threshold.m": (lambda v: threshold(10, v, 2, 2, 0.5, 1.5),
+                    "m must be an integer, got {!r}", 0, "m must be >= 1, got 0"),
+    "threshold.m_prime": (lambda v: threshold(10, 2, v, 2, 0.5, 1.5),
+                          "m_prime must be an integer, got {!r}",
+                          0, "m_prime must be >= 1, got 0"),
+    "threshold.m_dprime": (lambda v: threshold(10, 2, 2, v, 0.5, 1.5),
+                           "m_dprime must be an integer, got {!r}",
+                           0, "m_dprime must be >= 1, got 0"),
     # The JSON reader keeps its own message but decides by the same rule.
     "map_from_dict.n_z": (lambda v: map_from_dict({"table": [0], "n_z": v}),
                           "map.n_z: expected a positive integer, got {!r}",

@@ -578,6 +578,12 @@ class TestThreshold:
         with pytest.raises(ValueError, match="^threshold overflows: t_n = inf"):
             threshold(3000, 400, 20, 20, 0.05, 1e308)
 
+    @pytest.mark.parametrize("h", [0.0, -0.5, math.nan])
+    def test_h_must_be_positive(self, h):
+        # A NaN h is refused as a bandwidth, not reported as an overflow.
+        with pytest.raises(ValueError, match=f"^h must be > 0, got {h}$"):
+            threshold(3000, 4, 4, 4, h, 1.5)
+
 
 class TestType1Bound:
     def test_formula(self):
@@ -617,6 +623,12 @@ class TestConfigValidation:
     def test_bandwidth_required(self):
         with pytest.raises(ValueError, match="^either h or delta must be given$"):
             TestConfig(delta=None, h=None)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("h", [None, 0.25])
+    def test_delta_must_be_finite(self, delta, h):
+        with pytest.raises(ValueError, match=f"^delta must be finite, got {delta}$"):
+            TestConfig(delta=delta, h=h)
 
 
 class TestRunTest:

@@ -35,10 +35,11 @@ from infoloss import (
     market_to_dict,
     read_dataset_csv,
     save_json,
+    write_dataset_csv,
 )
 from infoloss import serialize
 
-from conftest import columns, write_dataset_csv
+from conftest import columns
 
 
 class TestJointRoundTrip:
