@@ -18,6 +18,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -27,6 +28,13 @@ import numpy as np
 PMF_ATOL = 1e-12
 # Below this a product of probabilities may have lost its bits to underflow.
 _TINY = np.finfo(np.float64).tiny
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a Python float; bools and non-real values raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _count(value, name: str, minimum: int | None = 1) -> int:
@@ -59,10 +67,16 @@ def check_nonnegative(values, ndim: int, *, name: str) -> np.ndarray:
 
 def check_pmf(p, ndim: int = 1, *, name: str) -> np.ndarray:
     """Validate an ``ndim``-D array as a pmf and return it as float64."""
-    arr = check_nonnegative(p, ndim, name=name)
-    # Finite entries may sum past the float64 range; the sum is then inf.
-    with np.errstate(over="ignore"):
+    arr = np.asarray(p, dtype=np.float64)
+    # Entries in [0, 1] pass the nonnegative rule and cannot sum past the
+    # float64 range, so the sum needs no overflow guard.
+    if arr.ndim == ndim and arr.size and arr.min() >= 0 and arr.max() <= 1:
         total = float(arr.sum())
+    else:
+        arr = check_nonnegative(arr, ndim, name=name)
+        # Finite entries may sum past the float64 range; the sum is then inf.
+        with np.errstate(over="ignore"):
+            total = float(arr.sum())
     if abs(total - 1.0) > PMF_ATOL:
         raise ValueError(f"{name}: probabilities sum to {total!r}, not 1")
     return arr
@@ -203,7 +217,7 @@ def _mi(j: np.ndarray) -> float:
         return 0.0
     mask = j > 0
     jm = j[mask]
-    prod = np.outer(pa, pb)[mask]
+    prod = (pa[:, None] * pb)[mask]
     if prod.min() >= _TINY:
         terms = jm * np.log(jm / prod)
     else:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .discrete import _count
 from .partition import TestConfig, TestOutcome, run_test
-from .synth import H0Config, H1Config, gen_h0, gen_h1
+from .synth import H0Config, H1Config, _check_theta, gen_h0, gen_h1
 
 # MCRow field -> column of the plot-ready CSV, in output order.
 CSV_COLUMNS = {
@@ -47,6 +47,8 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if self.scenario not in ("h0", "h1"):
             raise ValueError(f"scenario must be h0 or h1, got {self.scenario!r}")
+        if self.scenario == "h1":
+            _check_theta(self.theta)
         grid = tuple(_count(n, "n_grid entry") for n in self.n_grid)
         if not grid:
             raise ValueError("n_grid is empty")

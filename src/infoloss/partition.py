@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .discrete import _count, _Frozen, _read_only
+from .discrete import _count, _Frozen, _read_only, _real
 
 # Smallest admissible multiplier for the sampling terms of the threshold.
 C1_MIN = math.sqrt(2.0 * math.log(2.0))
@@ -305,8 +305,11 @@ def threshold(n: int, m: int, m_prime: int, m_dprime: int, h: float, c1: float) 
     n, m, m_prime, m_dprime = (
         _count(n, "n"), _count(m, "m"), _count(m_prime, "m_prime"), _count(m_dprime, "m_dprime")
     )
-    if not h > 0.0:
+    c1 = _check_c1(c1)
+    if not _real(h, "h") > 0.0:
         raise ValueError(f"h must be > 0, got {h}")
+    if h == math.inf:
+        raise ValueError(f"h must be finite, got {h}")
     sampling = (
         math.sqrt(m * m_prime * m_dprime / n)
         + math.sqrt(m_prime * m_dprime / n)
@@ -319,8 +322,18 @@ def threshold(n: int, m: int, m_prime: int, m_dprime: int, h: float, c1: float) 
     return t_n
 
 
+def _check_c1(c1) -> float:
+    c1 = _real(c1, "c1")
+    if not math.isfinite(c1):
+        raise ValueError(f"c1 must be finite, got {c1}")
+    if not c1 >= 0.0:
+        raise ValueError(f"c1 must be >= 0, got {c1}")
+    return c1
+
+
 def type1_bound(c1: float, m_dprime: int) -> float:
     """Asymptotic false-rejection bound 4 exp(-(c1^2/2 - log 2) m'')."""
+    c1 = _check_c1(c1)
     return 4.0 * math.exp(-(c1 * c1 / 2.0 - math.log(2.0)) * m_dprime)
 
 
@@ -339,15 +352,15 @@ class TestConfig:
     h: float | None = None
 
     def __post_init__(self) -> None:
-        if not (C1_MIN < self.c1 < math.inf):
+        if not (C1_MIN < _real(self.c1, "c1") < math.inf):
             raise ValueError(
                 f"c1 must be finite and exceed sqrt(2 log 2) = {C1_MIN:.6f}, got {self.c1}"
             )
         if self.h is None and self.delta is None:
             raise ValueError("either h or delta must be given")
-        if self.delta is not None and not math.isfinite(self.delta):
+        if self.delta is not None and not math.isfinite(_real(self.delta, "delta")):
             raise ValueError(f"delta must be finite, got {self.delta}")
-        if self.h is not None and not 0.0 < self.h <= 1.0:
+        if self.h is not None and not 0.0 < _real(self.h, "h") <= 1.0:
             raise ValueError(f"h must be in (0, 1], got {self.h}")
 
     def bandwidth(self, n: int, d: int, d_prime: int) -> float:

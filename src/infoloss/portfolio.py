@@ -148,16 +148,24 @@ def log_optimal_portfolio(pmf, returns, *, return_trace: bool = False):
         raise ValueError(
             f"outcome mismatch: pmf has {p.size} outcomes, returns has {r.shape[0]}"
         )
+    # BLAS rounds a strided or column-major product differently, and the
+    # core uses arrays that drop no outcome as they are.
+    return _log_optimal(np.ascontiguousarray(p), np.ascontiguousarray(r), return_trace)
+
+
+def _log_optimal(p: np.ndarray, r: np.ndarray, return_trace: bool = False):
+    """``log_optimal_portfolio`` of a C-contiguous float64 pmf and returns array."""
     keep = p > 0
-    pk, rk = p[keep], r[keep]
+    pk, rk = (p, r) if keep.all() else (p[keep], r[keep])
     d = r.shape[1]
     if d == 1:
         b = np.ones(1)
         w = float(pk @ np.log(rk[:, 0]))
         return (b, w, [w]) if return_trace else (b, w)
 
-    offset = float(pk @ np.log(rk.max(axis=1)))
-    rk = _unit_rows(rk)
+    top = rk.max(axis=1, keepdims=True)
+    offset = float(pk @ np.log(top[:, 0]))
+    rk = rk / top
 
     def gradient(wealth: np.ndarray) -> np.ndarray:
         return rk.T @ (pk / wealth)
@@ -238,7 +246,8 @@ def _side_info_solves(market: MarketModel, condition_on: str | None) -> tuple[fl
         b, w = log_optimal_portfolio(cond, market.returns)
         total += weight * w
         keep = cond > 0
-        err += weight * _kuhn_tucker_bound(unit[keep].T @ (cond[keep] / (unit[keep] @ b)))
+        u, c = (unit, cond) if keep.all() else (unit[keep], cond[keep])
+        err += weight * _kuhn_tucker_bound(u.T @ (c / (u @ b)))
     return float(total), float(err)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import DeterministicMap, DiscreteJoint, LossMatrix, _count, apply_map
+from .discrete import DeterministicMap, DiscreteJoint, LossMatrix, _count, _real, apply_map
 from .partition import _CHUNK_ROWS, Dataset
 from .portfolio import MarketModel
 
@@ -55,12 +55,13 @@ class H0Config:
     def __post_init__(self) -> None:
         for name in ("n", "k"):
             object.__setattr__(self, name, _count(getattr(self, name), name))
-        if not 0.0 < self.interval_width < 1.0 / self.k:
+        if not 0.0 < _real(self.interval_width, "interval_width") < 1.0 / self.k:
             raise ValueError(
                 f"interval_width must be in (0, 1/k) = (0, {1.0 / self.k}), "
                 f"got {self.interval_width}"
             )
-        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
+        noise_scale = _real(self.noise_scale, "noise_scale")
+        if not (math.isfinite(noise_scale) and noise_scale >= 0):
             raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
 
     @property
@@ -76,8 +77,14 @@ class H1Config(H0Config):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not math.isfinite(self.theta) or self.theta == 0:
-            raise ValueError(f"theta must be finite and nonzero (0 is the null), got {self.theta}")
+        _check_theta(self.theta)
+
+
+def _check_theta(theta) -> None:
+    """H1Config's rule for theta, also applied to an h1 ``ExperimentPlan``."""
+    value = _real(theta, "theta")
+    if not math.isfinite(value) or value == 0:
+        raise ValueError(f"theta must be finite and nonzero (0 is the null), got {theta}")
 
 
 def _draw(cfg: H0Config, theta: float | None) -> Dataset:

@@ -341,6 +341,17 @@ class TestMcCommand:
         assert capsys.readouterr().err == f"error: threads must be >= 1, got {threads}\n"
         assert not (tmp_path / "out.csv").exists()
 
+    def test_non_finite_theta_fails_before_any_replicate(self, tmp_path, capsys, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(infoloss.montecarlo, "gen_h1", lambda cfg: drawn.append(cfg))
+        code = main(["mc", "--scenario", "h1", "--theta", "nan", "--n-grid", "200",
+                     "--reps", "2", "--output", str(tmp_path / "out")])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: theta must be finite and nonzero (0 is the null), got nan\n"
+        )
+        assert drawn == [] and not (tmp_path / "out.csv").exists()
+
     def test_infinite_c1_exit_one(self, tmp_path, capsys):
         code = main(["mc", "--n-grid", "200", "--reps", "2", "--c1", "inf",
                      "--output", str(tmp_path / "out")])

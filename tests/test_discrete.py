@@ -38,10 +38,12 @@ from infoloss import (
     run_plan,
     squared_loss,
     threshold,
+    type1_bound,
     zero_one_loss,
 )
 
-from infoloss.discrete import check_pmf
+import infoloss.discrete
+from infoloss.discrete import PMF_ATOL, check_nonnegative, check_pmf
 
 from conftest import brute_force_bayes_risk, conditional_dependence_l1, random_joint2
 
@@ -432,6 +434,56 @@ NONNEGATIVE_CASES = {
 }
 
 
+PMF_MESSAGE_CASES = [
+    ([NAN, 1.0], "p: non-finite entries"),
+    ([INF, 0.5], "p: non-finite entries"),
+    ([-INF, 0.5], "p: non-finite entries"),
+    ([INF, -INF], "p: non-finite entries"),
+    ([NAN, -1.0], "p: non-finite entries"),
+    ([-0.1, 1.1], "p: negative entries"),
+    ([0.4, 0.4], "p: probabilities sum to 0.8, not 1"),
+]
+
+
+def full_pmf_rule(values, ndim):
+    """``check_pmf`` without its fast accept: the nonnegative rule, then the guarded sum."""
+    arr = check_nonnegative(values, ndim, name="p")
+    with np.errstate(over="ignore"):
+        total = float(arr.sum())
+    if abs(total - 1.0) > PMF_ATOL:
+        raise ValueError(f"p: probabilities sum to {total!r}, not 1")
+    return arr
+
+
+def outcome(check, values, ndim):
+    """The bytes and shape ``check`` returns, or the message it raises."""
+    try:
+        arr = check(values, ndim)
+    except ValueError as exc:
+        return str(exc)
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+# Inputs for the fast accept against the full rule, and whether they reach
+# the nonnegative rule: only a wrong shape or an entry outside [0, 1] does.
+FAST_ACCEPT_CASES = [
+    ([0.0, 1.0], 1, False),
+    ([1.0], 1, False),
+    ([-0.0, 1.0], 1, False),
+    ([0.25, 0.25, 0.5], 1, False),
+    ([[0.5, 0.0], [0.0, 0.5]], 2, False),
+    (np.full((2, 3, 2), 1 / 12), 3, False),
+    ([0.5, 0.25], 1, False),  # in range, but sums to 0.75
+    ("abc", 1, False),  # fails to convert, before either
+    ([1 + 5e-13, 0.0], 1, True),  # sums to 1 within PMF_ATOL
+    ([0.5, NAN], 1, True),
+    ([2.0], 1, True),
+    ([1e308, 1e308], 1, True),
+    ([0.5, 0.5], 2, True),
+    ([], 1, True),
+] + [(values, 1, not all(0 <= v <= 1 for v in values)) for values, _ in PMF_MESSAGE_CASES]
+
+
 class TestFastPathRejections:
     """The cheap min/max checks keep every rejection and its message."""
 
@@ -449,18 +501,24 @@ class TestFastPathRejections:
         with pytest.raises(ValueError, match=exact(f"{site}: {reason}")):
             check(bad)
 
-    @pytest.mark.parametrize("values, message", [
-        ([NAN, 1.0], "p: non-finite entries"),
-        ([INF, 0.5], "p: non-finite entries"),
-        ([-INF, 0.5], "p: non-finite entries"),
-        ([INF, -INF], "p: non-finite entries"),
-        ([NAN, -1.0], "p: non-finite entries"),
-        ([-0.1, 1.1], "p: negative entries"),
-        ([0.4, 0.4], "p: probabilities sum to 0.8, not 1"),
-    ])
+    @pytest.mark.parametrize("values, message", PMF_MESSAGE_CASES)
     def test_check_pmf_messages(self, values, message):
         with pytest.raises(ValueError, match=exact(message)):
             check_pmf(values, name="p")
+
+    @pytest.mark.parametrize("values, ndim, slow", FAST_ACCEPT_CASES)
+    def test_fast_accept_matches_full_rule(self, monkeypatch, values, ndim, slow):
+        # Same array or same message, and no warning (warnings are errors here).
+        full = outcome(full_pmf_rule, values, ndim)
+        slow_calls = []
+
+        def counted(*args, **kwargs):
+            slow_calls.append(args)
+            return check_nonnegative(*args, **kwargs)
+
+        monkeypatch.setattr(infoloss.discrete, "check_nonnegative", counted)
+        assert outcome(lambda v, n: check_pmf(v, n, name="p"), values, ndim) == full
+        assert len(slow_calls) == slow
 
     def test_check_pmf_overflowing_sum(self):
         # Finite entries pass the entry checks; their sum overflows, without
@@ -588,6 +646,40 @@ class TestCountRule:
     @pytest.mark.parametrize("site", list(COUNT_SITES))
     def test_numpy_integer_accepted(self, site):
         COUNT_SITES[site][0](np.int64(2))
+
+
+# Real arguments that were accepted, read as an overflow, or failed inside
+# Python with a TypeError: each call and the ValueError that names the argument.
+REAL_ARGUMENT_CASES = {
+    "threshold.c1=-1": (lambda: threshold(100, 4, 2, 2, 0.5, -1.0), "c1 must be >= 0, got -1.0"),
+    "threshold.c1=nan": (lambda: threshold(100, 4, 2, 2, 0.5, NAN), "c1 must be finite, got nan"),
+    "threshold.c1=True": (lambda: threshold(100, 4, 2, 2, 0.5, True),
+                          "c1 must be a real number, got True"),
+    "threshold.h=inf": (lambda: threshold(100, 4, 2, 2, INF, 1.5), "h must be finite, got inf"),
+    "threshold.h=True": (lambda: threshold(100, 4, 2, 2, True, 1.5),
+                         "h must be a real number, got True"),
+    "type1_bound.c1=nan": (lambda: type1_bound(NAN, 2), "c1 must be finite, got nan"),
+    "type1_bound.c1=-2": (lambda: type1_bound(-2.0, 2), "c1 must be >= 0, got -2.0"),
+    "type1_bound.c1='2'": (lambda: type1_bound("2", 2), "c1 must be a real number, got '2'"),
+    "TestConfig.h=True": (lambda: TestConfig(h=True), "h must be a real number, got True"),
+    "TestConfig.h='0.5'": (lambda: TestConfig(h="0.5"), "h must be a real number, got '0.5'"),
+    "TestConfig.c1=None": (lambda: TestConfig(c1=None), "c1 must be a real number, got None"),
+    "TestConfig.delta=True": (lambda: TestConfig(delta=True),
+                              "delta must be a real number, got True"),
+    "H0Config.noise_scale='0.1'": (lambda: H0Config(n=10, seed=0, noise_scale="0.1"),
+                                   "noise_scale must be a real number, got '0.1'"),
+    "H0Config.interval_width=True": (lambda: H0Config(n=10, seed=0, interval_width=True),
+                                     "interval_width must be a real number, got True"),
+    "H1Config.theta=True": (lambda: H1Config(n=10, seed=0, theta=True),
+                            "theta must be a real number, got True"),
+}
+
+
+@pytest.mark.parametrize("case", list(REAL_ARGUMENT_CASES))
+def test_real_arguments_refused_by_name(case):
+    call, message = REAL_ARGUMENT_CASES[case]
+    with pytest.raises(ValueError, match=exact(message)):
+        call()
 
 
 class TestCachedMarginals:

@@ -1,7 +1,9 @@
 """Tests for the Monte Carlo harness."""
 
 import dataclasses
+import math
 import os
+import re
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -14,6 +16,7 @@ from infoloss import (
     TestConfig,
     gen_h0,
     H0Config,
+    H1Config,
     run_plan,
     run_test,
 )
@@ -63,6 +66,22 @@ class TestPlanValidation:
     def test_integer_fields(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             small_plan(**{field: value})
+
+    # An h1 plan holds theta to H1Config's rule when it is built, not when a
+    # worker thread comes to draw its first replicate; h0 ignores theta.
+    @pytest.mark.parametrize("theta, shown", [
+        (float("nan"), "nan"), (float("inf"), "inf"), (0.0, "0.0"),
+    ])
+    def test_h1_theta_checked_when_built(self, theta, shown):
+        message = f"theta must be finite and nonzero (0 is the null), got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_plan(scenario="h1", theta=theta)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            H1Config(n=10, seed=0, theta=theta)
+
+    def test_h0_ignores_theta(self):
+        plan = small_plan(theta=float("nan"))
+        assert plan.scenario == "h0" and math.isnan(plan.theta)
 
     def test_numpy_integers_kept_as_ints(self):
         plan = small_plan(n_grid=(np.int64(200), 400), reps=np.int32(8), base_seed=np.uint64(3))

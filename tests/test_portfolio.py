@@ -208,6 +208,31 @@ class TestLogOptimalPortfolio:
         assert w1 == pytest.approx(w2, abs=1e-10)
         np.testing.assert_allclose(b1, b2, atol=1e-5)
 
+    @pytest.mark.parametrize("d_a", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_zero_probability_outcomes_drop_bit_for_bit(self, seed, d_a):
+        # Solving with p = 0 outcomes copies the kept rows; solving on the
+        # kept rows alone uses them as they are.  Both give the same bits.
+        rng = np.random.default_rng(seed)
+        returns = np.exp(rng.uniform(-1.0, 1.0, (6, d_a)))
+        p = rng.random(6)
+        p[rng.permutation(6)[:2]] = 0.0
+        p /= p.sum()
+        keep = p > 0
+        full = log_optimal_portfolio(p, returns, return_trace=True)
+        kept = log_optimal_portfolio(p[keep], returns[keep], return_trace=True)
+        assert full[0].tobytes() == kept[0].tobytes()
+        assert full[1:] == kept[1:]
+
+    def test_layout_does_not_change_the_bits(self):
+        # A strided pmf or column-major returns solve as their C-ordered copies.
+        rng = np.random.default_rng(0)
+        returns = np.exp(rng.uniform(-1.0, 1.0, (12, 3)))
+        p = np.repeat(rng.dirichlet(np.ones(12)), 2)[::2]
+        b, w = log_optimal_portfolio(p, np.asfortranarray(returns))
+        b0, w0 = log_optimal_portfolio(p.copy(), returns)
+        assert b.tobytes() == b0.tobytes() and w == w0
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_returns_valid_portfolio(self, seed):

@@ -36,6 +36,30 @@ def test_bounds_sweep(tmp_path):
     assert len(out.read_text().splitlines()) == 6  # header plus one row per instance
 
 
+def test_bounds_sweep_violation_exits_under_optimize(tmp_path):
+    # python -O strips assert statements; a failing certificate (stubbed
+    # here) must still stop the sweep, naming the seed, before any output.
+    stub = (
+        "import dataclasses, runpy, sys, infoloss\n"
+        "real = infoloss.bound_bounded_loss\n"
+        "def failing(*args):\n"
+        "    return dataclasses.replace(real(*args), holds=False)\n"
+        "infoloss.bound_bounded_loss = failing\n"
+        "sys.argv = sys.argv[1:]\n"
+        "runpy.run_path(sys.argv[0], run_name='__main__')\n"
+    )
+    out = tmp_path / "s.csv"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", stub, str(ROOT / "scripts" / "run_bounds_sweep.py"),
+         "--instances", "3", "--seed", "7", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("certificate violated at seed 7: excess ")
+    assert proc.stdout == "" and not out.exists()
+
+
 def test_portfolio_demo():
     proc = run_script("run_portfolio_demo.py", "--markets", "5")
     assert proc.returncode == 0, proc.stderr
