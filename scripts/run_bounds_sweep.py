@@ -43,7 +43,13 @@ def parse_args():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--sup", type=finite_nonnegative, default=1.0, help="loss sup-norm cap")
     ap.add_argument("--out", default="results/bounds_sweep.csv")
-    return ap.parse_args()
+    args = ap.parse_args()
+    # Instance i keys philox with seed + i, + 500_000 and + 1_000_000.
+    last = args.seed + args.instances - 1 + 1_000_000
+    if args.seed < 0 or last >= 2**64:
+        ap.error(f"argument --seed: the sweep keys seeds {args.seed} .. {last}, "
+                 "outside [0, 2**64)")
+    return args
 
 
 def main():

@@ -49,7 +49,13 @@ def parse_args():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--assets", type=positive_int, default=3, help="max d_a")
     ap.add_argument("--outcomes", type=outcome_count, default=6, help="max outcomes")
-    return ap.parse_args()
+    args = ap.parse_args()
+    # default_rng takes the seed, and market i keys philox with seed + i and + i + 1.
+    last = args.seed + args.markets
+    if args.seed < 0 or last >= 2**64:
+        ap.error(f"argument --seed: the demo keys seeds {args.seed} .. {last}, "
+                 "outside [0, 2**64)")
+    return args
 
 
 def main():

@@ -35,6 +35,7 @@ from .discrete import (
     LossMatrix,
     _Frozen,
     _read_only,
+    _real,
     apply_map,
     check_nonnegative,
     check_pmf,
@@ -167,9 +168,9 @@ def bound_subgaussian(
 
 
 def _check_delta_c(delta: float, c: float) -> None:
-    if not delta >= 0:
+    if not _real(delta, "delta") >= 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    if not c > 0:
+    if not _real(c, "c") > 0:
         raise ValueError(f"c must be > 0, got {c}")
 
 

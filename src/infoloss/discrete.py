@@ -30,11 +30,17 @@ PMF_ATOL = 1e-12
 _TINY = np.finfo(np.float64).tiny
 
 
-def _real(value, name: str) -> float:
-    """``value`` as a Python float; bools and non-real values raise ValueError."""
+def _real(value, name: str, minimum: float | None = None) -> float:
+    """``value`` as a Python float, finite and >= ``minimum`` if one is given.
+
+    Bools and non-real values raise ValueError; numpy scalars pass.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    x = float(value)
+    if minimum is not None and not (math.isfinite(x) and x >= minimum):
+        raise ValueError(f"{name} must be finite and >= {minimum}, got {value}")
+    return x
 
 
 def _count(value, name: str, minimum: int | None = 1) -> int:

@@ -133,16 +133,22 @@ def h_schedule(n: int, d: int, d_prime: int, delta: float) -> float:
     Admissibility requires 0 < delta < 1/(d + 1 + d'), which keeps the total
     cell count m m' m'' = o(n) while h -> 0.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    d, d_prime = _count(d, "d"), _count(d_prime, "d_prime", minimum=0)
+    n, d, d_prime = _count(n, "n"), _count(d, "d"), _count(d_prime, "d_prime", minimum=0)
     limit = 1.0 / (d + 1 + d_prime)
-    if not 0.0 < delta < limit:
+    if not 0.0 < _real(delta, "delta") < limit:
         raise ValueError(
             f"delta={delta} is not admissible for dimensions ({d}, 1, {d_prime}); "
             f"need 0 < delta < {limit}"
         )
     return min(1.0, float(n) ** (-delta))
+
+
+def _check_h(h) -> float:
+    """The cell side h as a float in (0, 1], the range every partition needs."""
+    value = _real(h, "h")
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"h must be in (0, 1], got {h}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -156,8 +162,7 @@ class CubicPartition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "d", _count(self.d, "d"))
         object.__setattr__(self, "d_prime", _count(self.d_prime, "d_prime", minimum=0))
-        if not 0.0 < self.h <= 1.0:
-            raise ValueError(f"h must be in (0, 1], got {self.h}")
+        _check_h(self.h)
         if (
             not math.isfinite(1.0 / self.h)
             or self.bins_per_axis ** (self.d + 1 + self.d_prime) > _MAX_TOTAL_CELLS
@@ -305,11 +310,7 @@ def threshold(n: int, m: int, m_prime: int, m_dprime: int, h: float, c1: float) 
     n, m, m_prime, m_dprime = (
         _count(n, "n"), _count(m, "m"), _count(m_prime, "m_prime"), _count(m_dprime, "m_dprime")
     )
-    c1 = _check_c1(c1)
-    if not _real(h, "h") > 0.0:
-        raise ValueError(f"h must be > 0, got {h}")
-    if h == math.inf:
-        raise ValueError(f"h must be finite, got {h}")
+    c1, h = _real(c1, "c1", minimum=0), _check_h(h)
     sampling = (
         math.sqrt(m * m_prime * m_dprime / n)
         + math.sqrt(m_prime * m_dprime / n)
@@ -322,18 +323,9 @@ def threshold(n: int, m: int, m_prime: int, m_dprime: int, h: float, c1: float) 
     return t_n
 
 
-def _check_c1(c1) -> float:
-    c1 = _real(c1, "c1")
-    if not math.isfinite(c1):
-        raise ValueError(f"c1 must be finite, got {c1}")
-    if not c1 >= 0.0:
-        raise ValueError(f"c1 must be >= 0, got {c1}")
-    return c1
-
-
 def type1_bound(c1: float, m_dprime: int) -> float:
     """Asymptotic false-rejection bound 4 exp(-(c1^2/2 - log 2) m'')."""
-    c1 = _check_c1(c1)
+    c1, m_dprime = _real(c1, "c1", minimum=0), _count(m_dprime, "m_dprime")
     return 4.0 * math.exp(-(c1 * c1 / 2.0 - math.log(2.0)) * m_dprime)
 
 
@@ -360,8 +352,8 @@ class TestConfig:
             raise ValueError("either h or delta must be given")
         if self.delta is not None and not math.isfinite(_real(self.delta, "delta")):
             raise ValueError(f"delta must be finite, got {self.delta}")
-        if self.h is not None and not 0.0 < _real(self.h, "h") <= 1.0:
-            raise ValueError(f"h must be in (0, 1], got {self.h}")
+        if self.h is not None:
+            _check_h(self.h)
 
     def bandwidth(self, n: int, d: int, d_prime: int) -> float:
         if self.h is not None:

@@ -31,6 +31,7 @@ from .discrete import (
     _check_consistent,
     _Frozen,
     _read_only,
+    _real,
     check_nonnegative,
     check_pmf,
     mutual_information,
@@ -329,6 +330,6 @@ def growth_gap_bound(market: MarketModel) -> GrowthReport:
 
 def c_max_bound(market: MarketModel, delta_i: float) -> float:
     """Growth-gap certificate (c_max / sqrt 2) sqrt(delta_I) for bounded log-returns."""
-    if not delta_i >= -1e-12:
+    if not _real(delta_i, "delta_i") >= -1e-12:
         raise ValueError(f"delta_i must be >= 0, got {delta_i}")
     return market.c_max / math.sqrt(2.0) * math.sqrt(max(delta_i, 0.0))

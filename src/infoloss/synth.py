@@ -60,9 +60,7 @@ class H0Config:
                 f"interval_width must be in (0, 1/k) = (0, {1.0 / self.k}), "
                 f"got {self.interval_width}"
             )
-        noise_scale = _real(self.noise_scale, "noise_scale")
-        if not (math.isfinite(noise_scale) and noise_scale >= 0):
-            raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
+        _real(self.noise_scale, "noise_scale", minimum=0)
 
     @property
     def atoms(self) -> np.ndarray:
@@ -166,8 +164,7 @@ def gen_random_joint(
 
 def gen_random_loss(size: int, sup: float, seed: int) -> LossMatrix:
     """Random nonnegative loss matrix with sup norm at most ``sup``."""
-    if not (math.isfinite(sup) and sup >= 0):
-        raise ValueError(f"sup must be finite and >= 0, got {sup}")
+    sup = _real(sup, "sup", minimum=0)
     size = _count(size, "size")
     rng = philox(seed)
     return LossMatrix(sup * rng.random((size, size)))

@@ -322,6 +322,20 @@ class TestDvGapCheck:
         assert rhs == pytest.approx(math.sqrt(0.5 * mutual_information(j)))
         assert lhs < rhs
 
+    def test_rejects_table_of_another_shape(self):
+        with pytest.raises(
+            ValueError, match=re.escape("table shape (2, 3) does not match joint shape (2, 2)")
+        ):
+            dv_gap_check(np.full((2, 2), 0.25), np.zeros((2, 3)))
+
+    def test_violation_raises(self, monkeypatch):
+        # The inequality is a theorem, so only a wrong information value
+        # (stubbed here as 0) can break it.
+        monkeypatch.setattr(infoloss.bounds, "mutual_information", lambda joint: 0.0)
+        message = "variational gap bound violated: lhs=0.30000000000000004, rhs=0.0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dv_gap_check(np.array([[0.4, 0.1], [0.1, 0.4]]), np.eye(2))
+
 
 class TestHoeffdingOverflow:
     """A range whose width^2 / 4 overflows float64 is an error naming its input.
@@ -409,6 +423,12 @@ class TestQuantizerSequence:
             quantizer_sequence_bound(self.joint, self.positions, [0.5, 0.5], self.loss)
         with pytest.raises(ValueError, match="decreasing"):
             quantizer_sequence_bound(self.joint, self.positions, [0.1, 0.5], self.loss)
+
+    def test_rejects_positions_of_another_size(self):
+        with pytest.raises(
+            ValueError, match=re.escape("positions: expected 3 entries, got shape (2,)")
+        ):
+            quantizer_sequence_bound(self.joint, self.positions[:2], [1.0], self.loss)
 
     def test_rejects_empty_widths(self):
         with pytest.raises(ValueError, match="empty"):

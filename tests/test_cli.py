@@ -125,6 +125,15 @@ class TestTestCommand:
         err = capsys.readouterr().err
         assert "line 2" in err
 
+    def test_header_without_x_exit_one(self, tmp_path, capsys):
+        csv = tmp_path / "no_x.csv"
+        csv.write_text("y,z1\n0.1,0.3\n")
+        code = main(["test", "--input", str(csv)])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {csv}, line 1: need at least one x column\n"
+
     def test_bad_c1_exit_one(self, tmp_path, rng, capsys):
         csv = tmp_path / "indep.csv"
         write_sample(csv, rng)

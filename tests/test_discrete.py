@@ -23,7 +23,9 @@ from infoloss import (
     TestConfig,
     apply_map,
     bayes_risk,
+    c_max_bound,
     conditional_mutual_information,
+    delta_lossless_bounded,
     excess_risk,
     family_lossless_check,
     gen_h1,
@@ -557,6 +559,18 @@ class TestFastPathRejections:
         with pytest.raises(ValueError, match=exact("map.table: entries must lie in [0, 2)")):
             DeterministicMap(np.array(table), n_z=2)
 
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: DeterministicMap(np.array([[0, 1]]), n_z=2),
+                     "map.table: expected a nonempty 1-D array, got shape (1, 2)", id="map-2d"),
+        pytest.param(lambda: DeterministicMap(np.array([0.0, 1.0]), n_z=2),
+                     "map.table: entries must be integers", id="map-float"),
+        pytest.param(lambda: LossMatrix(np.ones((2, 3))),
+                     "loss.cost: expected a square matrix, got shape (2, 3)", id="loss-2x3"),
+    ])
+    def test_shape_messages(self, make, message):
+        with pytest.raises(ValueError, match=exact(message)):
+            make()
+
 
 def _tiny_plan(**kw):
     return ExperimentPlan(**{"scenario": "h0", "n_grid": (50,), "reps": 1,
@@ -575,6 +589,8 @@ COUNT_SITES = {
     "CubicPartition.d_prime": (lambda v: CubicPartition(h=0.5, d=1, d_prime=v),
                                "d_prime must be an integer, got {!r}",
                                -1, "d_prime must be >= 0, got -1"),
+    "h_schedule.n": (lambda v: h_schedule(v, 1, 1, 0.2),
+                     "n must be an integer, got {!r}", 0, "n must be >= 1, got 0"),
     "h_schedule.d": (lambda v: h_schedule(100, v, 1, 0.2),
                      "d must be an integer, got {!r}", 0, "d must be >= 1, got 0"),
     "h_schedule.d_prime": (lambda v: h_schedule(100, 1, v, 0.2),
@@ -620,6 +636,9 @@ COUNT_SITES = {
     "threshold.m_dprime": (lambda v: threshold(10, 2, 2, v, 0.5, 1.5),
                            "m_dprime must be an integer, got {!r}",
                            0, "m_dprime must be >= 1, got 0"),
+    "type1_bound.m_dprime": (lambda v: type1_bound(1.5, v),
+                             "m_dprime must be an integer, got {!r}",
+                             0, "m_dprime must be >= 1, got 0"),
     # The JSON reader keeps its own message but decides by the same rule.
     "map_from_dict.n_z": (lambda v: map_from_dict({"table": [0], "n_z": v}),
                           "map.n_z: expected a positive integer, got {!r}",
@@ -651,15 +670,19 @@ class TestCountRule:
 # Real arguments that were accepted, read as an overflow, or failed inside
 # Python with a TypeError: each call and the ValueError that names the argument.
 REAL_ARGUMENT_CASES = {
-    "threshold.c1=-1": (lambda: threshold(100, 4, 2, 2, 0.5, -1.0), "c1 must be >= 0, got -1.0"),
-    "threshold.c1=nan": (lambda: threshold(100, 4, 2, 2, 0.5, NAN), "c1 must be finite, got nan"),
+    "threshold.c1=-1": (lambda: threshold(100, 4, 2, 2, 0.5, -1.0),
+                        "c1 must be finite and >= 0, got -1.0"),
+    "threshold.c1=nan": (lambda: threshold(100, 4, 2, 2, 0.5, NAN),
+                         "c1 must be finite and >= 0, got nan"),
     "threshold.c1=True": (lambda: threshold(100, 4, 2, 2, 0.5, True),
                           "c1 must be a real number, got True"),
-    "threshold.h=inf": (lambda: threshold(100, 4, 2, 2, INF, 1.5), "h must be finite, got inf"),
+    "threshold.h=inf": (lambda: threshold(100, 4, 2, 2, INF, 1.5),
+                        "h must be in (0, 1], got inf"),
+    "threshold.h=2": (lambda: threshold(100, 4, 2, 2, 2.0, 1.5), "h must be in (0, 1], got 2.0"),
     "threshold.h=True": (lambda: threshold(100, 4, 2, 2, True, 1.5),
                          "h must be a real number, got True"),
-    "type1_bound.c1=nan": (lambda: type1_bound(NAN, 2), "c1 must be finite, got nan"),
-    "type1_bound.c1=-2": (lambda: type1_bound(-2.0, 2), "c1 must be >= 0, got -2.0"),
+    "type1_bound.c1=nan": (lambda: type1_bound(NAN, 2), "c1 must be finite and >= 0, got nan"),
+    "type1_bound.c1=-2": (lambda: type1_bound(-2.0, 2), "c1 must be finite and >= 0, got -2.0"),
     "type1_bound.c1='2'": (lambda: type1_bound("2", 2), "c1 must be a real number, got '2'"),
     "TestConfig.h=True": (lambda: TestConfig(h=True), "h must be a real number, got True"),
     "TestConfig.h='0.5'": (lambda: TestConfig(h="0.5"), "h must be a real number, got '0.5'"),
@@ -672,6 +695,48 @@ REAL_ARGUMENT_CASES = {
                                      "interval_width must be a real number, got True"),
     "H1Config.theta=True": (lambda: H1Config(n=10, seed=0, theta=True),
                             "theta must be a real number, got True"),
+    "CubicPartition.h=True": (lambda: CubicPartition(h=True, d=1, d_prime=0),
+                              "h must be a real number, got True"),
+    "CubicPartition.h='0.5'": (lambda: CubicPartition(h="0.5", d=1, d_prime=0),
+                               "h must be a real number, got '0.5'"),
+    "h_schedule.delta='0.1'": (lambda: h_schedule(10, 1, 1, "0.1"),
+                               "delta must be a real number, got '0.1'"),
+    "delta_lossless_bounded.delta=True": (
+        lambda: delta_lossless_bounded(_two_label_joint(), True, 1.0),
+        "delta must be a real number, got True"),
+    "delta_lossless_bounded.delta='0.1'": (
+        lambda: delta_lossless_bounded(_two_label_joint(), "0.1", 1.0),
+        "delta must be a real number, got '0.1'"),
+    "family_lossless_check.c=None": (
+        lambda: family_lossless_check(_two_label_joint(), 0.1, None, [1, 1]),
+        "c must be a real number, got None"),
+    "c_max_bound.delta_i=True": (lambda: c_max_bound(gen_market(2, 3, 1), True),
+                                 "delta_i must be a real number, got True"),
+    "c_max_bound.delta_i='0.1'": (lambda: c_max_bound(gen_market(2, 3, 1), "0.1"),
+                                  "delta_i must be a real number, got '0.1'"),
+    "gen_random_loss.sup=True": (lambda: gen_random_loss(2, True, 0),
+                                 "sup must be a real number, got True"),
+    "gen_random_loss.sup='1.0'": (lambda: gen_random_loss(2, "1.0", 0),
+                                  "sup must be a real number, got '1.0'"),
+}
+
+# Every real argument the real rule reads, called with a valid numpy scalar.
+NUMPY_SCALAR_CALLS = {
+    "threshold.c1": lambda v: threshold(100, 4, 2, 2, 0.5, v(1.5)),
+    "threshold.h": lambda v: threshold(100, 4, 2, 2, v(0.5), 1.5),
+    "type1_bound.c1": lambda v: type1_bound(v(1.5), 2),
+    "TestConfig.c1": lambda v: TestConfig(c1=v(1.5)),
+    "TestConfig.delta": lambda v: TestConfig(delta=v(0.2)),
+    "TestConfig.h": lambda v: TestConfig(h=v(0.5)),
+    "CubicPartition.h": lambda v: CubicPartition(h=v(0.5), d=1, d_prime=0),
+    "h_schedule.delta": lambda v: h_schedule(10, 1, 1, v(0.1)),
+    "H0Config.interval_width": lambda v: H0Config(n=10, seed=0, interval_width=v(0.2)),
+    "H0Config.noise_scale": lambda v: H0Config(n=10, seed=0, noise_scale=v(0.1)),
+    "H1Config.theta": lambda v: H1Config(n=10, seed=0, theta=v(0.5)),
+    "delta_lossless_bounded.delta": lambda v: delta_lossless_bounded(_two_label_joint(), v(0.1), 1),
+    "delta_lossless_bounded.c": lambda v: delta_lossless_bounded(_two_label_joint(), 0.1, v(1.0)),
+    "c_max_bound.delta_i": lambda v: c_max_bound(gen_market(2, 3, 1), v(0.1)),
+    "gen_random_loss.sup": lambda v: gen_random_loss(2, v(1.0), 0),
 }
 
 
@@ -680,6 +745,12 @@ def test_real_arguments_refused_by_name(case):
     call, message = REAL_ARGUMENT_CASES[case]
     with pytest.raises(ValueError, match=exact(message)):
         call()
+
+
+@pytest.mark.parametrize("scalar", [np.float64, np.float32])
+@pytest.mark.parametrize("site", list(NUMPY_SCALAR_CALLS))
+def test_real_arguments_accept_numpy_scalars(site, scalar):
+    NUMPY_SCALAR_CALLS[site](scalar)
 
 
 class TestCachedMarginals:

@@ -1,6 +1,7 @@
 """Tests for the partition-based conditional independence test."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -256,6 +257,12 @@ class TestPartitionCounts:
 
 
 class TestHistogram:
+    def test_dimension_mismatch(self, rng):
+        data = make_dataset(rng, 50, d=2)
+        message = "dimension mismatch: data is (2, 1, 1), partition is (1, 1, 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_histogram(data, CubicPartition(h=0.5, d=1, d_prime=1))
+
     def test_counts_sum_to_n(self, rng):
         data = make_dataset(rng, 300, d=2)
         part = CubicPartition(h=0.25, d=2, d_prime=1)
@@ -578,10 +585,12 @@ class TestThreshold:
         with pytest.raises(ValueError, match="^threshold overflows: t_n = inf"):
             threshold(3000, 400, 20, 20, 0.05, 1e308)
 
-    @pytest.mark.parametrize("h", [0.0, -0.5, math.nan])
+    @pytest.mark.parametrize("h", [0.0, -0.5, math.nan, 2.0])
     def test_h_must_be_positive(self, h):
-        # A NaN h is refused as a bandwidth, not reported as an overflow.
-        with pytest.raises(ValueError, match=f"^h must be > 0, got {h}$"):
+        # A NaN h is refused as a bandwidth, not reported as an overflow, and
+        # an h above 1, which no partition has, by the partitions' own rule.
+        message = f"h must be in (0, 1], got {h}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             threshold(3000, 4, 4, 4, h, 1.5)
 
 

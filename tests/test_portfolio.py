@@ -136,6 +136,11 @@ class TestPortfolioValidation:
         with pytest.raises(ValueError, match="^returns: empty alphabet$"):
             log_optimal_portfolio([1.0], np.empty((0, 2)))
 
+    def test_outcome_mismatch(self):
+        message = "^outcome mismatch: pmf has 2 outcomes, returns has 3$"
+        with pytest.raises(ValueError, match=message):
+            log_optimal_portfolio([0.5, 0.5], np.ones((3, 2)))
+
     def test_zero_assets_rejected_by_name(self):
         joint, tmap = gen_random_joint((2, 3, 2), 0)
         with pytest.raises(ValueError, match="^returns: empty alphabet$"):

@@ -100,14 +100,35 @@ def test_bounds_sweep_rejects_empty_sweep(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
-def test_bounds_sweep_rejects_bad_sup(tmp_path, value):
-    proc = run_script("run_bounds_sweep.py", "--instances", "2", f"--sup={value}",
-                      "--out", str(tmp_path / "s.csv"))
+@pytest.mark.parametrize("flag, value, message", [
+    pytest.param("--sup", "-1", "argument --sup: must be a finite number >= 0, got -1.0",
+                 id="--sup=-1"),
+    pytest.param("--sup", "nan", "argument --sup: must be a finite number >= 0, got nan",
+                 id="--sup=nan"),
+    pytest.param("--sup", "inf", "argument --sup: must be a finite number >= 0, got inf",
+                 id="--sup=inf"),
+    pytest.param("--seed", "-1",
+                 "argument --seed: the sweep keys seeds -1 .. 1000000, outside [0, 2**64)",
+                 id="--seed=-1"),
+    pytest.param("--seed", "-5000000",
+                 "argument --seed: the sweep keys seeds -5000000 .. -3999999, outside [0, 2**64)",
+                 id="--seed=-5000000"),
+    pytest.param("--seed", str(2**64 - 1_000_001), "argument --seed: the sweep keys seeds "
+                 "18446744073708551615 .. 18446744073709551616, outside [0, 2**64)",
+                 id="--seed=2**64-1000001"),
+    pytest.param("--seed", str(2**64 - 1), "argument --seed: the sweep keys seeds "
+                 "18446744073709551615 .. 18446744073710551616, outside [0, 2**64)",
+                 id="--seed=2**64-1"),
+])
+def test_bounds_sweep_rejects_bad_arguments(tmp_path, flag, value, message):
+    out = tmp_path / "s.csv"
+    proc = run_script("run_bounds_sweep.py", "--instances", "2", f"{flag}={value}",
+                      "--out", str(out))
     assert proc.returncode == 2
     assert "usage:" in proc.stderr
-    assert f"argument --sup: must be a finite number >= 0, got {float(value)}" in proc.stderr
+    assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_portfolio_demo_rejects_empty_sweep():
@@ -120,6 +141,9 @@ def test_portfolio_demo_rejects_empty_sweep():
 @pytest.mark.parametrize("flag, value, message", [
     ("--assets", "0", "argument --assets: must be a positive integer, got 0"),
     ("--outcomes", "1", "argument --outcomes: must be an integer >= 2, got 1"),
+    ("--seed", "-1", "argument --seed: the demo keys seeds -1 .. 1, outside [0, 2**64)"),
+    ("--seed", str(2**64 - 2), "argument --seed: the demo keys seeds "
+     "18446744073709551614 .. 18446744073709551616, outside [0, 2**64)"),
 ])
 def test_portfolio_demo_rejects_degenerate_markets(flag, value, message):
     proc = run_script("run_portfolio_demo.py", "--markets", "2", flag, value)
