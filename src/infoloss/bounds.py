@@ -257,7 +257,7 @@ def quantizer_sequence_bound(
         )
     if not np.isfinite(pos).all():
         raise ValueError("positions: non-finite entries")
-    ws = [float(w) for w in widths]
+    ws = [_real(w, f"widths[{i}]") for i, w in enumerate(widths)]
     if not ws:
         raise ValueError("widths is empty")
     if not all(w > 0 for w in ws):

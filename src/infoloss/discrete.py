@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import os
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -54,6 +55,14 @@ def _count(value, name: str, minimum: int | None = 1) -> int:
     if minimum is not None and n < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {n}")
     return n
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity, else ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def check_nonnegative(values, ndim: int, *, name: str) -> np.ndarray:

@@ -8,14 +8,13 @@ replicate order, so results are identical whatever the worker count.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .discrete import _count
+from .discrete import _count, _usable_cores
 from .partition import TestConfig, TestOutcome, run_test
 from .synth import H0Config, H1Config, _check_theta, gen_h0, gen_h1
 
@@ -128,14 +127,6 @@ def _replicate(plan: ExperimentPlan, n: int, rep: int) -> TestOutcome:
     else:
         data = gen_h1(H1Config(n=n, seed=seed, theta=plan.theta))
     return run_test(data, plan.cfg)
-
-
-def _usable_cores() -> int:
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def run_plan(plan: ExperimentPlan, threads: int | None = None) -> MCResult:

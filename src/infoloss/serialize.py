@@ -10,12 +10,17 @@ identical inputs byte-identical across runs.
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import tempfile
+import threading
+import warnings
 from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
-from .discrete import DeterministicMap, DiscreteJoint, LossMatrix, _count
+from .discrete import DeterministicMap, DiscreteJoint, LossMatrix, _count, _usable_cores
 from .partition import Dataset
 from .portfolio import MarketModel
 
@@ -173,6 +178,20 @@ def _header(d: int, d_prime: int) -> list[str]:
 # block of floats (a float and its tuple slot take 32 bytes against numpy's 8)
 # and that block's text, whatever the length of the sample.
 _WRITE_BLOCK = 1024
+# Fewest rows per writer process.  On 2 vCPUs (Python 3.11.7, numpy 2.4.6;
+# 21 alternating writes each) two processes were slower than one at 16 and
+# 24 Ki rows, broke even at 32 Ki and were faster from 48 Ki, so a sample
+# gets a second process from twice that crossover, 64 Ki rows.
+_ROWS_PER_PROCESS = 32_768
+
+
+def _row_blocks(data: Dataset, start: int, stop: int) -> Iterator[str]:
+    """Rows ``start`` to ``stop`` of the sample CSV, one block of rows at a time."""
+    line = ",".join(["%r"] * (data.d + 1 + data.d_prime)) + "\n"
+    for first in range(start, stop, _WRITE_BLOCK):
+        last = min(first + _WRITE_BLOCK, stop)
+        rows = np.column_stack((data.x[first:last], data.y[first:last], data.z[first:last]))
+        yield (line * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def _csv_blocks(data: Dataset) -> Iterator[str]:
@@ -180,13 +199,8 @@ def _csv_blocks(data: Dataset) -> Iterator[str]:
 
     Every piece ends with its newline, so the pieces concatenate to the file.
     """
-    header = _header(data.d, data.d_prime)
-    line = ",".join(["%r"] * len(header)) + "\n"
-    yield ",".join(header) + "\n"
-    for start in range(0, data.n, _WRITE_BLOCK):
-        stop = start + _WRITE_BLOCK
-        rows = np.column_stack((data.x[start:stop], data.y[start:stop], data.z[start:stop]))
-        yield (line * len(rows)) % tuple(rows.ravel().tolist())
+    yield ",".join(_header(data.d, data.d_prime)) + "\n"
+    yield from _row_blocks(data, 0, data.n)
 
 
 def dataset_to_csv(data: Dataset) -> str:
@@ -194,14 +208,96 @@ def dataset_to_csv(data: Dataset) -> str:
     return "".join(_csv_blocks(data))
 
 
+def _writer_processes(n: int) -> int:
+    """Processes that format an ``n``-row CSV: at most one per usable core
+    and per ``_ROWS_PER_PROCESS`` rows, and one where forking is unsafe."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(_usable_cores(), n // _ROWS_PER_PROCESS))
+
+
+def _fork_rows(data: Dataset, start: int, stop: int):
+    """Fork a child that formats rows ``start`` to ``stop`` into a temporary file.
+
+    Returns (pid, file), or None when the file or the fork cannot be had.
+    The child leaves by ``os._exit``, so it never flushes this process's
+    buffers or prints a traceback: its status, 0 or 1, is all it reports.
+    """
+    try:
+        part = tempfile.TemporaryFile()
+    except OSError:
+        return None
+    try:
+        # Python 3.12+ warns about fork when numpy's BLAS pool has threads;
+        # raised as an error, the warning would lose the child's pid.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        part.close()
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            for block in _row_blocks(data, start, stop):
+                part.write(block.encode("ascii"))
+            part.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    return pid, part
+
+
 def write_dataset_csv(data: Dataset, path) -> None:
     """Write ``data`` to ``path`` as a sample CSV, one block of rows at a time.
 
     The bytes are those of ``Path(path).write_text(dataset_to_csv(data))``,
-    but the whole text is never held.
+    but the whole text is never held.  From ``2 * _ROWS_PER_PROCESS`` rows
+    on, a POSIX process with no second thread splits the rows into one
+    contiguous part per usable core (its CPU affinity, else
+    ``os.cpu_count()``), each of at least ``_ROWS_PER_PROCESS`` rows.  A
+    forked child formats each part after the first into a temporary file,
+    one block at a time, while this process writes the first; the parts are
+    then copied in, in order.  A child that fails raises OSError.  Whether
+    the call returns or raises, no child and no temporary file is left.
     """
+    w = _writer_processes(data.n)
+    edges = [data.n * i // w for i in range(w + 1)]
+    # Opened first, so a bad path fails before any child starts.
     with open(path, "w") as fh:
-        fh.writelines(_csv_blocks(data))
+        children = {}
+        try:
+            for i in range(1, w):
+                child = _fork_rows(data, edges[i], edges[i + 1])
+                if child is None:
+                    break
+                children[i] = child
+            fh.write(next(_csv_blocks(data)))
+            for i, (start, stop) in enumerate(zip(edges, edges[1:])):
+                if i not in children:
+                    fh.writelines(_row_blocks(data, start, stop))
+                    continue
+                pid, part = children[i]
+                status = os.waitpid(pid, 0)[1]
+                del children[i]
+                with part:
+                    if status:
+                        raise OSError(
+                            f"{path}: the process formatting rows {start + 1}..{stop} "
+                            f"exited with status {os.waitstatus_to_exitcode(status)}"
+                        )
+                    fh.flush()
+                    part.seek(0)
+                    shutil.copyfileobj(part, fh.buffer)
+        finally:
+            if children:
+                # Here only when the write failed.  Imported late: signal is
+                # not among the modules ``import infoloss`` loads.
+                from signal import SIGKILL
+            for pid, part in children.values():
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+                part.close()
 
 
 def _scan_rows(path, lines, width: int) -> list[list[float]]:

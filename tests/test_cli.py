@@ -16,6 +16,7 @@ import pytest
 
 import infoloss.montecarlo
 import infoloss.selection
+import infoloss.serialize
 from infoloss import (
     Dataset,
     gen_market,
@@ -217,13 +218,10 @@ class TestGenCommand:
         assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
         assert not (tmp_path / "s.csv").exists()
 
-    def test_peak_is_the_sample_plus_a_block(self, tmp_path, capsys):
-        # gen writes the CSV a block of rows at a time, so its traced peak is
-        # the sample's 32 bytes per row (h1: x1, x2, y, z1) plus a fixed
-        # allowance: about 0.25 MB for one block's floats and text and about
-        # 0.6 MB for the generator's draw buffers.  Holding the CSV text, about
-        # 62 bytes per row, would not fit.
-        n, allowance = 100_000, 1 << 20
+    def traced_gen_peak(self, tmp_path, monkeypatch, cores, n):
+        """tracemalloc peak of an h1 `gen` of n rows, written by `cores` processes."""
+        monkeypatch.setattr(infoloss.serialize, "_usable_cores", lambda: cores)
+        assert infoloss.serialize._writer_processes(n) == cores
         main(["gen", "--scenario", "h1", "--n", "1000", "--output", str(tmp_path / "warm")])
         tracemalloc.start()
         try:
@@ -235,12 +233,38 @@ class TestGenCommand:
         finally:
             tracemalloc.stop()
         assert code == EXIT_OK
+        return peak
+
+    def test_peak_is_the_sample_plus_a_block(self, tmp_path, capsys, monkeypatch):
+        # gen writes the CSV a block of rows at a time, so its traced peak is
+        # the sample's 32 bytes per row (h1: x1, x2, y, z1) plus a fixed
+        # allowance: about 0.25 MB for one block's floats and text and about
+        # 0.6 MB for the generator's draw buffers.  Holding the CSV text, about
+        # 62 bytes per row, would not fit.  One core: this process formats
+        # every row.
+        n, allowance = 100_000, 1 << 20
+        peak = self.traced_gen_peak(tmp_path, monkeypatch, 1, n)
         assert (tmp_path / "s.csv").stat().st_size > 4 * allowance
         assert peak <= 32 * n + allowance, f"peak {peak / n:.1f} bytes per row"
 
-    @pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
-    def test_bytes_across_blocks(self, tmp_path, capsys, n):
-        # The writer's 1024-row blocks join into exactly the one-string text.
+    def test_forked_peak_is_the_sample_plus_a_block(self, tmp_path, capsys, monkeypatch):
+        # Two cores split the 1e5 rows in two.  The bound is the one above,
+        # for this process alone: the forked child, which also holds one
+        # block at a time, is outside tracemalloc.
+        n, allowance = 100_000, 1 << 20
+        peak = self.traced_gen_peak(tmp_path, monkeypatch, 2, n)
+        assert peak <= 32 * n + allowance, f"peak {peak / n:.1f} bytes per row"
+
+    @pytest.mark.parametrize("n, cores", [
+        pytest.param(n, cores, id=str(n) if cores == 1 else f"{n}-{cores}cores")
+        for cores in (1, 2, 3) for n in (1023, 1024, 1025, 2049)
+    ])
+    def test_bytes_across_blocks(self, tmp_path, capsys, monkeypatch, n, cores):
+        # The writer's 1024-row blocks join into exactly the one-string text,
+        # also when up to `cores` processes, of 256 rows or more each, format
+        # parts of it.
+        monkeypatch.setattr(infoloss.serialize, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(infoloss.serialize, "_ROWS_PER_PROCESS", 256)
         main(["gen", "--scenario", "h1", "--n", str(n), "--seed", "4",
               "--output", str(tmp_path / "s")])
         text = dataset_to_csv(gen_h1(H1Config(n=n, seed=4)))
@@ -248,6 +272,28 @@ class TestGenCommand:
         (tmp_path / "whole.csv").write_text(text)
         got = (tmp_path / "s.csv").read_bytes()
         assert got == text.encode() == (tmp_path / "whole.csv").read_bytes()
+
+    def test_failed_writer_process_exit_one(self, tmp_path, capfd, monkeypatch):
+        # A child that fails is one error line; capfd also sees what the
+        # child itself might write to the inherited stderr.
+        monkeypatch.setattr(infoloss.serialize, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(infoloss.serialize, "_ROWS_PER_PROCESS", 256)
+        blocks = infoloss.serialize._row_blocks
+
+        def child_raises(data, start, stop):
+            if start > 0:
+                raise ValueError("formatting failed")
+            return blocks(data, start, stop)
+
+        monkeypatch.setattr(infoloss.serialize, "_row_blocks", child_raises)
+        code = main(["gen", "--scenario", "h1", "--n", "600", "--output", str(tmp_path / "s")])
+        assert code == EXIT_ERROR
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == (f"error: {tmp_path / 's.csv'}: the process formatting rows 301..600 "
+                       "exited with status 1\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_byte_identical_across_runs(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -678,6 +724,21 @@ class TestArgparseBehavior:
         )
         assert proc.returncode == 0
         assert "test" in proc.stdout and "portfolio" in proc.stdout
+
+    def test_import_loads_no_process_machinery(self):
+        # write_dataset_csv forks with os alone, and imports signal only to
+        # stop its children after a failure, so a fresh `import infoloss`
+        # (most of the benchmark's setup_s) loads none of these.
+        src = Path(infoloss.serialize.__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import infoloss; import sys; print(sorted(sys.modules))"],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(ast.literal_eval(proc.stdout))
+        assert "infoloss.serialize" in loaded
+        heavy = {"multiprocessing", "concurrent.futures.process", "subprocess", "signal"}
+        assert loaded & heavy == set()
 
     @pytest.mark.parametrize("command", ["test", "select"])
     def test_closed_stdout_exits_one_quietly(self, h1_csv, command):

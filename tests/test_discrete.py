@@ -37,6 +37,7 @@ from infoloss import (
     map_from_dict,
     mutual_information,
     philox,
+    quantizer_sequence_bound,
     run_plan,
     squared_loss,
     threshold,
@@ -418,6 +419,10 @@ def _two_label_joint():
     return apply_map(np.diag([0.5, 0.5]), tmap)
 
 
+def _quantize(widths):
+    return quantizer_sequence_bound(np.diag([0.5, 0.5]), [0.0, 1.0], widths, zero_one_loss(2))
+
+
 # Every input held to the nonnegative-array rule: a valid value and the call
 # that checks it.  A case overwrites the first entry, or empties the array.
 NONNEGATIVE_SITES = {
@@ -718,6 +723,12 @@ REAL_ARGUMENT_CASES = {
                                  "sup must be a real number, got True"),
     "gen_random_loss.sup='1.0'": (lambda: gen_random_loss(2, "1.0", 0),
                                   "sup must be a real number, got '1.0'"),
+    "quantizer_sequence_bound.widths='0.5'": (
+        lambda: _quantize([1.0, "0.5"]), "widths[1] must be a real number, got '0.5'"),
+    "quantizer_sequence_bound.widths=True": (
+        lambda: _quantize([True]), "widths[0] must be a real number, got True"),
+    "quantizer_sequence_bound.widths=np.True_": (
+        lambda: _quantize([np.True_]), f"widths[0] must be a real number, got {np.True_!r}"),
 }
 
 # Every real argument the real rule reads, called with a valid numpy scalar.
@@ -737,6 +748,7 @@ NUMPY_SCALAR_CALLS = {
     "delta_lossless_bounded.c": lambda v: delta_lossless_bounded(_two_label_joint(), 0.1, v(1.0)),
     "c_max_bound.delta_i": lambda v: c_max_bound(gen_market(2, 3, 1), v(0.1)),
     "gen_random_loss.sup": lambda v: gen_random_loss(2, v(1.0), 0),
+    "quantizer_sequence_bound.widths": lambda v: _quantize([1.0, v(0.5)]),
 }
 
 

@@ -1,7 +1,10 @@
 """Tests for the JSON and CSV interchange formats."""
 
+import errno
+import os
 import re
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -505,6 +508,147 @@ class TestCsvWriter:
         for got, want in ((back.x, data.x), (back.y, data.y), (back.z, data.z)):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+class TestForkedCsvWriter:
+    """Parts formatted by forked children join into exactly the one-string text."""
+
+    # Rows per process, patched down to one writer block so small samples
+    # fork and the parts meet the 1024-row block edges.
+    ROWS = 1024
+
+    @pytest.fixture
+    def forks(self, monkeypatch, tmp_path):
+        """Pids the writer forks; temporary files go to ``tmp_path / "tmp"``."""
+        (tmp_path / "tmp").mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        monkeypatch.setattr(serialize, "_ROWS_PER_PROCESS", self.ROWS)
+        pids = []
+        fork = os.fork
+
+        def spy():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", spy)
+        return pids
+
+    @staticmethod
+    def cores(monkeypatch, count):
+        monkeypatch.setattr(serialize, "_usable_cores", lambda: count)
+
+    @staticmethod
+    def sample(n):
+        return gen_h1(H1Config(n=n, seed=n))
+
+    @staticmethod
+    def assert_clean(tmp_path):
+        """No child is left to reap, and no temporary file."""
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list((tmp_path / "tmp").iterdir()) == []
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 2047, 2048, 2049, 3071, 3072, 3073, 4097, 5000])
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    def test_bytes_equal_the_text(self, monkeypatch, tmp_path, forks, processes, n):
+        self.cores(monkeypatch, processes)
+        data = self.sample(n)
+        write_dataset_csv(data, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == dataset_to_csv(data).encode()
+        assert len(forks) == min(processes, max(1, n // self.ROWS)) - 1
+        self.assert_clean(tmp_path)
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, RuntimeError])
+    def test_parent_raising_leaves_no_child(self, monkeypatch, tmp_path, forks, interrupt):
+        # The parent's own part raises once both children run.
+        self.cores(monkeypatch, 3)
+        blocks = serialize._row_blocks
+
+        def parent_raises(data, start, stop):
+            if start == 0:
+                raise interrupt
+            return blocks(data, start, stop)
+
+        monkeypatch.setattr(serialize, "_row_blocks", parent_raises)
+        with pytest.raises(interrupt):
+            write_dataset_csv(self.sample(3 * self.ROWS), tmp_path / "s.csv")
+        assert len(forks) == 2
+        self.assert_clean(tmp_path)
+
+    def test_child_raising_is_an_os_error(self, monkeypatch, tmp_path, forks):
+        self.cores(monkeypatch, 3)
+        blocks = serialize._row_blocks
+
+        def last_part_raises(data, start, stop):
+            if stop == data.n and start > 0:
+                raise ValueError("formatting failed")
+            return blocks(data, start, stop)
+
+        monkeypatch.setattr(serialize, "_row_blocks", last_part_raises)
+        path = tmp_path / "s.csv"
+        message = f"{path}: the process formatting rows 2049..3072 exited with status 1"
+        with pytest.raises(OSError, match=re.escape(message) + "$"):
+            write_dataset_csv(self.sample(3 * self.ROWS), path)
+        self.assert_clean(tmp_path)
+
+    def test_second_thread_keeps_one_process(self, monkeypatch, tmp_path, forks):
+        self.cores(monkeypatch, 2)
+        data = self.sample(4 * self.ROWS)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            write_dataset_csv(data, tmp_path / "s.csv")
+        finally:
+            release.set()
+            thread.join()
+        assert forks == []
+        assert (tmp_path / "s.csv").read_bytes() == dataset_to_csv(data).encode()
+
+    @pytest.mark.parametrize("failing", ["fork", "tempdir"])
+    def test_no_fork_or_temp_file_keeps_one_process(self, monkeypatch, tmp_path, forks,
+                                                     failing):
+        self.cores(monkeypatch, 3)
+        if failing == "fork":
+            def no_fork():
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", no_fork)
+        else:
+            monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        data = self.sample(3 * self.ROWS + 5)
+        write_dataset_csv(data, tmp_path / "s.csv")
+        assert forks == []
+        assert (tmp_path / "s.csv").read_bytes() == dataset_to_csv(data).encode()
+        self.assert_clean(tmp_path)
+
+    def test_fork_warning_loses_no_child(self, monkeypatch, tmp_path, forks):
+        # Python 3.12+ warns in the parent, after forking, when the process
+        # has native threads (numpy's BLAS pool); with warnings as errors
+        # (this suite's setting) that would raise and lose the child's pid.
+        self.cores(monkeypatch, 2)
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn("This process is multi-threaded", DeprecationWarning)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        data = self.sample(2 * self.ROWS + 1)
+        write_dataset_csv(data, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == dataset_to_csv(data).encode()
+        assert len(forks) == 1
+        self.assert_clean(tmp_path)
+
+    def test_bad_path_forks_nothing(self, monkeypatch, tmp_path, forks):
+        self.cores(monkeypatch, 2)
+        with pytest.raises(FileNotFoundError):
+            write_dataset_csv(self.sample(2 * self.ROWS), tmp_path / "missing" / "s.csv")
+        assert forks == []
 
 
 class TestCsvMemory:
