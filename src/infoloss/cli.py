@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bounds import bound_bounded_loss
@@ -128,30 +129,18 @@ def _cmd_portfolio(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    common = dict(n=args.n, seed=args.seed, k=args.k, interval_width=args.width,
-                  noise_scale=args.noise)
+    params = {f.name: getattr(args, f.name) for f in fields(H0Config)}
     echo = {"scenario": args.scenario}
     if args.scenario == "h0":
-        cfg = H0Config(**common)
+        cfg = H0Config(**params)
         data = gen_h0(cfg)
     else:
-        cfg = H1Config(**common, theta=args.theta)
+        cfg = H1Config(**params, theta=args.theta)
         data = gen_h1(cfg)
         echo["theta"] = cfg.theta
     atoms = [float(a) for a in cfg.atoms]
-    echo.update(
-        {
-            "n": cfg.n,
-            "seed": cfg.seed,
-            "k": cfg.k,
-            "interval_width": cfg.interval_width,
-            "noise_scale": cfg.noise_scale,
-            "atoms": atoms,
-            "regression_values": atoms,
-            "d": data.d,
-            "d_prime": data.d_prime,
-        }
-    )
+    echo.update({name: getattr(cfg, name) for name in params})
+    echo.update(atoms=atoms, regression_values=atoms, d=data.d, d_prime=data.d_prime)
     out = Path(args.output)
     write_dataset_csv(data, out.with_suffix(".csv"))
     save_json(echo, out.with_suffix(".json"))
@@ -219,8 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=H0Config.k)
-    p.add_argument("--width", type=float, default=H0Config.interval_width)
-    p.add_argument("--noise", type=float, default=H0Config.noise_scale)
+    # Each dest is the H0Config field the flag sets; the metavar keeps the help text.
+    p.add_argument("--width", dest="interval_width", metavar="WIDTH", type=float,
+                   default=H0Config.interval_width)
+    p.add_argument("--noise", dest="noise_scale", metavar="NOISE", type=float,
+                   default=H0Config.noise_scale)
     p.add_argument("--theta", type=float, default=H1Config.theta)
     p.add_argument("--output", required=True, help="output path stem for .csv and .json")
     p.set_defaults(func=_cmd_gen)

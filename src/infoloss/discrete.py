@@ -34,11 +34,16 @@ _TINY = np.finfo(np.float64).tiny
 def _real(value, name: str, minimum: float | None = None) -> float:
     """``value`` as a Python float, finite and >= ``minimum`` if one is given.
 
-    Bools and non-real values raise ValueError; numpy scalars pass.
+    Bools, non-real values and values beyond float64 raise ValueError naming
+    the argument; numpy scalars pass.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        # No value in the message: repr of an int over 4300 digits raises.
+        raise ValueError(f"{name} must be in the float64 range") from None
     if minimum is not None and not (math.isfinite(x) and x >= minimum):
         raise ValueError(f"{name} must be finite and >= {minimum}, got {value}")
     return x

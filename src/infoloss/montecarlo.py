@@ -109,9 +109,7 @@ class MCResult:
                 "scenario": plan.scenario,
                 "n_grid": list(plan.n_grid),
                 "reps": plan.reps,
-                "c1": plan.cfg.c1,
-                "delta": plan.cfg.delta,
-                "h": plan.cfg.h,
+                **asdict(plan.cfg),
                 "base_seed": plan.base_seed,
                 "theta": plan.theta if plan.scenario == "h1" else None,
             },

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .partition import Dataset, TestConfig, TestOutcome, run_test
 
 
@@ -76,8 +74,7 @@ def _step_config(cfg: TestConfig, d: int, d_prime: int) -> TestConfig:
 
 
 def _run_subset(data: Dataset, subset: list[int], cfg: TestConfig) -> TestOutcome:
-    z = data.x[:, subset] if subset else np.empty((data.n, 0))
-    probe = Dataset._owned(data.x, data.y, z)
+    probe = Dataset._owned(data.x, data.y, data.x[:, subset])
     return run_test(probe, _step_config(cfg, probe.d, probe.d_prime))
 
 

@@ -60,16 +60,23 @@ def _positive_int(value, path: str) -> int:
         raise SchemaError(f"{path}: expected a positive integer, got {value!r}") from None
 
 
-def _number_list(values, path: str) -> list[float]:
+def _number_list(values, path: str, integer: bool = False) -> list:
+    """The JSON list ``values``, each entry a number that float64 holds (with
+    ``integer``, an integer that int64 holds), else a SchemaError at its path."""
     _expect(isinstance(values, list), path, "expected a list")
+    kind, noun, dtype = (
+        (int, "an integer", np.int64) if integer else ((int, float), "a number", np.float64)
+    )
     out = []
     for i, v in enumerate(values):
-        _expect(
-            isinstance(v, (int, float)) and not isinstance(v, bool),
-            f"{path}[{i}]",
-            f"expected a number, got {v!r}",
-        )
-        out.append(float(v))
+        _expect(isinstance(v, kind) and not isinstance(v, bool), f"{path}[{i}]",
+                f"expected {noun}, got {v!r}")
+        try:
+            out.append(dtype(v).item())
+        except OverflowError:
+            raise SchemaError(
+                f"{path}[{i}]: expected {noun} in the {dtype.__name__} range"
+            ) from None
     return out
 
 
@@ -126,14 +133,7 @@ def map_to_dict(tmap: DeterministicMap) -> dict:
 def map_from_dict(obj, path: str = "map") -> DeterministicMap:
     table = _require(obj, "table", path)
     _expect(isinstance(table, list) and table, f"{path}.table", "expected a nonempty list")
-    entries = []
-    for i, v in enumerate(table):
-        _expect(
-            isinstance(v, int) and not isinstance(v, bool),
-            f"{path}.table[{i}]",
-            f"expected an integer, got {v!r}",
-        )
-        entries.append(v)
+    entries = _number_list(table, f"{path}.table", integer=True)
     # At least 1, so a negative entry is blamed on the table, not on n_z.
     n_z = _positive_int(obj.get("n_z", max(max(entries) + 1, 1)), f"{path}.n_z")
     return _build(path, DeterministicMap, table=np.asarray(entries, dtype=np.int64), n_z=n_z)
@@ -160,7 +160,7 @@ def load_json(path) -> dict:
     text = Path(path).read_text()
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a literal beyond Python's int digit limit
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
     return _object(obj, path)
 
@@ -194,18 +194,13 @@ def _row_blocks(data: Dataset, start: int, stop: int) -> Iterator[str]:
         yield (line * len(rows)) % tuple(rows.ravel().tolist())
 
 
-def _csv_blocks(data: Dataset) -> Iterator[str]:
-    """The sample CSV in pieces: the header line, then each block of rows.
-
-    Every piece ends with its newline, so the pieces concatenate to the file.
-    """
-    yield ",".join(_header(data.d, data.d_prime)) + "\n"
-    yield from _row_blocks(data, 0, data.n)
+def _header_line(data: Dataset) -> str:
+    return ",".join(_header(data.d, data.d_prime)) + "\n"
 
 
 def dataset_to_csv(data: Dataset) -> str:
     """The sample CSV text, header x1..xd,y,z1..zd', as ``write_dataset_csv`` writes it."""
-    return "".join(_csv_blocks(data))
+    return _header_line(data) + "".join(_row_blocks(data, 0, data.n))
 
 
 def _writer_processes(n: int) -> int:
@@ -272,7 +267,7 @@ def write_dataset_csv(data: Dataset, path) -> None:
                 if child is None:
                     break
                 children[i] = child
-            fh.write(next(_csv_blocks(data)))
+            fh.write(_header_line(data))
             for i, (start, stop) in enumerate(zip(edges, edges[1:])):
                 if i not in children:
                     fh.writelines(_row_blocks(data, start, stop))

@@ -1,5 +1,7 @@
 """Fixtures, and the oracles and generators that only the tests use."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,35 @@ from infoloss import (
     philox,
 )
 from infoloss.partition import TestOutcome
-from infoloss.synth import H0Config, _surjective_map
+from infoloss.synth import H0Config, H1Config, _surjective_map, gen_h1
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+# Rows of the sample that the test path's memory budgets are stated at:
+# enough that a per-row array (8 MB at 8 B/row) dwarfs the fixed buffers.
+BUDGET_ROWS = 1_000_000
+
+
+@pytest.fixture(scope="module")
+def h1_budget_sample():
+    """A ``BUDGET_ROWS``-row h1 sample, seed 1 (32 MB: x1, x2, y, z1)."""
+    return gen_h1(H1Config(n=BUDGET_ROWS, seed=1))
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the bytes it held at its tracemalloc peak beyond what it found."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def columns(data: Dataset) -> np.ndarray:

@@ -8,7 +8,6 @@ import re
 import shlex
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +34,7 @@ from infoloss.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, build_parser, main
 from infoloss.serialize import dataset_to_csv
 from infoloss.synth import H1Config, gen_h1
 
-from conftest import always_reject
+from conftest import always_reject, traced_peak
 
 
 def write_sample(path, rng, n=5000, dependent=False):
@@ -223,15 +222,8 @@ class TestGenCommand:
         monkeypatch.setattr(infoloss.serialize, "_usable_cores", lambda: cores)
         assert infoloss.serialize._writer_processes(n) == cores
         main(["gen", "--scenario", "h1", "--n", "1000", "--output", str(tmp_path / "warm")])
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            code = main(["gen", "--scenario", "h1", "--n", str(n), "--seed", "3",
-                         "--output", str(tmp_path / "s")])
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(main, ["gen", "--scenario", "h1", "--n", str(n), "--seed", "3",
+                                        "--output", str(tmp_path / "s")])
         assert code == EXIT_OK
         return peak
 
@@ -508,6 +500,33 @@ class TestOverflowingJoint:
         )
 
 
+class TestOutOfRangeJsonNumber:
+    """A JSON integer literal no float64 or int64 holds is one error line at its path."""
+
+    JOINT = {"shape": [1, 2, 1], "probs": [0.5, 0.5]}
+
+    @pytest.mark.parametrize("command, instance, digits, message", [
+        ("bounds", {"joint": JOINT, "map": {"table": [0, "N"]}, "loss": {"cost": [[0.0]]}},
+         400, "map.table[1]: expected an integer in the int64 range"),
+        ("portfolio", {"d_a": 1, "returns": [["N"]], "joint": JOINT, "map": {"table": [0, 0]}},
+         400, "market.returns[0][0]: expected a number in the float64 range"),
+        ("bounds", {"joint": {"shape": [1, 2, 1], "probs": ["N", 0.5]}, "map": {"table": [0, 0]},
+                    "loss": {"cost": [[0.0]]}},
+         5000, "{path}: invalid JSON: Exceeds the limit (4300 digits)"),
+    ], ids=["map.table", "market.returns", "digit-limit"])
+    def test_one_error_line(self, tmp_path, command, instance, digits, message):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(instance).replace('"N"', "9" * digits))
+        proc = subprocess.run(
+            [sys.executable, "-m", "infoloss", command, "--input", str(path)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_ERROR
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: " + message.format(path=path))
+        assert len(proc.stderr.splitlines()) == 1
+
+
 class TestPortfolioCommand:
     def test_reports_growth_gap(self, tmp_path, capsys):
         market = gen_market(2, 3, 1)
@@ -619,18 +638,26 @@ class TestGoldenOutputs:
             "8bc4ce43c07cb1a5cfffa2f33e6aa40d1224388b9dbe17c853f4030c3b88f075"
         )
 
-    def test_mc_files(self, tmp_path, capsys):
+    def mc_digests(self, tmp_path, scenario):
+        """sha256 of the CSV and of every JSON line but the measured wall times."""
         stem = tmp_path / "mc"
-        main(["mc", "--scenario", "h1", "--n-grid", "1000,5000", "--reps", "10",
+        main(["mc", "--scenario", scenario, "--n-grid", "1000,5000", "--reps", "10",
               "--threads", "2", "--output", str(stem)])
-        assert sha256(stem.with_suffix(".csv").read_text()) == (
-            "33d7a02201c4431ffa583c9f39d135e498380511ca7f01b5397c6716270689c4"
-        )
-        # Every JSON line but the measured wall times.
         lines = stem.with_suffix(".json").read_text().splitlines(keepends=True)
         kept = "".join(line for line in lines if '"wall_time":' not in line)
-        assert sha256(kept) == (
-            "f3ca41e448dae01cf36e6dcedb1dadadfdf0da31bfabc84e5b9e6743dfeea0f3"
+        return sha256(stem.with_suffix(".csv").read_text()), sha256(kept)
+
+    def test_mc_files(self, tmp_path, capsys):
+        assert self.mc_digests(tmp_path, "h1") == (
+            "33d7a02201c4431ffa583c9f39d135e498380511ca7f01b5397c6716270689c4",
+            "f3ca41e448dae01cf36e6dcedb1dadadfdf0da31bfabc84e5b9e6743dfeea0f3",
+        )
+
+    def test_mc_files_h0(self, tmp_path, capsys):
+        # The h0 plan echoes "theta": null.
+        assert self.mc_digests(tmp_path, "h0") == (
+            "ac94c6b40decca05ff94666b06a0cf0261add7099a9f10ea0e41c852475f413b",
+            "0c82a3a01628caa808b890b3c864b3b5c2321786de5b75b44a30976b424864f9",
         )
 
 

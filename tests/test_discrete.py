@@ -729,6 +729,16 @@ REAL_ARGUMENT_CASES = {
         lambda: _quantize([True]), "widths[0] must be a real number, got True"),
     "quantizer_sequence_bound.widths=np.True_": (
         lambda: _quantize([np.True_]), f"widths[0] must be a real number, got {np.True_!r}"),
+    # Python ints beyond float64; the message holds no digits, since repr
+    # of an int over 4300 digits raises.
+    "TestConfig.c1=10**400": (lambda: TestConfig(c1=10**400),
+                              "c1 must be in the float64 range"),
+    "H0Config.noise_scale=10**400": (lambda: H0Config(n=5, seed=0, noise_scale=10**400),
+                                     "noise_scale must be in the float64 range"),
+    "threshold.c1=10**400": (lambda: threshold(10, 1, 1, 1, 0.5, 10**400),
+                             "c1 must be in the float64 range"),
+    "H1Config.theta=-10**5000": (lambda: H1Config(n=5, seed=0, theta=-10**5000),
+                                 "theta must be in the float64 range"),
 }
 
 # Every real argument the real rule reads, called with a valid numpy scalar.

@@ -5,7 +5,6 @@ import math
 import os
 import re
 import sys
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -23,6 +22,8 @@ from infoloss import (
 import infoloss.montecarlo
 from infoloss.montecarlo import CSV_COLUMNS
 from infoloss.partition import L_MAX
+
+from conftest import traced_peak
 
 
 def small_plan(scenario="h0", **kw):
@@ -147,14 +148,7 @@ class TestRunPlan:
         # 64 B/row or more.
         n = 1_000_000
         plan = small_plan(scenario=scenario, n_grid=(n,), reps=3, cfg=TestConfig())
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            run_plan(plan, threads=1)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(run_plan, plan, 1)
         assert peak <= 40 * n, f"peak {peak / n:.1f} B/row"
 
     @pytest.mark.parametrize("threads", [0, -3])

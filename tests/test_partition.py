@@ -31,7 +31,7 @@ from infoloss import (
 
 from infoloss.partition import _CHUNK_ROWS, L_MAX
 
-from conftest import columns, dense_l_statistic, unit_scaled
+from conftest import BUDGET_ROWS, columns, dense_l_statistic, traced_peak, unit_scaled
 
 
 TOO_FINE = r"^partition too fine: flat cell ids would overflow int64$"
@@ -638,6 +638,38 @@ class TestConfigValidation:
     def test_delta_must_be_finite(self, delta, h):
         with pytest.raises(ValueError, match=f"^delta must be finite, got {delta}$"):
             TestConfig(delta=delta, h=h)
+
+
+class TestMemoryBudget:
+    """``run_test``'s tracemalloc peak on a 1e6-row h1 sample, beyond the sample.
+
+    Each bound is bytes per row plus a constant: the peak measured on numpy
+    2.4.6 when the bound was set, plus a margin below the 8 MB of one more
+    8 B/row array, so keeping such an array fails the test.
+    """
+
+    # The default schedule on 1e6 rows: h = n^-0.2, 16 cells per axis of x1,
+    # x2, y and z1.
+    DENSE_GRID = 16**4
+
+    def test_dense_path_holds_no_per_row_array(self, h1_budget_sample):
+        # The grid (8 B a cell, 0.5 MiB) and one chunk's buffers: 1.67 MB
+        # measured.  Bound 0 B/row + 2 MiB, a margin of 0.43 MB.
+        out = run_test(h1_budget_sample)
+        assert out.m * out.m_prime * out.m_dprime == self.DENSE_GRID < BUDGET_ROWS
+        _, peak = traced_peak(run_test, h1_budget_sample)
+        assert peak <= 2 << 20, f"peak {peak / 1e6:.2f} MB"
+
+    def test_sort_path_at_a_fine_h(self, h1_budget_sample):
+        # h = 0.004: 250 cells per axis, so the triples (250^4) and the (A, C)
+        # marginal (250^3) both have more cells than rows and go through
+        # np.unique.  Measured 84.41 MB, and 48.01 MB at 5e5 rows: about
+        # 73 B/row + 11.6 MB.  Bound 76 B/row + 12 MiB = 88.58 MB, a margin
+        # of 4.17 MB.
+        part = CubicPartition(h=0.004, d=2, d_prime=1)
+        assert part.m * part.m_prime * part.m_dprime > BUDGET_ROWS
+        _, peak = traced_peak(run_test, h1_budget_sample, TestConfig(h=0.004))
+        assert peak <= 76 * BUDGET_ROWS + (12 << 20), f"peak {peak / BUDGET_ROWS:.1f} B/row"
 
 
 class TestRunTest:

@@ -7,7 +7,7 @@ import infoloss.selection
 from infoloss import Dataset, TestConfig, greedy_lossless_selection, run_test
 from infoloss.partition import TestOutcome
 
-from conftest import always_reject
+from conftest import BUDGET_ROWS, always_reject, traced_peak
 
 
 def selection_data(rng, n, target):
@@ -160,3 +160,13 @@ class TestSelectionReport:
         # Conditioning on the relevant coordinate drops the statistic far
         # more than conditioning on noise.
         assert scores[0] < scores[1] - 0.5
+
+
+def test_peak_is_one_column_per_probe(h1_budget_sample):
+    # On h1 the search tests (), (x1) and (x2); each probe copies its subset's
+    # columns out of x (8 B/row for one column) and runs the dense path
+    # (about 1.7 MB).  Measured 9.67 MB above the 1e6-row sample.  Bound
+    # 8 B/row + 3 MiB = 11.15 MB, a margin of 1.48 MB, below the 8 MB of one
+    # more 8 B/row array.
+    _, peak = traced_peak(greedy_lossless_selection, h1_budget_sample)
+    assert peak <= 8 * BUDGET_ROWS + (3 << 20), f"peak {peak / BUDGET_ROWS:.2f} B/row"

@@ -5,7 +5,6 @@ import os
 import re
 import tempfile
 import threading
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -42,7 +41,7 @@ from infoloss import (
 )
 from infoloss import serialize
 
-from conftest import columns
+from conftest import columns, traced_peak
 
 
 class TestJointRoundTrip:
@@ -155,6 +154,47 @@ class TestPositiveIntegerFields:
         with pytest.raises(SchemaError) as exc:
             loader(obj)
         assert str(exc.value) == message
+
+
+# A JSON integer literal of 400 digits: json.loads reads it as a Python int
+# that neither float64 nor int64 holds.
+BIG = 10**400 - 1
+
+
+class TestOutOfRangeNumbers:
+    """An integer no float64 (int64 for a map table) holds is refused at its path."""
+
+    @pytest.mark.parametrize("loader, obj, message", [
+        (joint_from_dict, {"shape": [1, 2, 1], "probs": [BIG, 0.5]},
+         "joint.probs[0]: expected a number in the float64 range"),
+        (loss_from_dict, {"cost": [[0.0, 1.0], [1.0, -BIG]]},
+         "loss.cost[1][1]: expected a number in the float64 range"),
+        (map_from_dict, {"table": [0, BIG]},
+         "map.table[1]: expected an integer in the int64 range"),
+        (map_from_dict, {"table": [2**63]},
+         "map.table[0]: expected an integer in the int64 range"),
+        (market_from_dict, {"d_a": 1, "returns": [[BIG]]},
+         "market.returns[0][0]: expected a number in the float64 range"),
+    ], ids=["joint.probs", "loss.cost", "map.table", "map.table-int64", "market.returns"])
+    def test_message(self, loader, obj, message):
+        with pytest.raises(SchemaError) as exc:
+            loader(obj)
+        assert str(exc.value) == message
+
+    def test_range_edges_read(self):
+        # The largest float64 and int64 still read, as the float and int they are.
+        top = np.finfo(np.float64).max
+        assert loss_from_dict({"cost": [[int(top)]]}).cost[0, 0] == top
+        assert map_from_dict({"table": [2**63 - 1]}).table.tolist() == [2**63 - 1]
+
+    def test_literal_beyond_the_digit_limit(self, tmp_path):
+        # json.loads refuses an int literal of over 4300 digits with a bare
+        # ValueError; load_json names the file.
+        path = tmp_path / "huge.json"
+        path.write_text('{"probs": [' + "9" * 5000 + "]}")
+        with pytest.raises(SchemaError) as exc:
+            load_json(path)
+        assert str(exc.value).startswith(f"{path}: invalid JSON: Exceeds the limit")
 
 
 class TestJsonFiles:
@@ -656,27 +696,16 @@ class TestCsvMemory:
 
     N = 100_000
 
-    @staticmethod
-    def traced_peak(fn, *args):
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            result = fn(*args)
-            return result, tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-
     def test_reader_peak(self, tmp_path):
         data = gen_h1(H1Config(n=self.N, seed=5))
         path = tmp_path / "big.csv"
         write_dataset_csv(data, path)
-        back, peak = self.traced_peak(read_dataset_csv, path)
+        back, peak = traced_peak(read_dataset_csv, path)
         assert back.y.tobytes() == data.y.tobytes()
         floats = 8 * data.n * (data.d + 1 + data.d_prime)
         assert peak <= 3 * floats, f"peak {peak / floats:.2f}x the float array"
 
     def test_writer_peak(self):
         data = gen_h1(H1Config(n=self.N, seed=5))
-        text, peak = self.traced_peak(dataset_to_csv, data)
+        text, peak = traced_peak(dataset_to_csv, data)
         assert peak <= 3 * len(text), f"peak {peak / len(text):.2f}x the CSV text"
