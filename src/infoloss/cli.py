@@ -57,7 +57,7 @@ def _add_test_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _test_config(args) -> TestConfig:
-    return TestConfig(c1=args.c1, delta=args.delta, h=args.h)
+    return TestConfig(**{f.name: getattr(args, f.name) for f in fields(TestConfig)})
 
 
 class _StdoutClosed(Exception):

@@ -9,13 +9,14 @@ identical inputs byte-identical across runs.
 
 from __future__ import annotations
 
+import codecs
 import json
 import os
 import shutil
-import tempfile
+import sys
 import threading
-import warnings
 from collections.abc import Iterator
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -108,8 +109,11 @@ def joint_from_dict(obj, path: str = "joint") -> DiscreteJoint:
     _expect(isinstance(shape, list) and len(shape) == 3, f"{path}.shape", "expected 3 axis sizes")
     for i, s in enumerate(shape):
         _positive_int(s, f"{path}.shape[{i}]")
-    probs = _number_list(_require(obj, "probs", path), f"{path}.probs")
     expected = shape[0] * shape[1] * shape[2]
+    # No list is that long, and the count could be too long to format.
+    _expect(expected <= sys.maxsize, f"{path}.shape",
+            f"expected at most {sys.maxsize} entries in all")
+    probs = _number_list(_require(obj, "probs", path), f"{path}.probs")
     _expect(
         len(probs) == expected,
         f"{path}.probs",
@@ -203,44 +207,23 @@ def dataset_to_csv(data: Dataset) -> str:
     return _header_line(data) + "".join(_row_blocks(data, 0, data.n))
 
 
+def _can_fork() -> bool:
+    """Whether this process may fork a worker: POSIX, and no second live thread."""
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
 def _writer_processes(n: int) -> int:
     """Processes that format an ``n``-row CSV: at most one per usable core
     and per ``_ROWS_PER_PROCESS`` rows, and one where forking is unsafe."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    if not _can_fork():
         return 1
     return max(1, min(_usable_cores(), n // _ROWS_PER_PROCESS))
 
 
-def _fork_rows(data: Dataset, start: int, stop: int):
-    """Fork a child that formats rows ``start`` to ``stop`` into a temporary file.
-
-    Returns (pid, file), or None when the file or the fork cannot be had.
-    The child leaves by ``os._exit``, so it never flushes this process's
-    buffers or prints a traceback: its status, 0 or 1, is all it reports.
-    """
-    try:
-        part = tempfile.TemporaryFile()
-    except OSError:
-        return None
-    try:
-        # Python 3.12+ warns about fork when numpy's BLAS pool has threads;
-        # raised as an error, the warning would lose the child's pid.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        part.close()
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            for block in _row_blocks(data, start, stop):
-                part.write(block.encode("ascii"))
-            part.flush()
-            status = 0
-        finally:
-            os._exit(status)
-    return pid, part
+def _write_rows(data: Dataset, start: int, stop: int, part) -> None:
+    """Rows ``start`` to ``stop`` of the sample CSV into the binary file ``part``."""
+    for block in _row_blocks(data, start, stop):
+        part.write(block.encode("ascii"))
 
 
 def write_dataset_csv(data: Dataset, path) -> None:
@@ -256,43 +239,29 @@ def write_dataset_csv(data: Dataset, path) -> None:
     then copied in, in order.  A child that fails raises OSError.  Whether
     the call returns or raises, no child and no temporary file is left.
     """
+    from ._parts import Children
+
     w = _writer_processes(data.n)
     edges = [data.n * i // w for i in range(w + 1)]
+    parts = list(zip(edges, edges[1:]))
     # Opened first, so a bad path fails before any child starts.
-    with open(path, "w") as fh:
-        children = {}
-        try:
-            for i in range(1, w):
-                child = _fork_rows(data, edges[i], edges[i + 1])
-                if child is None:
-                    break
-                children[i] = child
-            fh.write(_header_line(data))
-            for i, (start, stop) in enumerate(zip(edges, edges[1:])):
-                if i not in children:
-                    fh.writelines(_row_blocks(data, start, stop))
-                    continue
-                pid, part = children[i]
-                status = os.waitpid(pid, 0)[1]
-                del children[i]
-                with part:
-                    if status:
-                        raise OSError(
-                            f"{path}: the process formatting rows {start + 1}..{stop} "
-                            f"exited with status {os.waitstatus_to_exitcode(status)}"
-                        )
-                    fh.flush()
-                    part.seek(0)
-                    shutil.copyfileobj(part, fh.buffer)
-        finally:
-            if children:
-                # Here only when the write failed.  Imported late: signal is
-                # not among the modules ``import infoloss`` loads.
-                from signal import SIGKILL
-            for pid, part in children.values():
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-                part.close()
+    with open(path, "w") as fh, Children() as children:
+        forked = children.start(partial(_write_rows, data, *part) for part in parts[1:])
+        fh.write(_header_line(data))
+        fh.writelines(_row_blocks(data, *parts[0]))
+        for i, (start, stop) in enumerate(parts[1:]):
+            if i >= forked:
+                fh.writelines(_row_blocks(data, start, stop))
+                continue
+            status = children.wait(i)
+            if status:
+                raise OSError(
+                    f"{path}: the process formatting rows {start + 1}..{stop} "
+                    f"exited with status {status}"
+                )
+            fh.flush()
+            children.files[i].seek(0)
+            shutil.copyfileobj(children.files[i], fh.buffer)
 
 
 def _scan_rows(path, lines, width: int) -> list[list[float]]:
@@ -327,6 +296,25 @@ def _scan_rows(path, lines, width: int) -> list[list[float]]:
 
 # Suffixes by which numpy's path opener decompresses a file.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+# How numpy parses the body, whole or one part per process.
+_LOADTXT = dict(delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+# Encodings (as ``codecs`` names them) in which byte 0x0A only ever means
+# "\n", so the body can be cut into parts there and each decoded alone.
+_NEWLINE_SAFE = {"utf-8", "ascii", "iso8859-1"}
+# Fewest file bytes per reader process.  On 2 vCPUs (Python 3.11.7, numpy
+# 2.4.6; two runs of 21 alternating reads each) two processes lost to one at
+# 0.5 and 1 MiB, broke even at 1.5 to 2 MiB and were faster from 3 MiB, so
+# a file gets a second process from twice 2 MiB.
+_BYTES_PER_PROCESS = 1 << 21
+
+
+def _reader_processes(fh) -> int:
+    r"""Processes that parse the CSV open as ``fh``: at most one per usable
+    core and per ``_BYTES_PER_PROCESS`` bytes, and one where forking is
+    unsafe or the file cannot be cut into parts at its ``\n`` bytes."""
+    if not _can_fork() or codecs.lookup(fh.encoding).name not in _NEWLINE_SAFE:
+        return 1
+    return min(_usable_cores(), os.fstat(fh.fileno()).st_size // _BYTES_PER_PROCESS)
 
 
 def read_dataset_csv(path) -> Dataset:
@@ -346,6 +334,17 @@ def read_dataset_csv(path) -> Dataset:
     accepts what only ``float`` reads (whitespace-only lines, ``1_0``).  It
     also takes names ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma``,
     which numpy would decompress.
+
+    From ``2 * _BYTES_PER_PROCESS`` bytes on, in a POSIX process with no
+    second thread and an encoding in which byte 0x0A only means ``\n``
+    (UTF-8, ASCII, latin-1), numpy's pass is split: the file is cut into
+    one contiguous part per usable core (as ``write_dataset_csv`` counts
+    them), each cut just after a ``\n`` byte, and a forked child parses each
+    part.  This process then holds only the float64 result, which it reads
+    back from the children's temporary files.  If a fork fails, or a child
+    fails or finds the wrong width, the whole-file pass and the line scanner
+    run as above, so values, messages and line numbers are the same either
+    way.  No child and no temporary file is left.
     """
     with open(path) as fh:
         header = fh.readline()
@@ -369,14 +368,18 @@ def read_dataset_csv(path) -> Dataset:
             raise SchemaError(f"{path}: empty dataset (header only)")
         arr = None
         if not str(path).endswith(_COMPRESSED):
-            try:
-                # An absolute path, so numpy's opener cannot take it for a URL.
-                arr = np.loadtxt(
-                    Path(path).absolute(), delimiter=",", comments=None, dtype=np.float64,
-                    ndmin=2, skiprows=1,
-                )
-            except ValueError:
-                pass
+            processes = _reader_processes(fh)
+            if processes > 1:
+                from ._parts import read_parts
+
+                parse = partial(np.loadtxt, **_LOADTXT)
+                arr = read_parts(parse, path, fh.encoding, width, processes)
+            if arr is None:
+                try:
+                    # An absolute path, so numpy's opener cannot take it for a URL.
+                    arr = np.loadtxt(Path(path).absolute(), skiprows=1, **_LOADTXT)
+                except ValueError:
+                    pass
         if arr is None or arr.shape[1] != width:
             fh.seek(0)
             fh.readline()

@@ -513,7 +513,10 @@ class TestOutOfRangeJsonNumber:
         ("bounds", {"joint": {"shape": [1, 2, 1], "probs": ["N", 0.5]}, "map": {"table": [0, 0]},
                     "loss": {"cost": [[0.0]]}},
          5000, "{path}: invalid JSON: Exceeds the limit (4300 digits)"),
-    ], ids=["map.table", "market.returns", "digit-limit"])
+        ("bounds", {"joint": {"shape": ["N", "N", "N"], "probs": [0.5, 0.5]},
+                    "map": {"table": [0, 0]}, "loss": {"cost": [[0.0]]}},
+         1500, "joint.shape: expected at most 9223372036854775807 entries in all"),
+    ], ids=["map.table", "market.returns", "digit-limit", "joint.shape"])
     def test_one_error_line(self, tmp_path, command, instance, digits, message):
         path = tmp_path / "instance.json"
         path.write_text(json.dumps(instance).replace('"N"', "9" * digits))
@@ -753,9 +756,10 @@ class TestArgparseBehavior:
         assert "test" in proc.stdout and "portfolio" in proc.stdout
 
     def test_import_loads_no_process_machinery(self):
-        # write_dataset_csv forks with os alone, and imports signal only to
-        # stop its children after a failure, so a fresh `import infoloss`
-        # (most of the benchmark's setup_s) loads none of these.
+        # The CSV reader and writer fork with os alone, through
+        # infoloss._parts, which they import when called and which imports
+        # signal; so a fresh `import infoloss` (most of the benchmark's
+        # setup_s) loads none of these.
         src = Path(infoloss.serialize.__file__).parents[1]
         proc = subprocess.run(
             [sys.executable, "-c", "import infoloss; import sys; print(sorted(sys.modules))"],
@@ -764,7 +768,8 @@ class TestArgparseBehavior:
         assert proc.returncode == 0, proc.stderr
         loaded = set(ast.literal_eval(proc.stdout))
         assert "infoloss.serialize" in loaded
-        heavy = {"multiprocessing", "concurrent.futures.process", "subprocess", "signal"}
+        heavy = {"multiprocessing", "concurrent.futures.process", "subprocess", "signal",
+                 "infoloss._parts"}
         assert loaded & heavy == set()
 
     @pytest.mark.parametrize("command", ["test", "select"])

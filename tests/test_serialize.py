@@ -1,10 +1,14 @@
 """Tests for the JSON and CSV interchange formats."""
 
 import errno
+import itertools
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -39,7 +43,7 @@ from infoloss import (
     save_json,
     write_dataset_csv,
 )
-from infoloss import serialize
+from infoloss import _parts, serialize
 
 from conftest import columns, traced_peak
 
@@ -175,7 +179,14 @@ class TestOutOfRangeNumbers:
          "map.table[0]: expected an integer in the int64 range"),
         (market_from_dict, {"d_a": 1, "returns": [[BIG]]},
          "market.returns[0][0]: expected a number in the float64 range"),
-    ], ids=["joint.probs", "loss.cost", "map.table", "map.table-int64", "market.returns"])
+        # Three 1500-digit axis sizes: their product is beyond the digits
+        # Python formats, and no list is that long.
+        (joint_from_dict, {"shape": [10**1500 - 1] * 3, "probs": [0.5, 0.5]},
+         "joint.shape: expected at most 9223372036854775807 entries in all"),
+        (joint_from_dict, {"shape": [2**62, 2, 1], "probs": [0.5, 0.5]},
+         "joint.shape: expected at most 9223372036854775807 entries in all"),
+    ], ids=["joint.probs", "loss.cost", "map.table", "map.table-int64", "market.returns",
+            "joint.shape", "joint.shape-2**63"])
     def test_message(self, loader, obj, message):
         with pytest.raises(SchemaError) as exc:
             loader(obj)
@@ -431,6 +442,16 @@ def check_read(path, text, want):
     np.testing.assert_array_equal(data.z, rows[:, 2:])
 
 
+def read_outcome(path, text):
+    """What reading ``text`` from ``path`` gives: the rows' shape and bytes, or
+    the SchemaError's text."""
+    try:
+        rows = columns(read_strict(path, text))
+        return rows.shape, rows.tobytes()
+    except SchemaError as exc:
+        return str(exc)
+
+
 class TestCsvLineStructure:
     r"""Lines end at ``\n``, ``\r`` or ``\r\n``; ``str.strip`` finds blank lines and padding."""
 
@@ -445,17 +466,9 @@ class TestCsvLineStructure:
     @pytest.mark.parametrize("case", sorted(EDGE_TEXTS))
     def test_scanner_reads_as_numpy(self, tmp_path, monkeypatch, case):
         path, text = tmp_path / "in.csv", EDGE_TEXTS[case]
-
-        def outcome():
-            try:
-                rows = columns(read_strict(path, text))
-                return rows.shape, rows.tobytes()
-            except SchemaError as exc:
-                return str(exc)
-
-        with_numpy = outcome()
+        with_numpy = read_outcome(path, text)
         disable_loadtxt(monkeypatch)
-        assert outcome() == with_numpy
+        assert read_outcome(path, text) == with_numpy
 
     def test_path_that_parses_as_url_read_locally(self, tmp_path, monkeypatch):
         def no_network(*args, **kwargs):
@@ -550,6 +563,35 @@ class TestCsvWriter:
             assert got.tobytes() == want.tobytes()
 
 
+@pytest.fixture
+def fork_spy(monkeypatch, tmp_path):
+    """Pids this process forks; temporary files go to ``tmp_path / "tmp"``."""
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    pids = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def use_cores(monkeypatch, count):
+    monkeypatch.setattr(serialize, "_usable_cores", lambda: count)
+
+
+def assert_clean(tmp_path):
+    """No child is left to reap, and no temporary file."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list((tmp_path / "tmp").iterdir()) == []
+
+
 class TestForkedCsvWriter:
     """Parts formatted by forked children join into exactly the one-string text."""
 
@@ -558,52 +600,29 @@ class TestForkedCsvWriter:
     ROWS = 1024
 
     @pytest.fixture
-    def forks(self, monkeypatch, tmp_path):
+    def forks(self, monkeypatch, fork_spy):
         """Pids the writer forks; temporary files go to ``tmp_path / "tmp"``."""
-        (tmp_path / "tmp").mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
         monkeypatch.setattr(serialize, "_ROWS_PER_PROCESS", self.ROWS)
-        pids = []
-        fork = os.fork
-
-        def spy():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", spy)
-        return pids
-
-    @staticmethod
-    def cores(monkeypatch, count):
-        monkeypatch.setattr(serialize, "_usable_cores", lambda: count)
+        return fork_spy
 
     @staticmethod
     def sample(n):
         return gen_h1(H1Config(n=n, seed=n))
 
-    @staticmethod
-    def assert_clean(tmp_path):
-        """No child is left to reap, and no temporary file."""
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert list((tmp_path / "tmp").iterdir()) == []
-
     @pytest.mark.parametrize("n", [1, 1023, 1024, 2047, 2048, 2049, 3071, 3072, 3073, 4097, 5000])
     @pytest.mark.parametrize("processes", [1, 2, 3])
     def test_bytes_equal_the_text(self, monkeypatch, tmp_path, forks, processes, n):
-        self.cores(monkeypatch, processes)
+        use_cores(monkeypatch, processes)
         data = self.sample(n)
         write_dataset_csv(data, tmp_path / "s.csv")
         assert (tmp_path / "s.csv").read_bytes() == dataset_to_csv(data).encode()
         assert len(forks) == min(processes, max(1, n // self.ROWS)) - 1
-        self.assert_clean(tmp_path)
+        assert_clean(tmp_path)
 
     @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, RuntimeError])
     def test_parent_raising_leaves_no_child(self, monkeypatch, tmp_path, forks, interrupt):
         # The parent's own part raises once both children run.
-        self.cores(monkeypatch, 3)
+        use_cores(monkeypatch, 3)
         blocks = serialize._row_blocks
 
         def parent_raises(data, start, stop):
@@ -615,10 +634,10 @@ class TestForkedCsvWriter:
         with pytest.raises(interrupt):
             write_dataset_csv(self.sample(3 * self.ROWS), tmp_path / "s.csv")
         assert len(forks) == 2
-        self.assert_clean(tmp_path)
+        assert_clean(tmp_path)
 
     def test_child_raising_is_an_os_error(self, monkeypatch, tmp_path, forks):
-        self.cores(monkeypatch, 3)
+        use_cores(monkeypatch, 3)
         blocks = serialize._row_blocks
 
         def last_part_raises(data, start, stop):
@@ -631,10 +650,10 @@ class TestForkedCsvWriter:
         message = f"{path}: the process formatting rows 2049..3072 exited with status 1"
         with pytest.raises(OSError, match=re.escape(message) + "$"):
             write_dataset_csv(self.sample(3 * self.ROWS), path)
-        self.assert_clean(tmp_path)
+        assert_clean(tmp_path)
 
     def test_second_thread_keeps_one_process(self, monkeypatch, tmp_path, forks):
-        self.cores(monkeypatch, 2)
+        use_cores(monkeypatch, 2)
         data = self.sample(4 * self.ROWS)
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
@@ -650,7 +669,7 @@ class TestForkedCsvWriter:
     @pytest.mark.parametrize("failing", ["fork", "tempdir"])
     def test_no_fork_or_temp_file_keeps_one_process(self, monkeypatch, tmp_path, forks,
                                                      failing):
-        self.cores(monkeypatch, 3)
+        use_cores(monkeypatch, 3)
         if failing == "fork":
             def no_fork():
                 raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
@@ -662,13 +681,13 @@ class TestForkedCsvWriter:
         write_dataset_csv(data, tmp_path / "s.csv")
         assert forks == []
         assert (tmp_path / "s.csv").read_bytes() == dataset_to_csv(data).encode()
-        self.assert_clean(tmp_path)
+        assert_clean(tmp_path)
 
     def test_fork_warning_loses_no_child(self, monkeypatch, tmp_path, forks):
         # Python 3.12+ warns in the parent, after forking, when the process
         # has native threads (numpy's BLAS pool); with warnings as errors
         # (this suite's setting) that would raise and lose the child's pid.
-        self.cores(monkeypatch, 2)
+        use_cores(monkeypatch, 2)
         fork = os.fork
 
         def warning_fork():
@@ -682,12 +701,190 @@ class TestForkedCsvWriter:
         write_dataset_csv(data, tmp_path / "s.csv")
         assert (tmp_path / "s.csv").read_bytes() == dataset_to_csv(data).encode()
         assert len(forks) == 1
-        self.assert_clean(tmp_path)
+        assert_clean(tmp_path)
 
     def test_bad_path_forks_nothing(self, monkeypatch, tmp_path, forks):
-        self.cores(monkeypatch, 2)
+        use_cores(monkeypatch, 2)
         with pytest.raises(FileNotFoundError):
             write_dataset_csv(self.sample(2 * self.ROWS), tmp_path / "missing" / "s.csv")
+        assert forks == []
+
+
+class TestForkedCsvReader:
+    """Parts parsed by forked children join into exactly what one process reads."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch, fork_spy):
+        """Pids the reader forks; every file is big enough for a part per core."""
+        monkeypatch.setattr(serialize, "_BYTES_PER_PROCESS", 1)
+        return fork_spy
+
+    @pytest.fixture
+    def whole_file_passes(self, monkeypatch):
+        """The ``np.loadtxt`` calls this process makes; a child's calls are its own."""
+        calls = []
+        loadtxt = np.loadtxt
+
+        def spy(fname, *args, **kwargs):
+            calls.append(fname)
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        return calls
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("case", sorted(EDGE_TEXTS))
+    def test_every_cut_reads_as_one_process(self, monkeypatch, tmp_path, forks, case, cores):
+        path, text = tmp_path / "in.csv", EDGE_TEXTS[case]
+        use_cores(monkeypatch, 1)
+        want = read_outcome(path, text)
+        assert forks == []
+        use_cores(monkeypatch, cores)
+        # Every choice of cut offsets, each layout of parts they give read once.
+        line_parts, layouts = _parts._line_parts, set()
+        for cuts in itertools.combinations_with_replacement(range(path.stat().st_size + 1),
+                                                            cores - 1):
+            with path.open("rb") as raw:
+                layout = line_parts(raw, cuts)
+            if tuple(layout) not in layouts:
+                layouts.add(tuple(layout))
+                monkeypatch.setattr(_parts, "_line_parts", lambda raw, cuts: layout)
+                assert read_outcome(path, text) == want, layout
+        if not isinstance(want, str):
+            assert forks
+        assert_clean(tmp_path)
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        data = gen_h1(H1Config(n=TestCsvScannerAtScale.N, seed=11))
+        return data, dataset_to_csv(data)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r", "\n"], ids=["crlf", "cr", "lf"])
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_line_ends_read_bit_equal(self, monkeypatch, tmp_path, forks, whole_file_passes,
+                                      sample, newline, cores):
+        # A "\r" file has no "\n" byte to cut at, so one child reads it whole.
+        data, text = sample
+        use_cores(monkeypatch, cores)
+        back = read_strict(tmp_path / "in.csv", text.replace("\n", newline))
+        assert columns(back).tobytes() == columns(data).tobytes()
+        assert len(forks) == (1 if newline == "\r" else cores)
+        assert whole_file_passes == []
+        assert_clean(tmp_path)
+
+    def test_bad_cell_in_last_part_located(self, monkeypatch, tmp_path, forks, sample):
+        data, text = sample
+        use_cores(monkeypatch, 3)
+        path = tmp_path / "in.csv"
+        col = data.d + 1
+        message = f"{path}, line {data.n + 1}, column {col}: could not parse 'oops'"
+        with pytest.raises(SchemaError, match=re.escape(message) + "$"):
+            read_strict(path, TestCsvScannerAtScale.crlf_with_last_row_cell(text, col, "oops"))
+        assert len(forks) == 3
+        assert_clean(tmp_path)
+
+    def small(self, tmp_path):
+        """A 2000-row CSV written by one process, and its rows."""
+        data = gen_h1(H1Config(n=2000, seed=12))
+        path = tmp_path / "in.csv"
+        path.write_text(dataset_to_csv(data))
+        return path, columns(data)
+
+    def test_failing_child_reads_in_one_process(self, monkeypatch, tmp_path, forks,
+                                                whole_file_passes):
+        use_cores(monkeypatch, 3)
+        path, want = self.small(tmp_path)
+        parse_part = _parts._parse_part
+        size = path.stat().st_size
+
+        def last_part_fails(parse, path, encoding, width, start, stop, part):
+            if stop == size:
+                raise ValueError("parse failed")
+            parse_part(parse, path, encoding, width, start, stop, part)
+
+        monkeypatch.setattr(_parts, "_parse_part", last_part_fails)
+        assert columns(read_dataset_csv(path)).tobytes() == want.tobytes()
+        assert len(forks) == 3
+        assert whole_file_passes == [path.absolute()]
+        assert_clean(tmp_path)
+
+    def test_parent_interrupt_leaves_no_child(self, monkeypatch, tmp_path, forks):
+        # The parent is interrupted after reaping the first of three children;
+        # the other two would take a minute, so they must be killed.
+        use_cores(monkeypatch, 3)
+        path, _ = self.small(tmp_path)
+        parse_part, wait = _parts._parse_part, _parts.Children.wait
+
+        def slow_after_the_first(parse, path, encoding, width, start, stop, part):
+            if start > 0:
+                time.sleep(60)
+            parse_part(parse, path, encoding, width, start, stop, part)
+
+        def interrupted(children, i):
+            if i > 0:
+                raise KeyboardInterrupt
+            return wait(children, i)
+
+        monkeypatch.setattr(_parts, "_parse_part", slow_after_the_first)
+        monkeypatch.setattr(_parts.Children, "wait", interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            read_dataset_csv(path)
+        assert time.monotonic() - started < 30
+        assert len(forks) == 3
+        assert_clean(tmp_path)
+
+    def test_blank_part_warns_nothing(self, tmp_path):
+        # The file's second half is blank lines, so numpy finds no data in
+        # the second part and warns.  The child fails instead, and the one
+        # process read skips the blank lines: nothing reaches stderr.
+        path, _ = self.small(tmp_path)
+        with path.open("a") as fh:
+            fh.write("\n" * path.stat().st_size)
+        code = ("import sys; from infoloss import serialize; "
+                "serialize._usable_cores = lambda: 2; serialize._BYTES_PER_PROCESS = 1; "
+                "print(serialize.read_dataset_csv(sys.argv[1]).n)")
+        proc = subprocess.run([sys.executable, "-c", code, str(path)],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2000\n", "")
+
+    @pytest.mark.parametrize("forked", [0, 1])
+    def test_failing_fork_reads_in_one_process(self, monkeypatch, tmp_path, forks, forked):
+        # os.fork fails after `forked` children have started.
+        use_cores(monkeypatch, 3)
+        path, want = self.small(tmp_path)
+        fork = os.fork
+
+        def failing_fork():
+            if len(forks) == forked:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert columns(read_dataset_csv(path)).tobytes() == want.tobytes()
+        assert len(forks) == forked
+        assert_clean(tmp_path)
+
+    @pytest.mark.parametrize("why", ["thread", "encoding", "compressed-suffix"])
+    def test_read_in_one_process(self, monkeypatch, tmp_path, forks, why):
+        use_cores(monkeypatch, 2)
+        path, want = self.small(tmp_path)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if why == "thread":
+            thread.start()
+        elif why == "encoding":
+            monkeypatch.setattr(serialize, "_NEWLINE_SAFE", set())
+        else:
+            path = path.rename(path.with_suffix(".csv.gz"))
+        try:
+            back = read_dataset_csv(path)
+        finally:
+            release.set()
+            if why == "thread":
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert columns(back).tobytes() == want.tobytes()
         assert forks == []
 
 
@@ -696,14 +893,28 @@ class TestCsvMemory:
 
     N = 100_000
 
-    def test_reader_peak(self, tmp_path):
+    def read_peak(self, tmp_path, monkeypatch, cores):
+        """tracemalloc peak of reading a 1e5-row h1 CSV with ``cores`` usable cores,
+        over the float array's size."""
+        use_cores(monkeypatch, cores)
         data = gen_h1(H1Config(n=self.N, seed=5))
         path = tmp_path / "big.csv"
         write_dataset_csv(data, path)
         back, peak = traced_peak(read_dataset_csv, path)
         assert back.y.tobytes() == data.y.tobytes()
-        floats = 8 * data.n * (data.d + 1 + data.d_prime)
-        assert peak <= 3 * floats, f"peak {peak / floats:.2f}x the float array"
+        return peak / (8 * data.n * (data.d + 1 + data.d_prime))
+
+    def test_reader_peak(self, tmp_path, monkeypatch):
+        ratio = self.read_peak(tmp_path, monkeypatch, 1)
+        assert ratio <= 3, f"peak {ratio:.2f}x the float array"
+
+    def test_forked_reader_peak(self, tmp_path, monkeypatch, fork_spy):
+        # tracemalloc sees only this process: it holds the result array and
+        # the Dataset's copy, while each child's text and rows stay outside
+        # the trace.  The bound is the one-process bound.
+        ratio = self.read_peak(tmp_path, monkeypatch, 2)
+        assert len(fork_spy) == 1 + 2  # the writer's child, then one reader child per core
+        assert ratio <= 3, f"peak {ratio:.2f}x the float array"
 
     def test_writer_peak(self):
         data = gen_h1(H1Config(n=self.N, seed=5))
