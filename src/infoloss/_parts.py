@@ -113,10 +113,10 @@ def _line_parts(raw, cuts) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
 
 
-def _parse_part(parse, path, encoding: str, width: int, start: int, stop: int, part) -> None:
-    """Parse bytes ``start`` to ``stop`` of ``path`` with ``parse(text, skiprows)``,
-    the header skipped in the part that holds it, and write the float64
-    rows to the binary file ``part``.
+def _parse_part(parse, path, width: int, start: int, stop: int, part) -> None:
+    """Parse bytes ``start`` to ``stop`` of ``path``, decoded as UTF-8, with
+    ``parse(text, skiprows)``, the header skipped in the part that holds it,
+    and write the float64 rows to the binary file ``part``.
 
     Runs in a forked child that exits next, so a warning (numpy's "no data"
     among them) is made an error there: every failure, and a width other
@@ -124,14 +124,14 @@ def _parse_part(parse, path, encoding: str, width: int, start: int, stop: int, p
     """
     warnings.simplefilter("error")
     raw = io.BufferedReader(_ByteRange(path, start, stop))
-    with io.TextIOWrapper(raw, encoding=encoding, newline=None) as text:
+    with io.TextIOWrapper(raw, encoding="utf-8", newline=None) as text:
         rows = parse(text, skiprows=0 if start else 1)
     if rows.shape[1] != width:
         raise ValueError(f"expected {width} fields, got {rows.shape[1]}")
     part.write(rows)
 
 
-def read_parts(parse, path, encoding: str, width: int, processes: int) -> np.ndarray | None:
+def read_parts(parse, path, width: int, processes: int) -> np.ndarray | None:
     r"""The body rows of the CSV at ``path``, cut into ``processes`` parts of
     about equal size at ``\n`` bytes and parsed by one forked child each.
 
@@ -143,7 +143,7 @@ def read_parts(parse, path, encoding: str, width: int, processes: int) -> np.nda
     with open(path, "rb") as raw, Children() as children:
         size = os.fstat(raw.fileno()).st_size
         parts = _line_parts(raw, [size * i // processes for i in range(1, processes)])
-        jobs = (partial(_parse_part, parse, path, encoding, width, *part) for part in parts)
+        jobs = (partial(_parse_part, parse, path, width, *part) for part in parts)
         if children.start(jobs) < len(parts) or any(map(children.wait, range(len(parts)))):
             return None
         counts = [os.fstat(f.fileno()).st_size // (8 * width) for f in children.files]

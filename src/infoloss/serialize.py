@@ -9,7 +9,6 @@ identical inputs byte-identical across runs.
 
 from __future__ import annotations
 
-import codecs
 import json
 import os
 import shutil
@@ -161,9 +160,10 @@ def market_from_dict(obj, path: str = "market") -> MarketModel:
 
 
 def load_json(path) -> dict:
-    text = Path(path).read_text()
     try:
-        obj = json.loads(text)
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise SchemaError(f"{path}: not UTF-8 text") from None
     except ValueError as exc:  # also a literal beyond Python's int digit limit
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
     return _object(obj, path)
@@ -207,17 +207,13 @@ def dataset_to_csv(data: Dataset) -> str:
     return _header_line(data) + "".join(_row_blocks(data, 0, data.n))
 
 
-def _can_fork() -> bool:
-    """Whether this process may fork a worker: POSIX, and no second live thread."""
-    return hasattr(os, "fork") and threading.active_count() == 1
-
-
-def _writer_processes(n: int) -> int:
-    """Processes that format an ``n``-row CSV: at most one per usable core
-    and per ``_ROWS_PER_PROCESS`` rows, and one where forking is unsafe."""
-    if not _can_fork():
+def _processes(work: int, per_process: int) -> int:
+    """Processes that share ``work`` units: at most one per usable core and
+    per ``per_process`` units, and one where forking is unsafe (no POSIX
+    ``os.fork``, or a second live thread)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    return max(1, min(_usable_cores(), n // _ROWS_PER_PROCESS))
+    return max(1, min(_usable_cores(), work // per_process))
 
 
 def _write_rows(data: Dataset, start: int, stop: int, part) -> None:
@@ -241,7 +237,7 @@ def write_dataset_csv(data: Dataset, path) -> None:
     """
     from ._parts import Children
 
-    w = _writer_processes(data.n)
+    w = _processes(data.n, _ROWS_PER_PROCESS)
     edges = [data.n * i // w for i in range(w + 1)]
     parts = list(zip(edges, edges[1:]))
     # Opened first, so a bad path fails before any child starts.
@@ -264,12 +260,20 @@ def write_dataset_csv(data: Dataset, path) -> None:
             shutil.copyfileobj(children.files[i], fh.buffer)
 
 
+def _check_utf8(path, lineno: int, line: str) -> None:
+    """Raise if ``line`` holds a lone surrogate: a byte that UTF-8 did not decode."""
+    try:
+        line.encode()
+    except UnicodeEncodeError:
+        raise SchemaError(f"{path}, line {lineno}: not UTF-8 text") from None
+
+
 def _scan_rows(path, lines, width: int) -> list[list[float]]:
     """Parse the body lines one cell at a time: ``str.strip``, then ``float``.
 
     ``lines`` is the open file, past its header.  Blank lines are skipped.
     The first malformed line raises a SchemaError naming its 1-based line
-    number and, for a bad cell, its column.
+    number and, for a bad cell in UTF-8 text, its column.
     """
     rows = []
     for lineno, line in enumerate(lines, start=2):
@@ -277,12 +281,14 @@ def _scan_rows(path, lines, width: int) -> list[list[float]]:
             continue
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != width:
+            _check_utf8(path, lineno, line)
             raise SchemaError(
                 f"{path}, line {lineno}: expected {width} fields, got {len(cells)}"
             )
         try:
             rows.append([float(c) for c in cells])
         except ValueError:
+            _check_utf8(path, lineno, line)
             for col, cell in enumerate(cells, start=1):
                 try:
                     float(cell)
@@ -297,10 +303,7 @@ def _scan_rows(path, lines, width: int) -> list[list[float]]:
 # Suffixes by which numpy's path opener decompresses a file.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 # How numpy parses the body, whole or one part per process.
-_LOADTXT = dict(delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-# Encodings (as ``codecs`` names them) in which byte 0x0A only ever means
-# "\n", so the body can be cut into parts there and each decoded alone.
-_NEWLINE_SAFE = {"utf-8", "ascii", "iso8859-1"}
+_LOADTXT = dict(delimiter=",", comments=None, dtype=np.float64, ndmin=2, encoding="utf-8")
 # Fewest file bytes per reader process.  On 2 vCPUs (Python 3.11.7, numpy
 # 2.4.6; two runs of 21 alternating reads each) two processes lost to one at
 # 0.5 and 1 MiB, broke even at 1.5 to 2 MiB and were faster from 3 MiB, so
@@ -308,23 +311,15 @@ _NEWLINE_SAFE = {"utf-8", "ascii", "iso8859-1"}
 _BYTES_PER_PROCESS = 1 << 21
 
 
-def _reader_processes(fh) -> int:
-    r"""Processes that parse the CSV open as ``fh``: at most one per usable
-    core and per ``_BYTES_PER_PROCESS`` bytes, and one where forking is
-    unsafe or the file cannot be cut into parts at its ``\n`` bytes."""
-    if not _can_fork() or codecs.lookup(fh.encoding).name not in _NEWLINE_SAFE:
-        return 1
-    return min(_usable_cores(), os.fstat(fh.fileno()).st_size // _BYTES_PER_PROCESS)
-
-
 def read_dataset_csv(path) -> Dataset:
     r"""Parse a sample CSV with header x1..xd,y,z1..zd'.
 
     The dimensions d and d' are those the header declares.  The file is
-    decoded as text in the locale's encoding, and lines end at ``\n``,
-    ``\r`` or ``\r\n``; blank lines are skipped.  Each cell is read as
-    ``float`` reads it after ``str.strip``.  Parse failures report 1-based
-    line numbers.
+    decoded as UTF-8, whatever the locale, and lines end at ``\n``, ``\r``
+    or ``\r\n``; blank lines are skipped.  Each cell is read as ``float``
+    reads it after ``str.strip``.  Parse failures report 1-based line
+    numbers; a line holding a byte that UTF-8 does not decode fails as
+    ``<path>, line N: not UTF-8 text``.
 
     ``np.loadtxt`` parses the body from the path, reading the file in
     chunks itself, so no copy of the text is held; it splits lines and
@@ -336,20 +331,22 @@ def read_dataset_csv(path) -> Dataset:
     which numpy would decompress.
 
     From ``2 * _BYTES_PER_PROCESS`` bytes on, in a POSIX process with no
-    second thread and an encoding in which byte 0x0A only means ``\n``
-    (UTF-8, ASCII, latin-1), numpy's pass is split: the file is cut into
-    one contiguous part per usable core (as ``write_dataset_csv`` counts
-    them), each cut just after a ``\n`` byte, and a forked child parses each
-    part.  This process then holds only the float64 result, which it reads
-    back from the children's temporary files.  If a fork fails, or a child
-    fails or finds the wrong width, the whole-file pass and the line scanner
-    run as above, so values, messages and line numbers are the same either
-    way.  No child and no temporary file is left.
+    second thread, numpy's pass is split: the file is cut into one
+    contiguous part per usable core (as ``write_dataset_csv`` counts them),
+    each cut just after a ``\n`` byte (in UTF-8 that byte is only ever a
+    newline), and a forked child parses each part.  This process then holds
+    only the float64 result, which it reads back from the children's
+    temporary files.  If a fork fails, or a child fails or finds the wrong
+    width, the whole-file pass and the line scanner run as above, so
+    values, messages and line numbers are the same either way.  No child
+    and no temporary file is left.
     """
-    with open(path) as fh:
+    # Escaped bytes fail numpy's strict pass and reach the scanner, which locates them.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline()
         if not header.strip():
             raise SchemaError(f"{path}: empty file")
+        _check_utf8(path, 1, header)
         names = [t.strip() for t in header.split(",")]
         if "y" not in names:
             raise SchemaError(f"{path}, line 1: header must contain a 'y' column")
@@ -368,12 +365,11 @@ def read_dataset_csv(path) -> Dataset:
             raise SchemaError(f"{path}: empty dataset (header only)")
         arr = None
         if not str(path).endswith(_COMPRESSED):
-            processes = _reader_processes(fh)
+            processes = _processes(os.fstat(fh.fileno()).st_size, _BYTES_PER_PROCESS)
             if processes > 1:
                 from ._parts import read_parts
 
-                parse = partial(np.loadtxt, **_LOADTXT)
-                arr = read_parts(parse, path, fh.encoding, width, processes)
+                arr = read_parts(partial(np.loadtxt, **_LOADTXT), path, width, processes)
             if arr is None:
                 try:
                     # An absolute path, so numpy's opener cannot take it for a URL.

@@ -220,7 +220,7 @@ class TestGenCommand:
     def traced_gen_peak(self, tmp_path, monkeypatch, cores, n):
         """tracemalloc peak of an h1 `gen` of n rows, written by `cores` processes."""
         monkeypatch.setattr(infoloss.serialize, "_usable_cores", lambda: cores)
-        assert infoloss.serialize._writer_processes(n) == cores
+        assert infoloss.serialize._processes(n, infoloss.serialize._ROWS_PER_PROCESS) == cores
         main(["gen", "--scenario", "h1", "--n", "1000", "--output", str(tmp_path / "warm")])
         code, peak = traced_peak(main, ["gen", "--scenario", "h1", "--n", str(n), "--seed", "3",
                                         "--output", str(tmp_path / "s")])
@@ -302,6 +302,16 @@ class TestGenCommand:
         assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
         assert not (tmp_path / "s.csv").exists()
 
+    def test_unallocatable_sample_exit_one(self, tmp_path, capsys):
+        # 2**50 rows of 4 floats is 32 PiB, beyond any 64-bit user address
+        # space, so the allocation fails at once and touches no memory.
+        code = main(["gen", "--scenario", "h0", "--n", str(2**50),
+                     "--output", str(tmp_path / "s")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "s.csv").exists()
+
     def test_h1_echo_carries_theta(self, tmp_path, capsys):
         stem = tmp_path / "alt"
         main(["gen", "--scenario", "h1", "--n", "50", "--theta", "0.9",
@@ -359,6 +369,15 @@ class TestMcCommand:
         )
         assert draws == []
         assert not (tmp_path / "out.csv").exists()
+
+    def test_unallocatable_sample_exit_one(self, tmp_path, capsys):
+        # As for gen: a 2**50-row replicate cannot be allocated at all.
+        code = main(["mc", "--n-grid", str(2**50), "--reps", "1", "--threads", "1",
+                     "--output", str(tmp_path / "m")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "m.csv").exists()
 
     def test_thread_count_does_not_change_csv(self, tmp_path, capsys):
         argv = ["mc", "--scenario", "h1", "--n-grid", "300", "--reps", "6",

@@ -1,6 +1,8 @@
 """Tests for the JSON and CSV interchange formats."""
 
+import codecs
 import errno
+import hashlib
 import itertools
 import os
 import re
@@ -223,6 +225,13 @@ class TestJsonFiles:
         with pytest.raises(SchemaError, match="invalid JSON"):
             load_json(path)
 
+    @pytest.mark.parametrize("raw", [b'{"joint": "\xff"}', b'{"a": 1}\xa0', b"\xed\xb3\xbf{}"])
+    def test_not_utf8_reports_path(self, tmp_path, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: not UTF-8 text") + "$"):
+            load_json(path)
+
 
 class TestDatasetCsv:
     def test_round_trip(self, tmp_path):
@@ -297,8 +306,12 @@ class TestDatasetCsv:
 
 
 def read_strict(path, text):
-    """Write ``text`` byte for byte and read it back with warnings as errors."""
-    path.write_bytes(text.encode("utf-8"))
+    """Write ``text`` byte for byte and read it back with warnings as errors.
+
+    A lone surrogate U+DC80..U+DCFF in ``text`` is written as the byte it
+    escapes, 0x80..0xFF, so a test can hold bytes that UTF-8 does not decode.
+    """
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return read_dataset_csv(path)
@@ -419,6 +432,15 @@ LINE_STRUCTURE = {
     "header-no-newline": ("x1,y,z1", ": empty dataset (header only)"),
     "blank-first-line": ("\nx1,y,z1\n0.1,0.2,0.3\n", ": empty file"),
     "empty": ("", ": empty file"),
+    # Bytes that UTF-8 does not decode (see read_strict), located by line.
+    "not-utf8-cell": ("x1,y,z1\n0.1,0.2,0.3\n0.4,\udcff5,0.6\n", ", line 3: not UTF-8 text"),
+    "not-utf8-header": ("x1,y\udcff,z1\n0.1,0.2,0.3\n", ", line 1: not UTF-8 text"),
+    "not-utf8-width": ("x1,y,z1\n0.1,0.2\udcff\n", ", line 2: not UTF-8 text"),
+    "not-utf8-blank": ("x1,y,z1\n0.1,0.2,0.3\r \udcff \r", ", line 3: not UTF-8 text"),
+    "latin1-nbsp": ("x1,y,z1\n0.1,0.2,\udca00.3\n", ", line 2: not UTF-8 text"),
+    "encoded-surrogate": ("x1,y,z1\n0.1,0.2,0.3\udced\udcb3\udcbf\n", ", line 2: not UTF-8 text"),
+    "bad-cell-before-not-utf8": ("x1,y,z1\n0.1,oops,0.3\n\udcff\n",
+                                 ", line 2, column 2: could not parse 'oops'"),
 }
 
 # Every edge-case file above, whole.
@@ -796,15 +818,21 @@ class TestForkedCsvReader:
         path, want = self.small(tmp_path)
         parse_part = _parts._parse_part
         size = path.stat().st_size
+        ran = tmp_path / "ran"
+        ran.mkdir()
 
-        def last_part_fails(parse, path, encoding, width, start, stop, part):
+        # Each child leaves a marker before it fails or delegates, so a stub
+        # whose signature no longer matches the call cannot pass unnoticed.
+        def last_part_fails(parse, path, width, start, stop, part):
+            (ran / str(start)).touch()
             if stop == size:
                 raise ValueError("parse failed")
-            parse_part(parse, path, encoding, width, start, stop, part)
+            parse_part(parse, path, width, start, stop, part)
 
         monkeypatch.setattr(_parts, "_parse_part", last_part_fails)
         assert columns(read_dataset_csv(path)).tobytes() == want.tobytes()
         assert len(forks) == 3
+        assert len(list(ran.iterdir())) == 3
         assert whole_file_passes == [path.absolute()]
         assert_clean(tmp_path)
 
@@ -815,10 +843,10 @@ class TestForkedCsvReader:
         path, _ = self.small(tmp_path)
         parse_part, wait = _parts._parse_part, _parts.Children.wait
 
-        def slow_after_the_first(parse, path, encoding, width, start, stop, part):
+        def slow_after_the_first(parse, path, width, start, stop, part):
             if start > 0:
                 time.sleep(60)
-            parse_part(parse, path, encoding, width, start, stop, part)
+            parse_part(parse, path, width, start, stop, part)
 
         def interrupted(children, i):
             if i > 0:
@@ -865,7 +893,7 @@ class TestForkedCsvReader:
         assert len(forks) == forked
         assert_clean(tmp_path)
 
-    @pytest.mark.parametrize("why", ["thread", "encoding", "compressed-suffix"])
+    @pytest.mark.parametrize("why", ["thread", "compressed-suffix"])
     def test_read_in_one_process(self, monkeypatch, tmp_path, forks, why):
         use_cores(monkeypatch, 2)
         path, want = self.small(tmp_path)
@@ -873,8 +901,6 @@ class TestForkedCsvReader:
         thread = threading.Thread(target=release.wait)
         if why == "thread":
             thread.start()
-        elif why == "encoding":
-            monkeypatch.setattr(serialize, "_NEWLINE_SAFE", set())
         else:
             path = path.rename(path.with_suffix(".csv.gz"))
         try:
@@ -886,6 +912,80 @@ class TestForkedCsvReader:
         assert not thread.is_alive()
         assert columns(back).tobytes() == want.tobytes()
         assert forks == []
+
+
+# A Python that decodes text as ASCII by default: the C locale, with the
+# UTF-8 mode that a C locale would otherwise turn on switched off.
+ASCII_LOCALE = {"PYTHONUTF8": "0", "LC_ALL": "C"}
+LOCALES = pytest.mark.parametrize("env", [{"PYTHONUTF8": "1"}, ASCII_LOCALE],
+                                  ids=["utf8-mode", "ascii-locale"])
+
+# Reads the CSV at argv[1] with two usable cores, first in one process, then
+# with every file big enough to be cut into parts.  Prints the locale's
+# encoding, then for each read the sha256 of its columns, the forks and the
+# whole-file numpy passes this process made.
+READ_BOTH_WAYS = """
+import hashlib, locale, os, sys
+import numpy as np
+from infoloss import serialize
+forks, passes = [], []
+fork, loadtxt = os.fork, np.loadtxt
+def fork_spy():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+def loadtxt_spy(*args, **kwargs):
+    passes.append(args[0])
+    return loadtxt(*args, **kwargs)
+os.fork, np.loadtxt = fork_spy, loadtxt_spy
+serialize._usable_cores = lambda: 2
+print(locale.getpreferredencoding(False))
+for per_process in (serialize._BYTES_PER_PROCESS, 1):
+    serialize._BYTES_PER_PROCESS = per_process
+    forks.clear()
+    passes.clear()
+    data = serialize.read_dataset_csv(sys.argv[1])
+    rows = np.column_stack((data.x, data.y, data.z))
+    print(hashlib.sha256(rows.tobytes()).hexdigest(), len(forks), len(passes))
+"""
+
+
+class TestLocale:
+    """A file reads as UTF-8 whatever the locale, and a byte UTF-8 does not
+    decode is one located error line."""
+
+    @LOCALES
+    def test_no_break_space_reads_bit_equal(self, tmp_path, env):
+        data = gen_h1(H1Config(n=200, seed=13))
+        lines = dataset_to_csv(data).split("\n")
+        for i in (1, 100, -2):
+            lines[i] = "\u00a0" + lines[i].replace(",", ",\u00a0", 1)
+        path = tmp_path / "in.csv"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-c", READ_BOTH_WAYS, str(path)],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, **env))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        encoding, *reads = proc.stdout.splitlines()
+        assert codecs.lookup(encoding).name == ("ascii" if env is ASCII_LOCALE else "utf-8")
+        digest = hashlib.sha256(columns(data).tobytes()).hexdigest()
+        # One process: one whole-file pass.  Forked: two parts, no fallback.
+        assert reads == [f"{digest} 0 1", f"{digest} 2 0"]
+
+    @LOCALES
+    @pytest.mark.parametrize("command, raw, where", [
+        ("test", b"x1,y,z1\n1,2,3\n4,\xff5,6\n", ", line 3"),
+        ("bounds", b'{"joint": "\xff"}', ""),
+    ], ids=["csv", "json"])
+    def test_not_utf8_is_one_error_line(self, tmp_path, env, command, raw, where):
+        path = tmp_path / "in"
+        path.write_bytes(raw)
+        proc = subprocess.run([sys.executable, "-m", "infoloss", command, "--input", str(path)],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, **env))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: {path}{where}: not UTF-8 text\n"
 
 
 class TestCsvMemory:
