@@ -116,7 +116,7 @@ def _line_parts(raw, cuts) -> list[tuple[int, int]]:
 def _parse_part(parse, path, width: int, start: int, stop: int, part) -> None:
     """Parse bytes ``start`` to ``stop`` of ``path``, decoded as UTF-8, with
     ``parse(text, skiprows)``, the header skipped in the part that holds it,
-    and write the float64 rows to the binary file ``part``.
+    and write the float64 rows to the binary file ``part`` column by column.
 
     Runs in a forked child that exits next, so a warning (numpy's "no data"
     among them) is made an error there: every failure, and a width other
@@ -128,17 +128,18 @@ def _parse_part(parse, path, width: int, start: int, stop: int, part) -> None:
         rows = parse(text, skiprows=0 if start else 1)
     if rows.shape[1] != width:
         raise ValueError(f"expected {width} fields, got {rows.shape[1]}")
-    part.write(rows)
+    part.writelines(col.copy() for col in rows.T)
 
 
 def read_parts(parse, path, width: int, processes: int) -> np.ndarray | None:
     r"""The body rows of the CSV at ``path``, cut into ``processes`` parts of
     about equal size at ``\n`` bytes and parsed by one forked child each.
 
-    None when a temporary file or a fork cannot be had, or a child fails,
-    so the one-process path decides.  This process holds only the result:
-    each child's rows come back through its temporary file into their
-    slice of the result.
+    None when a temporary file or a fork cannot be had, a child fails, or
+    a read back comes up short, so the one-process path decides.  This
+    process holds only the result, a column-major array: each column of
+    each child's rows comes back through its temporary file into its slice
+    of the result.
     """
     with open(path, "rb") as raw, Children() as children:
         size = os.fstat(raw.fileno()).st_size
@@ -147,10 +148,12 @@ def read_parts(parse, path, width: int, processes: int) -> np.ndarray | None:
         if children.start(jobs) < len(parts) or any(map(children.wait, range(len(parts)))):
             return None
         counts = [os.fstat(f.fileno()).st_size // (8 * width) for f in children.files]
-        arr = np.empty((sum(counts), width))
+        arr = np.empty((sum(counts), width), order="F")
         first = 0
         for part, count in zip(children.files, counts):
             part.seek(0)
-            part.readinto(arr[first : first + count])
+            for col in arr[first : first + count].T:
+                if part.readinto(col) != col.nbytes:
+                    return None
             first += count
         return arr

@@ -44,8 +44,9 @@ class Dataset(_Frozen):
 
     The arrays are read-only float64 copies of the inputs.  x and z are
     stored column-major, so each coordinate is one contiguous column: the
-    layout that the generators write and ``build_histogram`` reads.  A 1-D
-    x or z is one coordinate; a 2-D one has a row per sample.
+    layout that the generators write, the forked CSV reader fills and
+    ``build_histogram`` reads.  A 1-D x or z is one coordinate; a 2-D one
+    has a row per sample.
     """
 
     x: np.ndarray
@@ -53,25 +54,8 @@ class Dataset(_Frozen):
     z: np.ndarray
 
     def __post_init__(self) -> None:
-        x, y, z = (np.asarray(a, dtype=np.float64) for a in (self.x, self.y, self.z))
-        for name, arr in (("x", x), ("z", z)):
-            if arr.ndim not in (1, 2):
-                raise ValueError(f"{name}: expected a 1-D or 2-D array, got shape {arr.shape}")
-        x, z = (a[:, None] if a.ndim == 1 else a for a in (x, z))
-        if y.ndim != 1:
-            raise ValueError(f"y: expected a 1-D array, got shape {y.shape}")
-        n = y.shape[0]
-        if n < 1:
-            raise ValueError("dataset is empty")
-        if x.shape[0] != n or z.shape[0] != n:
-            raise ValueError(
-                f"row mismatch: x has {x.shape[0]}, y has {n}, z has {z.shape[0]}"
-            )
-        if x.shape[1] < 1:
-            raise ValueError("x must have at least one coordinate")
+        x, y, z = _checked(*(np.asarray(a, dtype=np.float64) for a in (self.x, self.y, self.z)))
         for name, arr in (("x", x), ("y", y), ("z", z)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name}: non-finite values")
             object.__setattr__(self, name, _read_only(arr.copy(order="F")))
 
     @property
@@ -87,6 +71,14 @@ class Dataset(_Frozen):
         return self.z.shape[1]
 
     @classmethod
+    def _adopt(cls, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> Dataset:
+        """The constructor's checks, then the arrays kept uncopied (made
+        read-only in place): for column-major arrays that nothing else holds."""
+        data = object.__new__(cls)
+        data.__setstate__(dict(zip("xyz", _checked(x, y, z))))
+        return data
+
+    @classmethod
     def _owned(cls, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> Dataset:
         """Wrap float64 arrays without re-validating or copying them.
 
@@ -96,10 +88,33 @@ class Dataset(_Frozen):
         x and z are affine images of uniforms with finite, checked
         parameters, so they lie in [0, 1], and it checks the one column that
         can overflow, y, itself.  The arrays are made read-only in place.
+        Other arrays are adopted through ``_adopt``, which checks them.
         """
         data = object.__new__(cls)
         data.__setstate__({"x": x, "y": y, "z": z})
         return data
+
+
+def _checked(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The float64 arrays a ``Dataset`` keeps (a 1-D x or z as one column), or
+    the ValueError of the first check they fail: every ``Dataset`` message."""
+    for name, arr in (("x", x), ("z", z)):
+        if arr.ndim not in (1, 2):
+            raise ValueError(f"{name}: expected a 1-D or 2-D array, got shape {arr.shape}")
+    x, z = (a[:, None] if a.ndim == 1 else a for a in (x, z))
+    if y.ndim != 1:
+        raise ValueError(f"y: expected a 1-D array, got shape {y.shape}")
+    n = y.shape[0]
+    if n < 1:
+        raise ValueError("dataset is empty")
+    if x.shape[0] != n or z.shape[0] != n:
+        raise ValueError(f"row mismatch: x has {x.shape[0]}, y has {n}, z has {z.shape[0]}")
+    if x.shape[1] < 1:
+        raise ValueError("x must have at least one coordinate")
+    for name, arr in (("x", x), ("y", y), ("z", z)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name}: non-finite values")
+    return x, y, z
 
 
 def _coordinates(data: Dataset) -> list[tuple[str, np.ndarray]]:

@@ -335,11 +335,13 @@ def read_dataset_csv(path) -> Dataset:
     contiguous part per usable core (as ``write_dataset_csv`` counts them),
     each cut just after a ``\n`` byte (in UTF-8 that byte is only ever a
     newline), and a forked child parses each part.  This process then holds
-    only the float64 result, which it reads back from the children's
-    temporary files.  If a fork fails, or a child fails or finds the wrong
-    width, the whole-file pass and the line scanner run as above, so
-    values, messages and line numbers are the same either way.  No child
-    and no temporary file is left.
+    only the float64 result, which it reads back column by column from the
+    children's temporary files, and the ``Dataset`` keeps that result's
+    columns without copying them: one copy of the sample, where the
+    one-process path holds two.  If a fork fails, a child fails or finds
+    the wrong width, or a read back comes up short, the whole-file pass and
+    the line scanner run as above, so values, messages and line numbers are
+    the same either way.  No child and no temporary file is left.
     """
     # Escaped bytes fail numpy's strict pass and reach the scanner, which locates them.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -380,4 +382,6 @@ def read_dataset_csv(path) -> Dataset:
             fh.seek(0)
             fh.readline()
             arr = np.asarray(_scan_rows(path, fh, width), dtype=np.float64)
-    return _build(path, Dataset, x=arr[:, :d_file], y=arr[:, d_file], z=arr[:, d_file + 1 :])
+    # A column-major result (the forked read's) is the layout Dataset keeps.
+    make = Dataset._adopt if arr.flags.f_contiguous else Dataset
+    return _build(path, make, arr[:, :d_file], arr[:, d_file], arr[:, d_file + 1 :])
